@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import Matrix
 
-__all__ = ["Partition", "submatrix", "assemble_blockdiag", "conjugate"]
+__all__ = ["Partition", "submatrix", "assemble_blockdiag"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class Partition:
     @property
     def count(self) -> int:
         return len(self.sizes)
-
-    @property
-    def all_size_one(self) -> bool:
-        return all(s == 1 for s in self.sizes)
 
     def slice_of(self, i: int) -> slice:
         """Index slice of class ``i``."""
@@ -92,8 +88,3 @@ def assemble_blockdiag(partition: Partition, blocks: Mapping[int, Matrix]) -> Ma
         sl = partition.slice_of(i)
         out[sl, sl] = blk
     return out
-
-
-def conjugate(u: Matrix, m: Matrix) -> Matrix:
-    """Unitary conjugation ``u m u*``."""
-    return u @ m @ u.conj().T

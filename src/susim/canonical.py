@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocking import Partition
 from .errors import InternalInconsistency
-from .graph import build_paths, check_pr, vertex_key
+from .graph import vertex_key
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix
-from .refine import apply_refinement
-from .structure import check_presolution
+from .solver import _refinements
 
 __all__ = ["FeatureStep", "CanonicalFeatures", "extract_features", "compare_features"]
 
@@ -63,70 +61,42 @@ def extract_features(
 ) -> CanonicalFeatures:
     """Invariant fingerprint of one collection.
 
-    May raise :class:`~susim.errors.NumericalFailure` when the collection
-    has spectral gaps between the comparison and grouping tolerances, in
-    which case no stable fingerprint exists at these settings.
+    Reads the features off the decision loop run on the collection paired
+    with itself.  Raises a :class:`~susim.errors.SusimError` when the loop
+    meets a numerical boundary, e.g. :class:`~susim.errors.NumericalFailure`
+    for spectral gaps between the comparison and grouping tolerances or
+    :class:`~susim.errors.NotMultipleOfUnitary` for a holonomy just outside
+    the unitary-multiple test; no stable fingerprint exists at these
+    settings then.  :class:`~susim.errors.InternalInconsistency` signals a
+    bug, such as a self-paired run that does not end in the solution form.
     """
     mats = [as_matrix(m) for m in a_mats]
     if not mats:
         raise InternalInconsistency("cannot fingerprint an empty collection")
-    m, n = mats[0].shape
-    a = mats
-    b = [x.copy() for x in mats]
-    rows = Partition.whole(m)
-    cols = rows if mode == "sus" else Partition.whole(n)
     steps: list[FeatureStep] = []
-    limit = n + 1 if mode == "sus" else m + n + 1
-    it = 0
+    loop = _refinements(mode, mats, [x.copy() for x in mats], tol)
     while True:
-        it += 1
-        if it > limit:
-            raise InternalInconsistency("feature extraction exceeded its iteration bound")
-        pre = check_presolution(a, b, rows, cols, mode, tol)
-        if pre.status == "mismatch":
-            raise InternalInconsistency("a self-paired run cannot mismatch")
-        if pre.status == "violation":
-            out = apply_refinement(a, b, rows, cols, mode, pre.violation, tol)
-            if out.status == "mismatch":
-                raise InternalInconsistency("a self-paired run cannot mismatch")
-            steps.append(
-                FeatureStep(
-                    out.step.functional, out.step.at, out.step.touch,
-                    rows.sizes, cols.sizes, out.step.groups_a,
-                )
-            )
-            a, b, rows, cols = out.a_mats, out.b_mats, out.rows, out.cols
-            continue
-        paths = build_paths(a, b, rows, cols, mode, pre.cell_scales_a, pre.cell_scales_b)
-        pr = check_pr(a, b, rows, cols, mode, pre.cell_scales_a, paths, tol)
-        if pr.status == "mismatch":
-            raise InternalInconsistency("a self-paired run cannot mismatch")
-        if pr.status == "violation":
-            out = apply_refinement(a, b, rows, cols, mode, pr.violation, tol, paths=paths)
-            if out.status == "mismatch":
-                raise InternalInconsistency("a self-paired run cannot mismatch")
-            steps.append(
-                FeatureStep(
-                    out.step.functional, out.step.at, out.step.touch,
-                    rows.sizes, cols.sizes, out.step.groups_a,
-                )
-            )
-            a, b, rows, cols = out.a_mats, out.b_mats, out.rows, out.cols
-            continue
-        return CanonicalFeatures(
-            mode=mode,
-            shape=(m, n),
-            count=len(mats),
-            steps=tuple(steps),
-            rows_sizes=rows.sizes,
-            cols_sizes=cols.sizes,
-            alphas=tuple(sorted(pre.diag_alphas.items())),
-            scales=tuple(sorted(pre.cell_scales_a.items())),
-            betas=tuple(sorted(pr.betas.items())),
-            components=tuple(
-                tuple(sorted(c, key=vertex_key)) for c in paths.components
-            ),
-        )
+        try:
+            out, rows, cols = next(loop)
+        except StopIteration as stop:
+            end = stop.value
+            break
+        s = out.step
+        steps.append(FeatureStep(s.functional, s.at, s.touch, rows.sizes, cols.sizes, s.groups_a))
+    if end.status != "solution":
+        raise InternalInconsistency("a self-paired run cannot mismatch")
+    return CanonicalFeatures(
+        mode=mode,
+        shape=mats[0].shape,
+        count=len(mats),
+        steps=tuple(steps),
+        rows_sizes=end.rows.sizes,
+        cols_sizes=end.cols.sizes,
+        alphas=tuple(sorted(end.pre.diag_alphas.items())),
+        scales=tuple(sorted(end.pre.cell_scales_a.items())),
+        betas=tuple(sorted(end.pr.betas.items())),
+        components=tuple(tuple(sorted(c, key=vertex_key)) for c in end.paths.components),
+    )
 
 
 def _close(a: complex, b: complex, tol: Tolerances) -> bool:

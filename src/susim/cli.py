@@ -9,7 +9,7 @@ Subcommands::
     susim diff FEATURES FEATURES          compare two feature documents
 
 Exit codes: 0 solved / confirmed / equal, 1 not similar / different,
-2 verification failed, 3 refuted, 64 unusable input.  ``-`` stands for
+2 undecidable within tolerance, 3 refuted, 64 unusable input.  ``-`` stands for
 stdin or stdout.  Tolerances come from ``--tol-*`` flags, falling back to
 the ``SUSIM_TOL_CMP``, ``SUSIM_TOL_GROUP`` and ``SUSIM_TOL_VERIFY``
 environment variables, then to the defaults.
@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .canonical import compare_features, extract_features
 from .certcheck import check_certificate
-from .errors import FormatError, SusimError
+from .errors import FormatError, InternalInconsistency, SusimError
 from .instances import GenConfig, generate
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .model import FAILED, NOT_SIMILAR, SOLVED, Instance, SolveResult
@@ -212,7 +212,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_canon(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance, args.mode)
     mats = inst.a_mats if args.side == "a" else inst.b_mats
-    features = extract_features(mats, mode=inst.mode, tol=_tolerances(args))
+    tol = _tolerances(args)  # outside the try: a bad tolerance is unusable input, not a boundary
+    try:
+        features = extract_features(mats, mode=inst.mode, tol=tol)
+    except InternalInconsistency:
+        raise
+    except SusimError as exc:
+        _say(args, f"no stable fingerprint at these tolerances: {type(exc).__name__}: {exc}")
+        return EXIT_FAILED
     if args.out is not None:
         _write_document(args.out, features_to_json(features))
     _say(

@@ -21,14 +21,6 @@ class NumericalFailure(SusimError):
     """A numerical routine failed to converge or to meet its postcondition."""
 
 
-class SingularBlock(SusimError):
-    """Attempted to invert a block whose scale is zero."""
-
-
-class InvalidRefinement(SusimError):
-    """A block refinement does not tile the block it replaces."""
-
-
 class InternalInconsistency(SusimError):
     """An invariant the solver relies on was observed to fail."""
 

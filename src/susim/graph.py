@@ -32,7 +32,9 @@ from .errors import InternalInconsistency
 from .linalg import Matrix, Tolerances, adjoint, close_scalars, identity_multiple
 from .structure import PR_NORMAL, ScalarMismatch, Violation
 
-__all__ = ["Vertex", "EdgeStep", "PathData", "PrReport", "vertex_key", "build_paths", "check_pr"]
+__all__ = [
+    "Vertex", "EdgeStep", "PathData", "PrReport", "vertex_key", "endpoints", "build_paths", "check_pr"
+]
 
 Vertex = tuple[str, int]
 
@@ -43,8 +45,12 @@ def vertex_key(v: Vertex) -> tuple[int, int]:
     return (0 if axis == "row" else 1, idx)
 
 
-def _endpoints(mode: str, i: int, j: int) -> tuple[Vertex, Vertex]:
-    """Vertices joined by cell (i, j): (row endpoint, column endpoint)."""
+def endpoints(mode: str, i: int, j: int) -> tuple[Vertex, Vertex]:
+    """Vertices joined by cell (i, j): (row endpoint, column endpoint).
+
+    The column endpoint is row class ``j`` in similarity mode, where one
+    partition serves both axes, and column class ``j`` in equivalence mode.
+    """
     if mode == "sus":
         return ("row", i), ("row", j)
     return ("row", i), ("col", j)
@@ -60,6 +66,9 @@ class EdgeStep:
     invert: bool
 
 
+PrPaths = tuple[tuple[EdgeStep, ...], tuple[EdgeStep, ...]]
+
+
 @dataclass
 class PathData:
     """Spanning forest with per-vertex path products on both sides."""
@@ -71,6 +80,11 @@ class PathData:
     amps_a: dict[Vertex, float]
     amps_b: dict[Vertex, float]
     steps_to: dict[Vertex, tuple[EdgeStep, ...]]
+
+    def cell_paths(self, mode: str, i: int, j: int) -> PrPaths:
+        """Edge steps from the row and the column endpoint of cell (i, j)."""
+        row_end, col_end = endpoints(mode, i, j)
+        return self.steps_to[row_end], self.steps_to[col_end]
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,7 @@ def build_paths(
     witness: dict[tuple[Vertex, Vertex], tuple[int, int, int]] = {}
     adjacency: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
     for (l, i, j) in scales_a:
-        u, w = _endpoints(mode, i, j)
+        u, w = endpoints(mode, i, j)
         ekey = (u, w) if vertex_key(u) <= vertex_key(w) else (w, u)
         if ekey not in witness:
             witness[ekey] = (l, i, j)
@@ -149,7 +163,7 @@ def build_paths(
                     continue
                 ekey = (q, v) if vertex_key(q) <= vertex_key(v) else (v, q)
                 l, wi, wj = witness[ekey]
-                row_end, col_end = _endpoints(mode, wi, wj)
+                row_end, col_end = endpoints(mode, wi, wj)
                 cell_a = submatrix(a_mats[l], rows, wi, cols, wj)
                 cell_b = submatrix(b_mats[l], rows, wi, cols, wj)
                 ra, rb = scales_a[(l, wi, wj)], scales_b[(l, wi, wj)]
@@ -194,7 +208,7 @@ def check_pr(
     """
     betas: dict[tuple[int, int, int], complex] = {}
     for (l, i, j) in scales_a:
-        row_end, col_end = _endpoints(mode, i, j)
+        row_end, col_end = endpoints(mode, i, j)
         rep = paths.rep_of[row_end]
         if paths.rep_of[col_end] != rep:
             raise InternalInconsistency("edge spans two components")

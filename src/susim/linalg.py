@@ -22,13 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotHermitian,
-    NotMultipleOfUnitary,
-    NumericalFailure,
-    SingularBlock,
-)
+from .errors import DimensionMismatch, NotHermitian, NotMultipleOfUnitary, NumericalFailure
 
 Matrix = np.ndarray
 
@@ -42,11 +36,9 @@ __all__ = [
     "is_zero",
     "identity_multiple",
     "unitary_multiple",
-    "inv_unitary_multiple",
     "close_scalars",
     "order_and_group",
     "canonical_sort",
-    "grouped_signature",
     "groups_match",
     "EigenDecomposition",
     "eig_hermitian",
@@ -150,13 +142,6 @@ def unitary_multiple(
     return max(float(r), 0.0)
 
 
-def inv_unitary_multiple(m: Matrix, r: float) -> Matrix:
-    """Inverse of a multiple of a unitary: ``m^-1 = m* / r`` for ``m m* = r I``."""
-    if r <= 0.0:
-        raise SingularBlock("cannot invert a block with zero unitary scale")
-    return adjoint(m) / r
-
-
 def close_scalars(a: complex, b: complex, tol: Tolerances, context: float = 0.0) -> bool:
     """Scalar equality, relative to the larger magnitude and the context scale."""
     return abs(a - b) <= tol.cmp * max(abs(a), abs(b), context)
@@ -206,12 +191,6 @@ def canonical_sort(values, threshold: float) -> np.ndarray:
     vals = np.asarray(values, dtype=np.complex128)
     perm, _ = order_and_group(vals, threshold)
     return vals[perm]
-
-
-def grouped_signature(values, threshold: float) -> tuple[tuple[complex, int], ...]:
-    """Grouped (value, multiplicity) signature of a spectrum."""
-    _, groups = order_and_group(values, threshold)
-    return groups
 
 
 def groups_match(

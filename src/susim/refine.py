@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .blocking import Partition, assemble_blockdiag, submatrix
 from .errors import InternalInconsistency, NumericalFailure
-from .graph import EdgeStep, PathData
+from .graph import PathData, PrPaths, endpoints
 from .linalg import (
     Matrix,
     Tolerances,
@@ -29,8 +29,6 @@ from .linalg import (
 from .structure import GRAM_LEFT, GRAM_RIGHT, HERM_IMAG, HERM_REAL, PR_NORMAL, Violation
 
 __all__ = ["RefinementStep", "RefineOutcome", "functional_pair", "apply_refinement"]
-
-PrPaths = tuple[tuple[EdgeStep, ...], tuple[EdgeStep, ...]]
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,7 @@ def _pr_matrix(
     amps: dict,
 ) -> Matrix:
     l, i, j = at
-    row_end = ("row", i)
-    col_end = ("row", j) if mode == "sus" else ("col", j)
+    row_end, col_end = endpoints(mode, i, j)
     cell = submatrix(mats[l], rows, i, cols, j)
     pc = paths[col_end]
     return paths[row_end] @ cell @ (adjoint(pc) / (amps[col_end] ** 2))
@@ -127,9 +124,7 @@ def apply_refinement(
 
     pr_paths: PrPaths | None = None
     if violation.functional == PR_NORMAL:
-        l, i, j = violation.at
-        col_end = ("row", j) if mode == "sus" else ("col", j)
-        pr_paths = (paths.steps_to[("row", i)], paths.steps_to[col_end])
+        pr_paths = paths.cell_paths(mode, violation.at[1], violation.at[2])
     step = RefinementStep(
         violation.functional, violation.at, violation.touch, dec_a.groups, dec_b.groups, pr_paths
     )

@@ -16,15 +16,18 @@ reported as a failure rather than a solution.
 
 from __future__ import annotations
 
+from collections.abc import Generator
+from dataclasses import dataclass
+
 import numpy as np
 
 from .blocking import Partition, assemble_blockdiag
-from .errors import InternalInconsistency, NumericalFailure
-from .graph import PathData, build_paths, check_pr
+from .errors import InternalInconsistency, SusimError
+from .graph import PathData, PrReport, build_paths, check_pr
 from .linalg import DEFAULT_TOLERANCES, Matrix, Tolerances, adjoint, as_matrix, fro
 from .model import FAILED, NOT_SIMILAR, SOLVED, Certificate, Instance, SolveResult
-from .refine import RefinementStep, apply_refinement
-from .structure import check_presolution
+from .refine import RefinementStep, RefineOutcome, apply_refinement
+from .structure import PreSolutionReport, ScalarMismatch, check_presolution
 
 __all__ = ["solve", "solve_sus", "solve_sueq", "witness_residual"]
 
@@ -70,100 +73,125 @@ def _assemble_solution(
     return u_hat, v_hat
 
 
-def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances) -> SolveResult:
-    orig_a, orig_b = a_mats, b_mats
+@dataclass(frozen=True)
+class _Ending:
+    """How a run of the decision loop ended.
+
+    ``status`` is ``"scalar"`` (``mismatch`` set, and ``paths`` too when the
+    holonomy check found it), ``"eigenvalue"`` (``step`` is the refinement
+    whose spectra disagree) or ``"solution"`` (the final form, with the scan
+    report, path data and holonomy report).
+    """
+
+    status: str
+    rows: Partition
+    cols: Partition
+    pre: PreSolutionReport
+    paths: PathData | None = None
+    pr: PrReport | None = None
+    mismatch: ScalarMismatch | None = None
+    step: RefinementStep | None = None
+
+
+def _refinements(
+    mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances
+) -> Generator[tuple[RefineOutcome, Partition, Partition], None, _Ending]:
+    """The decision loop: scan, path products, holonomy check, refine.
+
+    Yields every successful :class:`~susim.refine.RefineOutcome` together with
+    the row and column partitions it refined, and returns the
+    :class:`_Ending`.  Each pass either ends the run or strictly refines a
+    partition, so the loop runs at most ``n`` passes (similarity) or
+    ``m + n`` passes (equivalence).
+    """
     m, n = a_mats[0].shape
     rows = Partition.whole(m)
     cols = rows if mode == "sus" else Partition.whole(n)
+    for _ in range(n + 1 if mode == "sus" else m + n + 1):
+        pre = check_presolution(a_mats, b_mats, rows, cols, mode, tol)
+        paths = pr = None
+        if pre.status == "mismatch":
+            return _Ending("scalar", rows, cols, pre, mismatch=pre.mismatch)
+        violation = pre.violation
+        if pre.status == "ok":
+            paths = build_paths(a_mats, b_mats, rows, cols, mode, pre.cell_scales_a, pre.cell_scales_b)
+            pr = check_pr(a_mats, b_mats, rows, cols, mode, pre.cell_scales_a, paths, tol)
+            if pr.status == "mismatch":
+                return _Ending("scalar", rows, cols, pre, paths, mismatch=pr.mismatch)
+            if pr.status == "ok":
+                return _Ending("solution", rows, cols, pre, paths, pr)
+            violation = pr.violation
+        out = apply_refinement(a_mats, b_mats, rows, cols, mode, violation, tol, paths=paths)
+        if out.status == "mismatch":
+            return _Ending("eigenvalue", rows, cols, pre, step=out.step)
+        yield out, rows, cols
+        a_mats, b_mats, rows, cols = out.a_mats, out.b_mats, out.rows, out.cols
+    raise InternalInconsistency("refinement loop exceeded its iteration bound")
+
+
+def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances) -> SolveResult:
+    m, n = a_mats[0].shape
     yrow = zrow = np.eye(m, dtype=np.complex128)
     ycol = zcol = np.eye(n, dtype=np.complex128)
     steps: list[RefinementStep] = []
-    limit = n + 1 if mode == "sus" else m + n + 1
-    it = 0
-
-    def refined(out) -> None:
-        nonlocal a_mats, b_mats, rows, cols, yrow, zrow, ycol, zcol
-        a_mats, b_mats = out.a_mats, out.b_mats
-        rows, cols = out.rows, out.cols
+    loop = _refinements(mode, a_mats, b_mats, tol)
+    while True:
+        try:
+            out, _, _ = next(loop)
+        except StopIteration as stop:
+            end = stop.value
+            break
         if mode == "sus" or out.step.touch[0] == "row":
             yrow, zrow = out.y @ yrow, out.z @ zrow
         else:
             ycol, zcol = out.y @ ycol, out.z @ zcol
         steps.append(out.step)
+    it = len(steps) + 1
 
-    def eigen_cert(step: RefinementStep) -> SolveResult:
+    if end.status == "eigenvalue":
+        step = end.step
         cert = Certificate(
-            mode,
-            "eigenvalue",
-            step.functional,
-            step.at,
-            tuple(steps),
-            it,
-            groups_a=step.groups_a,
-            groups_b=step.groups_b,
-            pr_paths=step.pr_paths,
+            mode, "eigenvalue", step.functional, step.at, tuple(steps), it,
+            groups_a=step.groups_a, groups_b=step.groups_b, pr_paths=step.pr_paths,
+        )
+        return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
+    if end.status == "scalar":
+        mm = end.mismatch
+        cert = Certificate(
+            mode, "scalar", mm.target, mm.at, tuple(steps), it,
+            a_value=mm.a_value, b_value=mm.b_value,
+            pr_paths=None if end.paths is None else end.paths.cell_paths(mode, mm.at[1], mm.at[2]),
         )
         return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
 
-    while True:
-        it += 1
-        if it > limit:
-            raise InternalInconsistency("refinement loop exceeded its iteration bound")
-
-        pre = check_presolution(a_mats, b_mats, rows, cols, mode, tol)
-        if pre.status == "mismatch":
-            mm = pre.mismatch
-            cert = Certificate(
-                mode, "scalar", mm.target, mm.at, tuple(steps), it,
-                a_value=mm.a_value, b_value=mm.b_value,
-            )
-            return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
-        if pre.status == "violation":
-            out = apply_refinement(a_mats, b_mats, rows, cols, mode, pre.violation, tol)
-            if out.status == "mismatch":
-                return eigen_cert(out.step)
-            refined(out)
-            continue
-
-        paths = build_paths(a_mats, b_mats, rows, cols, mode, pre.cell_scales_a, pre.cell_scales_b)
-        pr = check_pr(a_mats, b_mats, rows, cols, mode, pre.cell_scales_a, paths, tol)
-        if pr.status == "mismatch":
-            mm = pr.mismatch
-            i, j = mm.at[1], mm.at[2]
-            col_end = ("row", j) if mode == "sus" else ("col", j)
-            cert = Certificate(
-                mode, "scalar", mm.target, mm.at, tuple(steps), it,
-                a_value=mm.a_value, b_value=mm.b_value,
-                pr_paths=(paths.steps_to[("row", i)], paths.steps_to[col_end]),
-            )
-            return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
-        if pr.status == "violation":
-            out = apply_refinement(a_mats, b_mats, rows, cols, mode, pr.violation, tol, paths=paths)
-            if out.status == "mismatch":
-                return eigen_cert(out.step)
-            refined(out)
-            continue
-
-        u_hat, v_hat = _assemble_solution(paths, rows, cols, mode)
-        u = adjoint(zrow) @ u_hat @ yrow
-        v = adjoint(zcol) @ v_hat @ ycol if mode == "sueq" else None
-        residual = witness_residual(orig_a, orig_b, mode, u, v)
-        if residual <= tol.verify:
-            return SolveResult(SOLVED, mode, it, u=u, v=v, residual=residual)
-        return SolveResult(
-            FAILED, mode, it, residual=residual,
-            message=f"assembled witness misses the acceptance tolerance: residual {residual:.3e}",
-        )
+    u_hat, v_hat = _assemble_solution(end.paths, end.rows, end.cols, mode)
+    u = adjoint(zrow) @ u_hat @ yrow
+    v = adjoint(zcol) @ v_hat @ ycol if mode == "sueq" else None
+    residual = witness_residual(a_mats, b_mats, mode, u, v)
+    if residual <= tol.verify:
+        return SolveResult(SOLVED, mode, it, u=u, v=v, residual=residual)
+    return SolveResult(
+        FAILED, mode, it, residual=residual,
+        message=f"assembled witness misses the acceptance tolerance: residual {residual:.3e}",
+    )
 
 
 def solve(instance: Instance, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveResult:
-    """Decide an instance; never raises on tolerance-boundary inputs."""
+    """Decide an instance; never raises on tolerance-boundary inputs.
+
+    A :class:`~susim.errors.SusimError` raised inside the loop, such as a
+    holonomy just outside the unitary-multiple test, ends the run ``failed``
+    with a message naming it.  Only :class:`~susim.errors.InternalInconsistency`,
+    which signals a bug rather than a boundary, propagates.
+    """
     a = [as_matrix(m) for m in instance.a_mats]
     b = [as_matrix(m) for m in instance.b_mats]
     try:
         return _run(instance.mode, a, b, tol)
-    except NumericalFailure as exc:
-        return SolveResult(FAILED, instance.mode, 0, message=str(exc))
+    except InternalInconsistency:
+        raise
+    except SusimError as exc:
+        return SolveResult(FAILED, instance.mode, 0, message=f"{type(exc).__name__}: {exc}")
 
 
 def solve_sus(a_mats, b_mats, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveResult:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susim.blocking import Partition, assemble_blockdiag, conjugate, submatrix
+from susim.blocking import Partition, assemble_blockdiag, submatrix
 from susim.errors import DimensionMismatch
 
 
@@ -28,10 +28,6 @@ class TestPartition:
             Partition((2, 0, 1))
         with pytest.raises(ValueError):
             Partition((-1,))
-
-    def test_all_size_one(self):
-        assert Partition((1, 1, 1)).all_size_one
-        assert not Partition((1, 2)).all_size_one
 
     def test_refine_middle_class(self):
         p = Partition((2, 4, 1)).refine(1, (3, 1))
@@ -93,17 +89,6 @@ class TestAssembleBlockdiag:
             blocks[i] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         u = assemble_blockdiag(p, blocks)
         assert np.allclose(u @ u.conj().T, np.eye(5))
-
-
-class TestConjugate:
-    def test_identity_fixes(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        assert np.array_equal(conjugate(np.eye(2), m), m)
-
-    def test_permutation_swaps_diagonal(self):
-        perm = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        m = np.diag([1.0, 2.0]).astype(complex)
-        assert np.allclose(conjugate(perm, m), np.diag([2.0, 1.0]))
 
 
 @st.composite

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susim.errors import (
-    DimensionMismatch,
-    NotHermitian,
-    NotMultipleOfUnitary,
-    SingularBlock,
-)
+from susim.errors import DimensionMismatch, NotHermitian, NotMultipleOfUnitary
 from susim.linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -21,10 +16,8 @@ from susim.linalg import (
     eig_hermitian,
     eig_normal,
     fro,
-    grouped_signature,
     groups_match,
     identity_multiple,
-    inv_unitary_multiple,
     is_zero,
     order_and_group,
     unitary_multiple,
@@ -115,16 +108,6 @@ class TestPredicates:
     def test_unitary_multiple_rejects_unequal_singular_values(self):
         assert unitary_multiple(np.diag([1.0, 2.0]), TOL) is None
 
-    def test_inv_unitary_multiple(self):
-        m = 2.0 * np.eye(3, dtype=complex)
-        inv = inv_unitary_multiple(m, 4.0)
-        assert np.allclose(inv, 0.5 * np.eye(3))
-        assert np.allclose(inv @ m, np.eye(3))
-
-    def test_inv_unitary_multiple_rejects_zero_scale(self):
-        with pytest.raises(SingularBlock):
-            inv_unitary_multiple(np.zeros((2, 2)), 0.0)
-
     def test_close_scalars_relative(self):
         assert close_scalars(1e6, 1e6 * (1 + 1e-10), TOL)
         assert not close_scalars(1.0, 1.0 + 1e-6, TOL)
@@ -149,7 +132,7 @@ class TestOrderingAndGrouping:
         assert np.allclose(got, [1.0006 + 1.0j, 1.0 + 0j, 1.0012 - 1.0j])
 
     def test_grouping_multiplicities(self):
-        sig = grouped_signature([2.0, 1.0, 2.0 + 1e-9, 1.0 - 1e-9], 1e-7)
+        _, sig = order_and_group([2.0, 1.0, 2.0 + 1e-9, 1.0 - 1e-9], 1e-7)
         assert [m for _, m in sig] == [2, 2]
         assert sig[0][0] == pytest.approx(2.0)
         assert sig[1][0] == pytest.approx(1.0)
