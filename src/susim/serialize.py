@@ -14,6 +14,7 @@ objects stay zero-based throughout the library.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -69,26 +70,33 @@ def _cpx(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _as_cpx(value: Any, where: str) -> complex:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        _fail(f"{where}: expected a [re, im] pair")
-    return complex(value[0], value[1])
-
-
 def _mat(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[_cpx(z) for z in row] for row in m]
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
+
+
+def _pair_entries(cells: list) -> list | None:
+    """The re, im entries of ``cells`` in order, or None unless every cell is
+    a list of exactly two JSON numbers.  The checks run in bulk, per type."""
+    if not all(issubclass(t, list) for t in set(map(type, cells))) or set(map(len, cells)) != {2}:
+        return None
+    entries = list(chain.from_iterable(cells))
+    if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, entries))):
+        return entries
+    return None
+
+
+def _as_cpx(value: Any, where: str) -> complex:
+    entries = _pair_entries([value])
+    if entries is None:
+        _fail(f"{where}: expected a [re, im] pair")
+    return complex(*entries)
 
 
 def _as_mat(value: Any, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         _fail(f"{where}: expected a non-empty list of rows")
     width = None
-    rows = []
     for r, row in enumerate(value):
         if not isinstance(row, list) or not row:
             _fail(f"{where}: row {r + 1} is not a non-empty list")
@@ -96,8 +104,12 @@ def _as_mat(value: Any, where: str) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             _fail(f"{where}: row {r + 1} has length {len(row)}, expected {width}")
-        rows.append([_as_cpx(z, f"{where} row {r + 1}") for z in row])
-    return np.array(rows, dtype=complex)
+    entries = _pair_entries(list(chain.from_iterable(value)))
+    if entries is None:
+        r = next(r for r, row in enumerate(value) if _pair_entries(row) is None)
+        _fail(f"{where} row {r + 1}: expected a [re, im] pair")
+    # Consecutive (re, im) float64 pairs are the memory layout of complex128.
+    return np.array(entries, dtype=np.float64).view(np.complex128).reshape(len(value), width)
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:

@@ -141,6 +141,10 @@ def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances)
         except StopIteration as stop:
             end = stop.value
             break
+        except InternalInconsistency:
+            raise
+        except SusimError as exc:
+            return SolveResult(FAILED, mode, len(steps) + 1, message=f"{type(exc).__name__}: {exc}")
         if mode == "sus" or out.step.touch[0] == "row":
             yrow, zrow = out.y @ yrow, out.z @ zrow
         else:
@@ -181,17 +185,13 @@ def solve(instance: Instance, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveResu
 
     A :class:`~susim.errors.SusimError` raised inside the loop, such as a
     holonomy just outside the unitary-multiple test, ends the run ``failed``
-    with a message naming it.  Only :class:`~susim.errors.InternalInconsistency`,
+    with a message naming it; its iteration count includes the pass that
+    raised.  Only :class:`~susim.errors.InternalInconsistency`,
     which signals a bug rather than a boundary, propagates.
     """
     a = [as_matrix(m) for m in instance.a_mats]
     b = [as_matrix(m) for m in instance.b_mats]
-    try:
-        return _run(instance.mode, a, b, tol)
-    except InternalInconsistency:
-        raise
-    except SusimError as exc:
-        return SolveResult(FAILED, instance.mode, 0, message=f"{type(exc).__name__}: {exc}")
+    return _run(instance.mode, a, b, tol)
 
 
 def solve_sus(a_mats, b_mats, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveResult:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from susim.canonical import compare_features, extract_features
 from susim.certcheck import check_certificate
+from susim.cli import main
 from susim.errors import FormatError
 from susim.instances import planted_equivalent, planted_similar
 from susim.model import Instance, NOT_SIMILAR, SOLVED
@@ -21,6 +22,7 @@ from susim.serialize import (
     features_to_json,
     instance_from_json,
     instance_to_json,
+    matrix_to_json,
     result_from_json,
     result_to_json,
 )
@@ -102,6 +104,85 @@ class TestInstanceDocuments:
         inst = Instance("sus", [m], [m.copy()])
         back = instance_from_json(roundtrip(instance_to_json(inst)))
         assert np.array_equal(back.a_mats[0], m)
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300)
+entries = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+@st.composite
+def complex_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    re = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    im = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    m = np.empty((rows, cols), dtype=complex)
+    m.real = np.reshape(re, (rows, cols))
+    m.imag = np.reshape(im, (rows, cols))
+    return m
+
+
+def grid_document(grid) -> dict:
+    return {"format": INSTANCE_FORMAT, "mode": "sueq", "a": [grid], "b": [grid]}
+
+
+GOOD = [[1.0, 0.0], [0.0, 0.0]]
+BAD_GRIDS = {
+    "bool-pair": ([[[True, 1.0], [0.0, 0.0]], GOOD], "row 1"),
+    "bool-im": ([GOOD, [[0.0, 0.0], [0, False]]], "row 2"),
+    "numeric-string": ([GOOD, [["1.0", 0.0], [0.0, 0.0]]], "row 2"),
+    "null": ([GOOD, [[None, 0.0], [0.0, 0.0]]], "row 2"),
+    "ragged": ([GOOD, [[0.0, 0.0]]], "row 2 has length 1"),
+    "empty-row": ([GOOD, []], "row 2"),
+    "short-pair": ([GOOD, [[1.0], [0.0, 0.0]]], "row 2"),
+    "long-pair": ([[[1.0, 0.0, 0.0], [0.0, 0.0]], GOOD], "row 1"),
+    "bare-number": ([GOOD, [1.0, [0.0, 0.0]]], "row 2"),
+    "two-char-string": ([GOOD, ["ab", [0.0, 0.0]]], "row 2"),
+    "nested-pair": ([GOOD, [[[1.0, 0.0], 0.0], [0.0, 0.0]]], "row 2"),
+    "row-not-a-list": ([GOOD, "row"], "row 2"),
+    "no-rows": ([], "non-empty list of rows"),
+    "not-a-list": ({"re": 1.0}, "non-empty list of rows"),
+}
+
+
+class TestMatrixCodec:
+    @settings(deadline=None, max_examples=200)
+    @given(complex_matrices())
+    def test_emit_matches_the_reference_encoder(self, m):
+        reference = [[[z.real, z.imag] for z in row] for row in m.tolist()]
+        assert matrix_to_json(m) == reference
+        assert json.dumps(matrix_to_json(m)) == json.dumps(reference)
+
+    @settings(deadline=None, max_examples=200)
+    @given(complex_matrices())
+    def test_parse_is_bit_exact(self, m):
+        back = instance_from_json(roundtrip(grid_document(matrix_to_json(m)))).a_mats[0]
+        assert back.dtype == np.complex128 and back.shape == m.shape
+        assert back.tobytes() == m.tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.integers(-(2**70), 2**70), min_size=2, max_size=2))
+    def test_integer_entries_convert_like_complex(self, pair):
+        back = instance_from_json(grid_document([[pair]])).a_mats[0]
+        assert back.tobytes() == np.array([[complex(*pair)]]).tobytes()
+
+    @pytest.mark.parametrize("grid, where", BAD_GRIDS.values(), ids=BAD_GRIDS)
+    def test_malformed_matrices_are_rejected(self, tmp_path, grid, where):
+        with pytest.raises(FormatError, match=r"instance a\[1\]") as info:
+            instance_from_json(grid_document(grid))
+        assert where in str(info.value)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(grid_document(grid)))
+        assert main(["solve", str(path)]) == 64
+
+    def test_malformed_witness_is_rejected(self):
+        doc = result_to_json(solve(Instance("sus", [np.eye(2)], [np.eye(2)])))
+        doc["u"][0][1] = [0.0, None]
+        with pytest.raises(FormatError, match=r"result\.u row 1"):
+            result_from_json(doc)
 
 
 class TestResultDocuments:
