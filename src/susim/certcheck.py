@@ -212,6 +212,11 @@ class _Replay:
             raise _Confirmed(
                 f"forced spectra already disagree at step {step.functional} {step.at}"
             )
+        if not (
+            _values_close(step.groups_a, dec_a.groups, self.tol, scale)
+            and _values_close(step.groups_b, dec_b.groups, self.tol, scale)
+        ):
+            raise _Refuted(f"recorded spectra of step {step.at} do not match the recomputation")
         if len(dec_a.groups) == 1:
             raise _Refuted(f"step {step.at} cannot split a class on recomputation")
         axis, t = step.touch

@@ -109,7 +109,10 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
                 ) from None
         else:
             values[field] = getattr(DEFAULT_TOLERANCES, field)
-    return Tolerances(**values)
+    try:
+        return Tolerances(**values)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _say(args: argparse.Namespace, text: str) -> None:

@@ -204,7 +204,8 @@ def check_pr(
     Each cell must become a scalar multiple of the identity with matching
     scalars on both sides.  The first failing cell in scan order is either
     a refinement driver (non-scalar, a normal matrix on the representative
-    space) or a scalar disproof.
+    space, carried with its B-side partner) or a scalar disproof; both
+    carry the edge steps of the cell's two path products.
     """
     betas: dict[tuple[int, int, int], complex] = {}
     for (l, i, j) in scales_a:
@@ -217,12 +218,12 @@ def check_pr(
         pr_a = paths.paths_a[row_end] @ cell_a @ _inv_path(paths.paths_a[col_end], paths.amps_a[col_end])
         pr_b = paths.paths_b[row_end] @ cell_b @ _inv_path(paths.paths_b[col_end], paths.amps_b[col_end])
         beta_a = identity_multiple(pr_a, tol)
-        if beta_a is None:
-            return PrReport("violation", violation=Violation(PR_NORMAL, (l, i, j), rep))
-        beta_b = identity_multiple(pr_b, tol)
-        if beta_b is None:
-            return PrReport("violation", violation=Violation(PR_NORMAL, (l, i, j), rep))
+        beta_b = None if beta_a is None else identity_multiple(pr_b, tol)
+        if beta_a is None or beta_b is None:
+            v = Violation(PR_NORMAL, (l, i, j), rep, pr_a, pr_b, pr_paths=paths.cell_paths(mode, i, j))
+            return PrReport("violation", violation=v)
         if not close_scalars(beta_a, beta_b, tol):
-            return PrReport("mismatch", mismatch=ScalarMismatch("pr_beta", (l, i, j), beta_a, beta_b))
+            mm = ScalarMismatch("pr_beta", (l, i, j), beta_a, beta_b, paths.cell_paths(mode, i, j))
+            return PrReport("mismatch", mismatch=mm)
         betas[(l, i, j)] = beta_a
     return PrReport("ok", betas=betas)

@@ -1,8 +1,9 @@
 """One refinement step of the similarity and equivalence solvers.
 
-A :class:`~susim.structure.Violation` names a Hermitian or normal matrix
-derived from one cell of the A collection.  Any solution unitary must
-intertwine that matrix with its B-side counterpart, so their grouped
+A :class:`~susim.structure.Violation` carries a Hermitian or normal matrix
+derived from one cell of the A collection together with its B-side
+counterpart, both built where the form scan or the holonomy check found the
+deviation.  Any solution unitary must intertwine the two, so their grouped
 spectra must agree; if they do not, the instance is unsolvable and the two
 signatures are the disproof.  If they agree, conjugating both sides by the
 respective diagonalizers and splitting the touched class by the eigenvalue
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocking import Partition, assemble_blockdiag, submatrix
-from .errors import InternalInconsistency, NumericalFailure
-from .graph import PathData, PrPaths, endpoints
+from .blocking import Partition, assemble_blockdiag
+from .errors import NumericalFailure
+from .graph import PrPaths
 from .linalg import (
     Matrix,
     Tolerances,
@@ -26,9 +27,9 @@ from .linalg import (
     fro,
     groups_match,
 )
-from .structure import GRAM_LEFT, GRAM_RIGHT, HERM_IMAG, HERM_REAL, PR_NORMAL, Violation
+from .structure import PR_NORMAL, Violation
 
-__all__ = ["RefinementStep", "RefineOutcome", "functional_pair", "apply_refinement"]
+__all__ = ["RefinementStep", "RefineOutcome", "apply_refinement"]
 
 
 @dataclass(frozen=True)
@@ -57,55 +58,6 @@ class RefineOutcome:
     z: Matrix | None = None
 
 
-def _pr_matrix(
-    mats: list[Matrix],
-    rows: Partition,
-    cols: Partition,
-    mode: str,
-    at: tuple[int, int, int],
-    paths: dict,
-    amps: dict,
-) -> Matrix:
-    l, i, j = at
-    row_end, col_end = endpoints(mode, i, j)
-    cell = submatrix(mats[l], rows, i, cols, j)
-    pc = paths[col_end]
-    return paths[row_end] @ cell @ (adjoint(pc) / (amps[col_end] ** 2))
-
-
-def functional_pair(
-    a_mats: list[Matrix],
-    b_mats: list[Matrix],
-    rows: Partition,
-    cols: Partition,
-    mode: str,
-    violation: Violation,
-    paths: PathData | None = None,
-) -> tuple[Matrix, Matrix, float, float, str]:
-    """The two matrices a violation compares, their eigencontext scales,
-    and whether they are Hermitian or merely normal."""
-    l, i, j = violation.at
-    ca = submatrix(a_mats[l], rows, i, cols, j)
-    cb = submatrix(b_mats[l], rows, i, cols, j)
-    ctx_a, ctx_b = fro(a_mats[l]), fro(b_mats[l])
-    f = violation.functional
-    if f == HERM_REAL:
-        return (ca + adjoint(ca)) / 2.0, (cb + adjoint(cb)) / 2.0, ctx_a, ctx_b, "hermitian"
-    if f == HERM_IMAG:
-        return (ca - adjoint(ca)) / 2.0j, (cb - adjoint(cb)) / 2.0j, ctx_a, ctx_b, "hermitian"
-    if f == GRAM_LEFT:
-        return ca @ adjoint(ca), cb @ adjoint(cb), ctx_a**2, ctx_b**2, "hermitian"
-    if f == GRAM_RIGHT:
-        return adjoint(ca) @ ca, adjoint(cb) @ cb, ctx_a**2, ctx_b**2, "hermitian"
-    if f == PR_NORMAL:
-        if paths is None:
-            raise InternalInconsistency("path data is required for a pr refinement")
-        s = _pr_matrix(a_mats, rows, cols, mode, violation.at, paths.paths_a, paths.amps_a)
-        r = _pr_matrix(b_mats, rows, cols, mode, violation.at, paths.paths_b, paths.amps_b)
-        return s, r, 0.0, 0.0, "normal"
-    raise InternalInconsistency(f"unknown functional {f!r}")
-
-
 def apply_refinement(
     a_mats: list[Matrix],
     b_mats: list[Matrix],
@@ -114,19 +66,15 @@ def apply_refinement(
     mode: str,
     violation: Violation,
     tol: Tolerances,
-    paths: PathData | None = None,
 ) -> RefineOutcome:
-    """Resolve one violation: spectral disproof or a strictly finer problem."""
-    s, r, ctx_a, ctx_b, kind = functional_pair(a_mats, b_mats, rows, cols, mode, violation, paths)
-    eig = eig_hermitian if kind == "hermitian" else eig_normal
+    """Eigensolve a violation's functional pair: spectral disproof or a strictly finer problem."""
+    s, r, ctx_a, ctx_b = violation.s, violation.r, violation.ctx_a, violation.ctx_b
+    eig = eig_normal if violation.functional == PR_NORMAL else eig_hermitian
     dec_a = eig(s, tol, context_scale=ctx_a)
     dec_b = eig(r, tol, context_scale=ctx_b)
-
-    pr_paths: PrPaths | None = None
-    if violation.functional == PR_NORMAL:
-        pr_paths = paths.cell_paths(mode, violation.at[1], violation.at[2])
     step = RefinementStep(
-        violation.functional, violation.at, violation.touch, dec_a.groups, dec_b.groups, pr_paths
+        violation.functional, violation.at, violation.touch, dec_a.groups, dec_b.groups,
+        violation.pr_paths,
     )
 
     scale = max(fro(s), fro(r), ctx_a, ctx_b)

@@ -108,8 +108,14 @@ def _as_mat(value: Any, where: str) -> np.ndarray:
     if entries is None:
         r = next(r for r, row in enumerate(value) if _pair_entries(row) is None)
         _fail(f"{where} row {r + 1}: expected a [re, im] pair")
+    try:
+        flat = np.array(entries, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        _fail(f"{where}: entries must be finite numbers")
     # Consecutive (re, im) float64 pairs are the memory layout of complex128.
-    return np.array(entries, dtype=np.float64).view(np.complex128).reshape(len(value), width)
+    return flat.view(np.complex128).reshape(len(value), width)
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -250,7 +256,7 @@ def instance_from_json(data: Any) -> Instance:
     name = data.get("name", "")
     if not isinstance(name, str):
         _fail("instance: name must be a string")
-    if "shape" in data and list(data["shape"]) != list(a_mats[0].shape):
+    if "shape" in data and data["shape"] != list(a_mats[0].shape):
         _fail("instance: declared shape disagrees with the matrices")
     if "count" in data and data["count"] != len(a_mats):
         _fail("instance: declared count disagrees with the matrices")

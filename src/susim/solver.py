@@ -77,10 +77,9 @@ def _assemble_solution(
 class _Ending:
     """How a run of the decision loop ended.
 
-    ``status`` is ``"scalar"`` (``mismatch`` set, and ``paths`` too when the
-    holonomy check found it), ``"eigenvalue"`` (``step`` is the refinement
-    whose spectra disagree) or ``"solution"`` (the final form, with the scan
-    report, path data and holonomy report).
+    ``status`` is ``"scalar"`` (``mismatch`` set), ``"eigenvalue"`` (``step``
+    is the refinement whose spectra disagree) or ``"solution"`` (the final
+    form, with the scan report, path data and holonomy report).
     """
 
     status: str
@@ -109,7 +108,6 @@ def _refinements(
     cols = rows if mode == "sus" else Partition.whole(n)
     for _ in range(n + 1 if mode == "sus" else m + n + 1):
         pre = check_presolution(a_mats, b_mats, rows, cols, mode, tol)
-        paths = pr = None
         if pre.status == "mismatch":
             return _Ending("scalar", rows, cols, pre, mismatch=pre.mismatch)
         violation = pre.violation
@@ -117,11 +115,11 @@ def _refinements(
             paths = build_paths(a_mats, b_mats, rows, cols, mode, pre.cell_scales_a, pre.cell_scales_b)
             pr = check_pr(a_mats, b_mats, rows, cols, mode, pre.cell_scales_a, paths, tol)
             if pr.status == "mismatch":
-                return _Ending("scalar", rows, cols, pre, paths, mismatch=pr.mismatch)
+                return _Ending("scalar", rows, cols, pre, mismatch=pr.mismatch)
             if pr.status == "ok":
                 return _Ending("solution", rows, cols, pre, paths, pr)
             violation = pr.violation
-        out = apply_refinement(a_mats, b_mats, rows, cols, mode, violation, tol, paths=paths)
+        out = apply_refinement(a_mats, b_mats, rows, cols, mode, violation, tol)
         if out.status == "mismatch":
             return _Ending("eigenvalue", rows, cols, pre, step=out.step)
         yield out, rows, cols
@@ -163,8 +161,7 @@ def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances)
         mm = end.mismatch
         cert = Certificate(
             mode, "scalar", mm.target, mm.at, tuple(steps), it,
-            a_value=mm.a_value, b_value=mm.b_value,
-            pr_paths=None if end.paths is None else end.paths.cell_paths(mode, mm.at[1], mm.at[2]),
+            a_value=mm.a_value, b_value=mm.b_value, pr_paths=mm.pr_paths,
         )
         return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
 

@@ -14,13 +14,15 @@ current row and column partitions, every matrix should look like this:
 ``l`` outer, then row class, then column class, A side before B side) and
 returns the first deviation.  A deviation is either a
 :class:`ScalarMismatch` (two scalars that should agree do not, which is
-already a disproof) or a :class:`Violation` naming the Hermitian functional
-whose eigenspaces will drive the next refinement.
+already a disproof) or a :class:`Violation` carrying the Hermitian
+functional of the deviating cell on both sides, whose eigenspaces will
+drive the next refinement.  The four cell functionals are defined here once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .blocking import Partition, submatrix
 from .linalg import (
@@ -33,6 +35,9 @@ from .linalg import (
     is_zero,
     unitary_multiple,
 )
+
+if TYPE_CHECKING:
+    from .graph import PrPaths
 
 __all__ = [
     "Violation",
@@ -53,19 +58,27 @@ GRAM_RIGHT = "gram_right"
 PR_NORMAL = "pr_normal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Violation:
-    """A cell that breaks the expected form, with the refinement recipe.
+    """A cell that breaks the expected form, with its functional pair.
 
     ``functional`` names the Hermitian (or normal) matrix derived from the
-    cell whose eigenspaces refine the partition; ``touch`` is the partition
-    class it refines, as an axis/class pair.  In similarity mode the row and
-    column axes address the same partition.
+    cell whose eigenspaces refine the partition; ``s`` and ``r`` are that
+    matrix on the A and the B side, and ``ctx_a``/``ctx_b`` their eigen-context
+    scales.  ``touch`` is the partition class it refines, as an axis/class
+    pair; in similarity mode the row and column axes address the same
+    partition.  A holonomy functional also carries the edge steps of its
+    two path products in ``pr_paths``.
     """
 
     functional: str
     at: tuple[int, int, int]
     touch: tuple[str, int]
+    s: Matrix
+    r: Matrix
+    ctx_a: float = 0.0
+    ctx_b: float = 0.0
+    pr_paths: PrPaths | None = None
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,7 @@ class ScalarMismatch:
     at: tuple[int, int, int]
     a_value: complex
     b_value: complex
+    pr_paths: PrPaths | None = None
 
 
 @dataclass(frozen=True)
@@ -90,31 +104,49 @@ class PreSolutionReport:
     cell_scales_b: dict[tuple[int, int, int], float] = field(default_factory=dict)
 
 
-def _gram_choice(cell: Matrix, ctx: float, tol: Tolerances, i: int, j: int) -> Violation | None:
+# The four cell functionals, each a Hermitian matrix read off a cell.  The
+# eigen-context scale of a Gram functional is the squared matrix norm.
+_FUNCTIONALS = {
+    HERM_REAL: lambda c: (c + adjoint(c)) / 2.0,
+    HERM_IMAG: lambda c: (c - adjoint(c)) / 2.0j,
+    GRAM_LEFT: lambda c: c @ adjoint(c),
+    GRAM_RIGHT: lambda c: adjoint(c) @ c,
+}
+# A functional name and the partition class it refines.
+_Choice = tuple[str, tuple[str, int]]
+
+
+def _violation(
+    choice: _Choice, at: tuple[int, int, int], ca: Matrix, cb: Matrix, ctx_a: float, ctx_b: float
+) -> PreSolutionReport:
+    """The report of a deviation at cell ``at``, with its functional pair."""
+    functional, touch = choice
+    if functional in (GRAM_LEFT, GRAM_RIGHT):
+        ctx_a, ctx_b = ctx_a**2, ctx_b**2
+    f = _FUNCTIONALS[functional]
+    return PreSolutionReport(
+        "violation", violation=Violation(functional, at, touch, f(ca), f(cb), ctx_a, ctx_b)
+    )
+
+
+def _gram_choice(cell: Matrix, ctx: float, tol: Tolerances, i: int, j: int) -> _Choice:
     """Pick the Gram functional that actually separates eigenvalues.
 
     The left Gram ``M M*`` refines the row class, the right Gram ``M* M``
     the column class.  Prefer the left one unless it is itself a scalar
     matrix, which for a nonzero non-square cell forces the right one to be
-    non-scalar.  Returns only the functional and touched class; the caller
-    fills in the cell address.
+    non-scalar.  Returns the functional and the class it touches.
     """
-    left = cell @ adjoint(cell)
-    if identity_multiple(left, tol, ctx * ctx) is None:
-        return Violation(GRAM_LEFT, (-1, i, j), ("row", i))
-    return Violation(GRAM_RIGHT, (-1, i, j), ("col", j))
+    if identity_multiple(_FUNCTIONALS[GRAM_LEFT](cell), tol, ctx * ctx) is None:
+        return GRAM_LEFT, ("row", i)
+    return GRAM_RIGHT, ("col", j)
 
 
-def _diag_choice(cell: Matrix, ctx: float, tol: Tolerances, i: int) -> Violation:
+def _diag_choice(cell: Matrix, ctx: float, tol: Tolerances, i: int) -> _Choice:
     """Pick the Hermitian part of a non-scalar diagonal cell that is non-scalar."""
-    herm = (cell + adjoint(cell)) / 2.0
-    if identity_multiple(herm, tol, ctx) is None:
-        return Violation(HERM_REAL, (-1, i, i), ("row", i))
-    return Violation(HERM_IMAG, (-1, i, i), ("row", i))
-
-
-def _with_index(v: Violation, l: int) -> Violation:
-    return Violation(v.functional, (l, v.at[1], v.at[2]), v.touch)
+    if identity_multiple(_FUNCTIONALS[HERM_REAL](cell), tol, ctx) is None:
+        return HERM_REAL, ("row", i)
+    return HERM_IMAG, ("row", i)
 
 
 def check_presolution(
@@ -145,54 +177,36 @@ def check_presolution(
                 ca = submatrix(a, rows, i, cols, j)
                 cb = submatrix(b, rows, i, cols, j)
                 square = rows.sizes[i] == cols.sizes[j]
+                at = (l, i, j)
                 if mode == "sus" and i == j:
                     alpha_a = identity_multiple(ca, tol, ctx_a)
                     if alpha_a is None:
-                        return PreSolutionReport(
-                            "violation", violation=_with_index(_diag_choice(ca, ctx_a, tol, i), l)
-                        )
+                        return _violation(_diag_choice(ca, ctx_a, tol, i), at, ca, cb, ctx_a, ctx_b)
                     alpha_b = identity_multiple(cb, tol, ctx_b)
                     if alpha_b is None:
-                        return PreSolutionReport(
-                            "violation", violation=_with_index(_diag_choice(cb, ctx_b, tol, i), l)
-                        )
+                        return _violation(_diag_choice(cb, ctx_b, tol, i), at, ca, cb, ctx_a, ctx_b)
                     if not close_scalars(alpha_a, alpha_b, tol, context=ctx):
                         return PreSolutionReport(
-                            "mismatch",
-                            mismatch=ScalarMismatch("diag_alpha", (l, i, i), alpha_a, alpha_b),
+                            "mismatch", mismatch=ScalarMismatch("diag_alpha", at, alpha_a, alpha_b)
                         )
                     diag_alphas[(l, i)] = alpha_a
                 elif square:
                     ra = unitary_multiple(ca, tol, ctx_a)
                     if ra is None:
-                        return PreSolutionReport(
-                            "violation",
-                            violation=_with_index(_gram_choice(ca, ctx_a, tol, i, j), l),
-                        )
+                        return _violation(_gram_choice(ca, ctx_a, tol, i, j), at, ca, cb, ctx_a, ctx_b)
                     rb = unitary_multiple(cb, tol, ctx_b)
                     if rb is None:
-                        return PreSolutionReport(
-                            "violation",
-                            violation=_with_index(_gram_choice(cb, ctx_b, tol, i, j), l),
-                        )
+                        return _violation(_gram_choice(cb, ctx_b, tol, i, j), at, ca, cb, ctx_a, ctx_b)
                     if not close_scalars(ra, rb, tol, context=ctx * ctx):
-                        return PreSolutionReport(
-                            "violation", violation=Violation(GRAM_LEFT, (l, i, j), ("row", i))
-                        )
+                        return _violation((GRAM_LEFT, ("row", i)), at, ca, cb, ctx_a, ctx_b)
                     if ra > 0.0:
-                        scales_a[(l, i, j)] = ra
-                        scales_b[(l, i, j)] = rb
+                        scales_a[at] = ra
+                        scales_b[at] = rb
                 else:
                     if not is_zero(ca, tol, ctx_a):
-                        return PreSolutionReport(
-                            "violation",
-                            violation=_with_index(_gram_choice(ca, ctx_a, tol, i, j), l),
-                        )
+                        return _violation(_gram_choice(ca, ctx_a, tol, i, j), at, ca, cb, ctx_a, ctx_b)
                     if not is_zero(cb, tol, ctx_b):
-                        return PreSolutionReport(
-                            "violation",
-                            violation=_with_index(_gram_choice(cb, ctx_b, tol, i, j), l),
-                        )
+                        return _violation(_gram_choice(cb, ctx_b, tol, i, j), at, ca, cb, ctx_a, ctx_b)
     return PreSolutionReport(
         "ok",
         diag_alphas=diag_alphas,

@@ -1,10 +1,14 @@
 """Certificate replay: genuine certificates confirm, tampered ones refute."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susim.certcheck import check_certificate
+from susim.graph import EdgeStep
+from susim.instances import GenConfig, generate
 from susim.linalg import DEFAULT_TOLERANCES, adjoint
 from susim.model import NOT_SIMILAR, Certificate, Instance
 from susim.refine import RefinementStep
@@ -207,6 +211,72 @@ class TestTamperedCertificates:
         )
         rep = check_certificate(inst, cert)
         assert not rep.confirmed
+
+
+def pairwise_certificates():
+    """Instances and certificates of the golden-size pairwise traps, seeds 0-19.
+
+    Each certificate refines once, then claims a diagonal scalar mismatch.
+    """
+    for seed in range(20):
+        inst, _ = generate(GenConfig(kind="pairwise", n=4, seed=seed))
+        res = solve(inst)
+        assert res.status == NOT_SIMILAR and res.certificate.steps, seed
+        yield seed, inst, res.certificate
+
+
+def with_first_step(cert, **changes):
+    first = dataclasses.replace(cert.steps[0], **changes)
+    return dataclasses.replace(cert, steps=(first, *cert.steps[1:]))
+
+
+class TestMutatedCertificates:
+    """One change to a genuine certificate, and the checker refutes it."""
+
+    def test_genuine_pairwise_certificates_confirm(self):
+        for seed, inst, cert in pairwise_certificates():
+            assert check_certificate(inst, cert).confirmed, seed
+
+    def test_dropped_step(self):
+        for seed, inst, cert in pairwise_certificates():
+            fake = dataclasses.replace(cert, steps=cert.steps[1:])
+            assert not check_certificate(inst, fake).confirmed, seed
+
+    def test_changed_group_count(self):
+        for seed, inst, cert in pairwise_certificates():
+            (value, count), *rest = cert.steps[0].groups_a
+            fake = with_first_step(cert, groups_a=((value, count + 1), *rest))
+            rep = check_certificate(inst, fake)
+            assert not rep.confirmed, seed
+            assert "recorded spectra" in rep.reason
+
+    def test_group_value_moved_beyond_verify(self):
+        for seed, inst, cert in pairwise_certificates():
+            (value, count), *rest = cert.steps[0].groups_b
+            fake = with_first_step(cert, groups_b=((value + 1.0, count), *rest))
+            rep = check_certificate(inst, fake)
+            assert not rep.confirmed, seed
+            assert "recorded spectra" in rep.reason
+
+    def test_flipped_edge_step(self):
+        a1, a2 = holonomy_instances()
+        b3 = np.zeros((4, 4), dtype=complex)
+        b3[0:2, 2:4] = -2.0 * np.eye(2)
+        c3 = np.zeros((4, 4), dtype=complex)
+        c3[0:2, 2:4] = np.diag([1.0, -1.0])
+        pairs = [
+            ([a1, a2, a2.copy()], [a1.copy(), a2.copy(), b3]),  # pr_beta
+            ([a1, a2, c3], [a1.copy(), a2.copy(), b3 / -2.0]),  # pr_normal
+        ]
+        for a, b in pairs:
+            inst, cert = certified(a, b)
+            steps_row, steps_col = cert.pr_paths
+            assert steps_col, cert.target
+            e = steps_col[0]
+            flipped = (EdgeStep(e.l, e.i, e.j, not e.invert), *steps_col[1:])
+            fake = dataclasses.replace(cert, pr_paths=(steps_row, flipped))
+            assert check_certificate(inst, cert).confirmed, cert.target
+            assert not check_certificate(inst, fake).confirmed, cert.target
 
 
 class TestEveryRejectionRevalidates:

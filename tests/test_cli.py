@@ -239,6 +239,53 @@ class TestCanonAndDiff:
         assert main(["diff", inst, inst]) == 64
 
 
+def unusable_instance(tmp_path, entry=None, shape=None):
+    """A 2x2 instance file with one B entry replaced by the JSON literal
+    ``entry``, or with the declared shape replaced by ``shape``."""
+    doc = instance_to_json(Instance("sus", [np.eye(2)], [np.eye(2)]))
+    if entry is not None:
+        doc["b"][0][1][1][0] = "ENTRY"
+    else:
+        doc["shape"] = shape
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"ENTRY"', str(entry)))
+    return str(path)
+
+
+class TestUnusableInput:
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+    @pytest.mark.parametrize("command", ["solve", "canon"])
+    def test_non_finite_entry(self, tmp_path, capsys, entry, command):
+        path = unusable_instance(tmp_path, entry=entry)
+        argv = ["solve", path] if command == "solve" else ["canon", path, "--side", "b"]
+        assert main(argv) == 64
+        assert "instance b[1]: entries must be finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [2, None, 2.5])
+    def test_malformed_declared_shape(self, tmp_path, capsys, shape):
+        assert main(["solve", unusable_instance(tmp_path, shape=shape)]) == 64
+        assert "declared shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            (["--tol-cmp", "2"], {}),
+            (["--tol-verify", "0"], {}),
+            (["--tol-group", "1e-12"], {}),
+            ([], {"SUSIM_TOL_GROUP": "nan"}),
+            ([], {"SUSIM_TOL_VERIFY": "inf"}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "canon"])
+    def test_out_of_range_tolerance(self, tmp_path, monkeypatch, capsys, flags, env, command):
+        inst = planted_file(tmp_path)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        capsys.readouterr()
+        assert main([command, inst, *flags]) == 64
+        assert "tolerances must satisfy" in capsys.readouterr().err
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -154,6 +154,9 @@ class TestPrCheck:
         assert out.violation.functional == PR_NORMAL
         assert out.violation.at == (1, 0, 1)
         assert out.violation.touch == ("row", 0)
+        assert np.allclose(out.violation.s, np.diag([1.0, -1.0]))
+        assert np.allclose(out.violation.r, out.violation.s)
+        assert out.violation.pr_paths == paths.cell_paths("sus", 0, 1)
 
     def test_scalar_holonomy_disagreement_is_mismatch(self):
         p = Partition((2, 2))
@@ -170,6 +173,7 @@ class TestPrCheck:
         assert out.mismatch.at == (1, 0, 1)
         assert out.mismatch.a_value == pytest.approx(2.0 + 0j)
         assert out.mismatch.b_value == pytest.approx(-2.0 + 0j)
+        assert out.mismatch.pr_paths == paths.cell_paths("sus", 0, 1)
 
     def test_pr_matrices_against_naive_oracle(self):
         # A dense one-component instance: pr of each cell must equal the

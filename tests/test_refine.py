@@ -1,13 +1,18 @@
-"""Refinement steps: spectra comparison, conjugation, class splitting."""
+"""Refinement steps: spectra comparison, conjugation, class splitting.
+
+Each violation carries its functional pair from the form scan or the
+holonomy check, so the tests let the scan find the deviation wherever it
+picks the functional under test, and build the pair by hand otherwise.
+"""
 
 import numpy as np
 import pytest
 
 from susim.blocking import Partition, submatrix
 from susim.errors import NumericalFailure
-from susim.graph import build_paths
-from susim.linalg import DEFAULT_TOLERANCES, adjoint
-from susim.refine import apply_refinement, functional_pair
+from susim.graph import build_paths, check_pr
+from susim.linalg import DEFAULT_TOLERANCES, adjoint, fro
+from susim.refine import apply_refinement
 from susim.structure import (
     GRAM_LEFT,
     GRAM_RIGHT,
@@ -27,34 +32,62 @@ def random_unitary(n, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def scanned(a, b, rows, cols, mode="sus"):
+    """The violation the form scan reports for the collections ``a``, ``b``."""
+    rep = check_presolution(a, b, rows, cols, mode, TOL)
+    assert rep.status == "violation"
+    return rep.violation
+
+
 class TestFunctionalPair:
     def test_herm_real_extracts_hermitian_part(self):
         a = np.array([[1.0, 1.0j], [1.0j, 2.0]], dtype=complex)
-        v = Violation(HERM_REAL, (0, 0, 0), ("row", 0))
-        s, r, _, _, kind = functional_pair([a], [a.copy()], Partition.whole(2), Partition.whole(2), "sus", v)
-        assert kind == "hermitian"
-        assert np.allclose(s, (a + adjoint(a)) / 2.0)
-        assert np.allclose(s, adjoint(s))
+        b = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
+        v = scanned([a], [b], Partition.whole(2), Partition.whole(2))
+        assert (v.functional, v.at, v.touch) == (HERM_REAL, (0, 0, 0), ("row", 0))
+        assert np.allclose(v.s, (a + adjoint(a)) / 2.0)
+        assert np.allclose(v.r, b)
+        assert (v.ctx_a, v.ctx_b) == (pytest.approx(fro(a)), pytest.approx(fro(b)))
+        assert v.pr_paths is None
 
     def test_herm_imag_extracts_skew_part(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-        v = Violation(HERM_IMAG, (0, 0, 0), ("row", 0))
-        s, _, _, _, _ = functional_pair([a], [a.copy()], Partition.whole(2), Partition.whole(2), "sus", v)
-        assert np.allclose(s, np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+        v = scanned([a], [a.copy()], Partition.whole(2), Partition.whole(2))
+        assert v.functional == HERM_IMAG
+        assert np.allclose(v.s, np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+        assert np.allclose(v.r, v.s)
 
     def test_gram_sides(self):
+        # A wide cell has a scalar left Gram, so the scan takes the right one.
         p = Partition((1, 2))
         a = np.zeros((3, 3), dtype=complex)
         a[0, 1] = 2.0
-        v = Violation(GRAM_RIGHT, (0, 0, 1), ("col", 1))
-        s, _, ctx_a, _, _ = functional_pair([a], [a.copy()], p, p, "sus", v)
-        assert s.shape == (2, 2)
-        assert np.allclose(s, np.diag([4.0, 0.0]))
-        assert ctx_a == pytest.approx(4.0)
-        v = Violation(GRAM_LEFT, (0, 0, 1), ("row", 0))
-        s, _, _, _, _ = functional_pair([a], [a.copy()], p, p, "sus", v)
-        assert s.shape == (1, 1)
-        assert s[0, 0] == pytest.approx(4.0)
+        b = np.zeros((3, 3), dtype=complex)
+        b[0, 2] = 2.0
+        v = scanned([a], [b], p, p)
+        assert (v.functional, v.at, v.touch) == (GRAM_RIGHT, (0, 0, 1), ("col", 1))
+        assert np.allclose(v.s, np.diag([4.0, 0.0]))
+        assert np.allclose(v.r, np.diag([0.0, 4.0]))
+        # Gram contexts are the squared matrix norms.
+        assert (v.ctx_a, v.ctx_b) == (pytest.approx(4.0), pytest.approx(4.0))
+        # A tall cell refines the row class by its left Gram.
+        p = Partition((2, 1))
+        a = np.zeros((3, 3), dtype=complex)
+        a[0, 2] = 2.0
+        v = scanned([a], [a.copy()], p, p)
+        assert (v.functional, v.at, v.touch) == (GRAM_LEFT, (0, 0, 1), ("row", 0))
+        assert np.allclose(v.s, np.diag([4.0, 0.0]))
+        assert v.ctx_a == pytest.approx(4.0)
+
+    def test_b_side_deviation_carries_both_sides(self):
+        p = Partition((1, 2))
+        a = np.eye(3, dtype=complex)
+        b = np.eye(3, dtype=complex)
+        b[0, 1] = 3.0
+        v = scanned([a], [b], p, p)
+        assert v.functional == GRAM_RIGHT
+        assert np.allclose(v.s, np.zeros((2, 2)))
+        assert np.allclose(v.r, np.diag([9.0, 0.0]))
 
 
 class TestDiagonalRefinement:
@@ -64,9 +97,10 @@ class TestDiagonalRefinement:
         d = np.diag([5.0, 5.0, 1.0]).astype(complex)
         a = [q @ d @ adjoint(q)]
         b = [d.copy()]
-        v = Violation(HERM_REAL, (0, 0, 0), ("row", 0))
-        out = apply_refinement(a, b, Partition.whole(3), Partition.whole(3), "sus", v, TOL)
+        whole = Partition.whole(3)
+        out = apply_refinement(a, b, whole, whole, "sus", scanned(a, b, whole, whole), TOL)
         assert out.status == "refined"
+        assert out.step.functional == HERM_REAL
         assert out.rows.sizes == (2, 1)
         assert out.rows is out.cols
         assert [m for _, m in out.step.groups_a] == [2, 1]
@@ -80,8 +114,8 @@ class TestDiagonalRefinement:
     def test_spectral_mismatch_reported(self):
         a = [np.diag([2.0, 1.0]).astype(complex)]
         b = [np.diag([3.0, 1.0]).astype(complex)]
-        v = Violation(HERM_REAL, (0, 0, 0), ("row", 0))
-        out = apply_refinement(a, b, Partition.whole(2), Partition.whole(2), "sus", v, TOL)
+        whole = Partition.whole(2)
+        out = apply_refinement(a, b, whole, whole, "sus", scanned(a, b, whole, whole), TOL)
         assert out.status == "mismatch"
         assert out.step.groups_a == ((pytest.approx(2.0 + 0j), 1), (pytest.approx(1.0 + 0j), 1))
         assert out.step.groups_b == ((pytest.approx(3.0 + 0j), 1), (pytest.approx(1.0 + 0j), 1))
@@ -89,8 +123,8 @@ class TestDiagonalRefinement:
     def test_multiplicity_mismatch_reported(self):
         a = [np.diag([2.0, 2.0, 1.0]).astype(complex)]
         b = [np.diag([2.0, 1.0, 1.0]).astype(complex)]
-        v = Violation(HERM_REAL, (0, 0, 0), ("row", 0))
-        out = apply_refinement(a, b, Partition.whole(3), Partition.whole(3), "sus", v, TOL)
+        whole = Partition.whole(3)
+        out = apply_refinement(a, b, whole, whole, "sus", scanned(a, b, whole, whole), TOL)
         assert out.status == "mismatch"
 
     def test_collapse_raises_numerical_failure(self):
@@ -98,9 +132,24 @@ class TestDiagonalRefinement:
         # tolerances, so the class cannot be split honestly.
         eps = 1e-8
         a = [np.diag([1.0 + eps, 1.0]).astype(complex)]
-        v = Violation(HERM_REAL, (0, 0, 0), ("row", 0))
+        b = [a[0].copy()]
+        whole = Partition.whole(2)
+        v = scanned(a, b, whole, whole)
+        assert v.functional == HERM_REAL
         with pytest.raises(NumericalFailure):
-            apply_refinement(a, [a[0].copy()], Partition.whole(2), Partition.whole(2), "sus", v, TOL)
+            apply_refinement(a, b, whole, whole, "sus", v, TOL)
+
+    def test_uses_the_carried_pair(self):
+        # The refinement diagonalises the pair it is given and never goes
+        # back to the cell: here the pair disagrees although the cells agree.
+        a = [np.diag([2.0, 1.0]).astype(complex)]
+        whole = Partition.whole(2)
+        v = Violation(
+            HERM_REAL, (0, 0, 0), ("row", 0), np.diag([2.0, 1.0]), np.diag([4.0, 1.0]), 3.0, 3.0
+        )
+        out = apply_refinement(a, [a[0].copy()], whole, whole, "sus", v, TOL)
+        assert out.status == "mismatch"
+        assert out.step.groups_b[0] == (pytest.approx(4.0 + 0j), 1)
 
 
 class TestGramRefinement:
@@ -110,7 +159,8 @@ class TestGramRefinement:
         a[0, 0] = a[1, 1] = a[2, 2] = 1.0
         a[0, 1] = 3.0
         b = a.copy()
-        v = Violation(GRAM_RIGHT, (0, 0, 1), ("col", 1))
+        v = scanned([a], [b], p, p)
+        assert (v.functional, v.touch) == (GRAM_RIGHT, ("col", 1))
         out = apply_refinement([a], [b], p, p, "sus", v, TOL)
         assert out.status == "refined"
         assert out.rows.sizes == (1, 1, 1)
@@ -133,22 +183,19 @@ class TestPrRefinement:
         b = [m.copy() for m in mats]
         rep = check_presolution(mats, b, p, p, "sus", TOL)
         paths = build_paths(mats, b, p, p, "sus", rep.cell_scales_a, rep.cell_scales_b)
-        v = Violation(PR_NORMAL, (1, 0, 1), ("row", 0))
-        out = apply_refinement(mats, b, p, p, "sus", v, TOL, paths=paths)
+        pr = check_pr(mats, b, p, p, "sus", rep.cell_scales_a, paths, TOL)
+        v = pr.violation
+        assert (v.functional, v.at, v.touch) == (PR_NORMAL, (1, 0, 1), ("row", 0))
+        # The holonomy matrix on the representative space, on both sides.
+        assert np.allclose(v.s, np.diag([2.0, -2.0]))
+        assert np.allclose(v.r, v.s)
+        out = apply_refinement(mats, b, p, p, "sus", v, TOL)
         assert out.status == "refined"
         assert out.rows.sizes == (1, 1, 2)
-        assert out.step.pr_paths is not None
+        assert out.step.pr_paths == v.pr_paths
         steps_row, steps_col = out.step.pr_paths
         assert steps_row == ()
         assert len(steps_col) == 1
-
-    def test_requires_paths(self):
-        p, mats = self._instance()
-        v = Violation(PR_NORMAL, (1, 0, 1), ("row", 0))
-        from susim.errors import InternalInconsistency
-
-        with pytest.raises(InternalInconsistency):
-            apply_refinement(mats, [m.copy() for m in mats], p, p, "sus", v, TOL)
 
 
 class TestEquivalenceRefinement:
@@ -157,7 +204,8 @@ class TestEquivalenceRefinement:
         rows, cols = Partition.whole(2), Partition.whole(3)
         a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         b = a.copy()
-        v = Violation(GRAM_LEFT, (0, 0, 0), ("row", 0))
+        v = scanned([a], [b], rows, cols, "sueq")
+        assert (v.functional, v.touch) == (GRAM_LEFT, ("row", 0))
         out = apply_refinement([a], [b], rows, cols, "sueq", v, TOL)
         assert out.status == "refined"
         assert np.allclose(out.a_mats[0], out.y @ a)
@@ -168,10 +216,13 @@ class TestEquivalenceRefinement:
         assert np.allclose(g, np.diag(np.diagonal(g)), atol=1e-9)
 
     def test_col_touch_multiplies_right(self):
+        # Orthonormal rows make the left Gram scalar, so the scan picks the
+        # right Gram and the column class.
         rng = np.random.default_rng(5)
         rows, cols = Partition.whole(2), Partition.whole(3)
-        a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        v = Violation(GRAM_RIGHT, (0, 0, 0), ("col", 0))
+        a = 2.0 * random_unitary(3, rng)[:2]
+        v = scanned([a], [a.copy()], rows, cols, "sueq")
+        assert (v.functional, v.touch) == (GRAM_RIGHT, ("col", 0))
         out = apply_refinement([a], [a.copy()], rows, cols, "sueq", v, TOL)
         assert out.status == "refined"
         assert np.allclose(out.a_mats[0], a @ adjoint(out.y))
@@ -189,8 +240,10 @@ class TestSolvabilityPreservation:
         a0 = q @ d @ adjoint(q)
         w = random_unitary(3, rng)
         b0 = w @ a0 @ adjoint(w)
-        v = Violation(HERM_REAL, (0, 0, 0), ("row", 0))
-        out = apply_refinement([a0], [b0], Partition.whole(3), Partition.whole(3), "sus", v, TOL)
+        whole = Partition.whole(3)
+        v = scanned([a0], [b0], whole, whole)
+        assert v.functional == HERM_REAL
+        out = apply_refinement([a0], [b0], whole, whole, "sus", v, TOL)
         assert out.status == "refined"
         w_new = out.z @ w @ adjoint(out.y)
         assert np.allclose(w_new @ out.a_mats[0] @ adjoint(w_new), out.b_mats[0], atol=1e-8)
