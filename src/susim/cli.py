@@ -23,6 +23,8 @@ import os
 import sys
 from pathlib import Path
 
+import orjson
+
 from . import __version__
 from .canonical import compare_features, extract_features
 from .certcheck import check_certificate
@@ -32,6 +34,7 @@ from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .model import FAILED, NOT_SIMILAR, SOLVED, Instance, SolveResult
 from .oracles import TraceWord, word_to_string
 from .serialize import (
+    complex_to_json,
     features_from_json,
     features_to_json,
     instance_from_json,
@@ -61,24 +64,45 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(self.prog + ": error: " + message) from None
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2**64:  # numpy needs >= 0; a document holds 64 bits
+        raise argparse.ArgumentTypeError(f"seed {text} is outside 0 .. 2**64-1")
+    return seed
+
+
+def _utf8(text: str) -> str:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not UTF-8 text") from None
+    return text
+
+
 def _read_document(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        raw = sys.stdin.read() if path == "-" else Path(path).read_bytes()
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            # orjson refuses NaN, Infinity and out-of-range numbers; the stdlib
+            # parses them, so that the document readers can name the entry.
+            return json.loads(raw if isinstance(raw, str) else raw.decode("utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _write_document(path: str, data: dict) -> None:
-    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    raw = orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(raw.decode("utf-8"))
     else:
         try:
-            Path(path).write_text(text)
+            Path(path).write_bytes(raw)
         except OSError as exc:
             raise FormatError(f"cannot write {path}: {exc}") from exc
 
@@ -155,8 +179,8 @@ def _witness_document(meta: dict, count: int) -> dict:
         doc["word"] = {
             "letters": [k + 1 for k in word.letters],
             "text": word_to_string(word.letters, count),
-            "trace_a": [word.trace_a.real, word.trace_a.imag],
-            "trace_b": [word.trace_b.real, word.trace_b.imag],
+            "trace_a": complex_to_json(word.trace_a),
+            "trace_b": complex_to_json(word.trace_b),
         }
     return doc
 
@@ -288,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-n", type=int, required=True, help="matrix size (columns for sueq)")
     p_gen.add_argument("-m", type=int, help="row count for planted_equivalent")
     p_gen.add_argument("-p", type=int, default=1, help="matrices per side")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--style", choices=("dense", "structured"), default="dense")
     p_gen.add_argument("--eps", type=float, default=1e-2, help="perturbation size")
     p_gen.add_argument("--depth", type=int, default=3, help="scheduled refinement count")
     p_gen.add_argument("--gap", type=float, default=1.0, help="eigenvalue level spacing")
-    p_gen.add_argument("--name", default="", help="instance name")
+    p_gen.add_argument("--name", type=_utf8, default="", help="instance name")
     p_gen.add_argument("--out", required=True, help="instance file, - for stdout")
     p_gen.set_defaults(func=_cmd_gen)
 

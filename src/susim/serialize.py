@@ -14,6 +14,7 @@ objects stay zero-based throughout the library.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import Any
 
@@ -30,6 +31,7 @@ __all__ = [
     "RESULT_FORMAT",
     "FEATURES_FORMAT",
     "matrix_to_json",
+    "complex_to_json",
     "instance_to_json",
     "instance_from_json",
     "result_to_json",
@@ -65,13 +67,24 @@ def _get(data: Any, key: str, kind: type | tuple[type, ...], where: str) -> Any:
     return value
 
 
+def _real(x: float) -> float:
+    """``x`` as a Python float.  JSON has no NaN or infinity, so a document
+    refuses them where it is built: the encoder would write ``null``."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"a document cannot hold the non-finite number {x}")
+    return x
+
+
 def _cpx(z: complex) -> list[float]:
     z = complex(z)
-    return [z.real, z.imag]
+    return [_real(z.real), _real(z.imag)]
 
 
 def _mat(m: np.ndarray) -> list[list[list[float]]]:
     m = np.ascontiguousarray(m, dtype=np.complex128)
+    if not np.isfinite(m).all():
+        raise ValueError("a document cannot hold a matrix with non-finite entries")
     return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 
 
@@ -121,6 +134,11 @@ def _as_mat(value: Any, where: str) -> np.ndarray:
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     """Encode one matrix the same way the document formats do."""
     return _mat(m)
+
+
+def complex_to_json(z: complex) -> list[float]:
+    """Encode one complex scalar the same way the document formats do."""
+    return _cpx(z)
 
 
 def _at_out(at: tuple[int, int, int]) -> dict:
@@ -324,7 +342,7 @@ def result_to_json(result: SolveResult) -> dict:
         "status": result.status,
         "mode": result.mode,
         "iterations": result.iterations,
-        "residual": result.residual,
+        "residual": None if result.residual is None else _real(result.residual),
         "message": result.message,
         "u": None if result.u is None else _mat(result.u),
         "v": None if result.v is None else _mat(result.v),
@@ -410,7 +428,7 @@ def features_to_json(features: CanonicalFeatures) -> dict:
             for (l, i), v in features.alphas
         ],
         "scales": [
-            {"matrix": l + 1, "row": i + 1, "col": j + 1, "value": float(v)}
+            {"matrix": l + 1, "row": i + 1, "col": j + 1, "value": _real(v)}
             for (l, i, j), v in features.scales
         ],
         "betas": [

@@ -3,15 +3,20 @@
 import io
 import json
 import shutil
+import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from susim import cli
+from susim.canonical import extract_features
 from susim.cli import main
 from susim.model import Instance
 from susim.serialize import instance_to_json
+from susim.solver import solve
 
 
 def write_instance(path, inst):
@@ -144,6 +149,20 @@ class TestGen:
 
     def test_unknown_kind_is_a_usage_error(self, tmp_path, capsys):
         assert main(["gen", "--kind", "bogus", "-n", "4", "--out", "-"]) == 64
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_a_document_cannot_hold_is_a_usage_error(self, tmp_path, capsys, seed):
+        argv = ["gen", "--kind", "pr_cycle", "-n", "4", "--seed", seed, "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 64
+        assert "outside 0 .. 2**64-1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_name_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        # an undecodable byte in argv arrives as a lone surrogate
+        argv = ["gen", "--kind", "pr_cycle", "-n", "4", "--name", "x\udcff", "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 64
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestVerify:
@@ -284,6 +303,161 @@ class TestUnusableInput:
         capsys.readouterr()
         assert main([command, inst, *flags]) == 64
         assert "tolerances must satisfy" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "encode, message",
+        [
+            (lambda text: b"\xff\xfe" + text.encode("utf-16-le"), "not UTF-8 text"),
+            (lambda text: b"\xef\xbb\xbf" + text.encode(), "not valid JSON"),
+        ],
+        ids=["utf16", "utf8-bom"],
+    )
+    def test_text_encoding(self, tmp_path, capsys, encode, message):
+        doc = json.dumps(instance_to_json(Instance("sus", [np.eye(2)], [np.eye(2)])))
+        path = tmp_path / "inst.json"
+        path.write_bytes(encode(doc))
+        assert main(["solve", str(path)]) == 64
+        assert message in capsys.readouterr().err
+
+    def test_integer_beyond_64_bits_is_not_a_count(self, tmp_path, capsys):
+        # JSON numbers reach the document readers as Python numbers, and an
+        # integer literal of more than 64 bits reads as a float.
+        a = [np.diag([2.0, 2.0, 1.0]).astype(complex)]
+        b = [np.diag([2.0, 1.0, 1.0]).astype(complex)]
+        inst = write_instance(tmp_path / "i.json", Instance("sus", a, b))
+        res = tmp_path / "r.json"
+        assert main(["solve", inst, "--out", str(res)]) == 1
+        res.write_text(res.read_text().replace('"iterations": 1,', f'"iterations": {2**64},', 1))
+        capsys.readouterr()
+        assert main(["verify", inst, str(res)]) == 64
+        assert "key 'iterations' has the wrong type" in capsys.readouterr().err
+
+
+def with_nan_witness(res):
+    u = res.u.copy()
+    u[0, 1] = np.nan
+    return replace(res, u=u)
+
+
+def with_nan_certificate_scalar(res):
+    return replace(res, certificate=replace(res.certificate, a_value=complex(np.nan, 0.0)))
+
+
+def with_nan_feature(features):
+    (at, _), *rest = features.scales
+    return replace(features, scales=((at, np.nan), *rest))
+
+
+class TestNonFiniteEmission:
+    """JSON has no NaN: a document holding one is refused before any file is
+    written, whatever the encoder would make of it."""
+
+    @pytest.mark.parametrize(
+        "similar, tamper",
+        [
+            (True, with_nan_witness),
+            (True, lambda res: replace(res, residual=np.float64(np.nan))),
+            (False, with_nan_certificate_scalar),
+        ],
+        ids=["witness", "residual", "certificate"],
+    )
+    def test_result(self, tmp_path, monkeypatch, similar, tamper):
+        if similar:
+            inst = planted_file(tmp_path)
+        else:  # a scalar certificate: A = I, B = 2I
+            inst = write_instance(tmp_path / "i.json", Instance("sus", [np.eye(2)], [2 * np.eye(2)]))
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: tamper(solve(*a, **k)))
+        out = tmp_path / "res.json"
+        with pytest.raises(ValueError):
+            main(["solve", inst, "--out", str(out)])
+        assert not out.exists()
+
+    def test_features(self, tmp_path, monkeypatch):
+        inst = planted_file(tmp_path)
+        monkeypatch.setattr(
+            cli, "extract_features", lambda *a, **k: with_nan_feature(extract_features(*a, **k))
+        )
+        out = tmp_path / "f.json"
+        with pytest.raises(ValueError):
+            main(["canon", inst, "--out", str(out)])
+        assert not out.exists()
+
+
+def same_bits(x, y) -> bool:
+    """Equal values of equal types, floats compared bit for bit (so -0.0 != 0.0)."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, float):
+        return struct.pack("<d", x) == struct.pack("<d", y)
+    if isinstance(x, dict):
+        return list(x) == list(y) and all(same_bits(x[k], y[k]) for k in x)
+    if isinstance(x, list):
+        return len(x) == len(y) and all(same_bits(p, q) for p, q in zip(x, y))
+    return x == y
+
+
+def has_negative_zero(x) -> bool:
+    if isinstance(x, float):
+        return x == 0.0 and struct.pack("<d", x) != struct.pack("<d", 0.0)
+    values = x.values() if isinstance(x, dict) else x if isinstance(x, list) else ()
+    return any(has_negative_zero(v) for v in values)
+
+
+class TestDocumentParity:
+    """Every document the CLI writes reads back as the value of the stdlib
+    encoding of the same dict, bit for bit, in the same indented layout."""
+
+    def test_every_document_kind(self, tmp_path, monkeypatch, capsys):
+        written = []
+        write = cli._write_document
+
+        def spy(path, data):
+            written.append((path, data))
+            write(path, data)
+
+        monkeypatch.setattr(cli, "_write_document", spy)
+        not_similar = write_instance(
+            tmp_path / "ns.json",
+            Instance("sus", [np.diag([2.0, 2.0, 1.0]), np.eye(3)], [np.diag([2.0, 1.0, 1.0]), np.eye(3)]),
+        )
+        m = np.diag([1.0, 1.0 + 1e-8]).astype(complex)
+        failed = write_instance(tmp_path / "fl.json", Instance("sus", [m], [m.copy()]))
+        gen = ["gen", "-n", "4", "-p", "2", "--seed", "3"]
+        commands = [
+            [*gen, "--kind", "planted_similar", "--out", str(tmp_path / "ps.json")],
+            [*gen, "--kind", "planted_equivalent", "-m", "5", "--out", str(tmp_path / "pe.json")],
+            [*gen, "--kind", "perturbed", "--out", str(tmp_path / "pt.json")],
+            [*gen, "--kind", "pr_cycle", "--out", str(tmp_path / "pr.json")],
+            [*gen, "--kind", "deep_split", "--out", "-"],
+            ["solve", str(tmp_path / "ps.json"), "--out", str(tmp_path / "ps.result.json")],
+            ["solve", str(tmp_path / "pe.json"), "--out", "-"],
+            ["solve", not_similar, "--out", str(tmp_path / "ns.result.json")],
+            ["solve", failed, "--out", str(tmp_path / "fl.result.json")],
+            ["canon", str(tmp_path / "pe.json"), "--side", "b", "--out", str(tmp_path / "pe.fb.json")],
+            ["canon", str(tmp_path / "ps.json"), "--out", "-"],
+        ]
+        statuses = set()
+        for argv in commands:
+            capsys.readouterr()
+            first = len(written)
+            statuses.add(main(argv))
+            stdout = capsys.readouterr().out
+            for path, data in written[first:]:
+                text = stdout if path == "-" else (tmp_path / path).read_text()
+                assert text.startswith('{\n  "') and text.endswith("\n"), (argv, path)
+                expected = json.loads(json.dumps(data, indent=2, allow_nan=False))
+                assert same_bits(json.loads(text), expected), (argv, path)
+        assert statuses == {0, 1, 2}
+        formats = [data["format"] for _, data in written]
+        for tag in ("instance", "witness", "result", "features"):
+            assert f"susim-{tag}/1" in formats
+        assert {data["status"] for _, data in written if "status" in data} == {
+            "solved",
+            "not_similar",
+            "failed",
+        }
+        assert any(has_negative_zero(data) for _, data in written)
 
 
 class TestEntryPoints:
