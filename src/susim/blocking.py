@@ -1,11 +1,12 @@
-"""Index partitions and block access for partitioned matrices.
+"""Index partitions, block access and class-local changes of basis.
 
 A :class:`Partition` splits the index range ``0..n`` into contiguous ordered
 classes.  The solver conjugates every matrix so that the structure it has
 discovered so far is aligned with such a partition; cells of a matrix are
 then submatrices ``m[rows_i, cols_j]``.  Similarity problems use one
 partition for both axes, equivalence problems an independent row and column
-partition.
+partition.  A change of basis that is the identity outside some classes
+touches only their rows and columns; :func:`apply_blocks` applies it so.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import Matrix
+from .linalg import Matrix, adjoint
 
-__all__ = ["Partition", "submatrix", "assemble_blockdiag"]
+__all__ = ["Partition", "submatrix", "apply_blocks"]
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,22 @@ def submatrix(m: Matrix, rows: Partition, i: int, cols: Partition, j: int) -> Ma
     return m[rows.slice_of(i), cols.slice_of(j)]
 
 
-def assemble_blockdiag(partition: Partition, blocks: Mapping[int, Matrix]) -> Matrix:
-    """Block-diagonal matrix with the given per-class blocks, identity elsewhere."""
-    out = np.eye(partition.total, dtype=np.complex128)
+def apply_blocks(
+    m: Matrix, partition: Partition, blocks: Mapping[int, Matrix], *, left: bool, right: bool
+) -> Matrix:
+    """``y m`` (``left``), ``m y*`` (``right``) or ``y m y*`` (both), where ``y``
+    holds ``blocks[i]`` on class ``i`` and is the identity elsewhere.  Computes
+    only those classes' rows and columns, into a copy: ``m`` is never written."""
+    out = np.array(m, dtype=np.complex128)
     for i, blk in blocks.items():
         s = partition.sizes[i]
-        blk = np.asarray(blk, dtype=np.complex128)
         if blk.shape != (s, s):
             raise DimensionMismatch(
                 f"block for class {i} has shape {blk.shape}, expected ({s}, {s})"
             )
         sl = partition.slice_of(i)
-        out[sl, sl] = blk
+        if left:
+            out[sl] = blk @ out[sl]
+        if right:
+            out[:, sl] = out[:, sl] @ adjoint(blk)
     return out

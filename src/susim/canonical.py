@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency
-from .graph import vertex_key
+from .errors import InternalInconsistency, SpecInvalid
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix
 from .solver import _refinements
 
@@ -62,7 +61,8 @@ def extract_features(
     """Invariant fingerprint of one collection.
 
     Reads the features off the decision loop run on the collection paired
-    with itself.  Raises a :class:`~susim.errors.SusimError` when the loop
+    with itself.  An empty collection raises :class:`~susim.errors.SpecInvalid`.
+    Raises a :class:`~susim.errors.SusimError` when the loop
     meets a numerical boundary, e.g. :class:`~susim.errors.NumericalFailure`
     for spectral gaps between the comparison and grouping tolerances or
     :class:`~susim.errors.NotMultipleOfUnitary` for a holonomy just outside
@@ -72,9 +72,9 @@ def extract_features(
     """
     mats = [as_matrix(m) for m in a_mats]
     if not mats:
-        raise InternalInconsistency("cannot fingerprint an empty collection")
+        raise SpecInvalid("cannot fingerprint an empty collection")
     steps: list[FeatureStep] = []
-    loop = _refinements(mode, mats, [x.copy() for x in mats], tol)
+    loop = _refinements(mode, mats, mats, tol)
     while True:
         try:
             out, rows, cols = next(loop)
@@ -95,7 +95,7 @@ def extract_features(
         alphas=tuple(sorted(end.pre.diag_alphas.items())),
         scales=tuple(sorted(end.pre.cell_scales_a.items())),
         betas=tuple(sorted(end.pr.betas.items())),
-        components=tuple(tuple(sorted(c, key=vertex_key)) for c in end.paths.components),
+        components=tuple(end.paths.components),
     )
 
 

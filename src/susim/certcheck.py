@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import Partition, assemble_blockdiag, submatrix
+from .blocking import Partition, apply_blocks, submatrix
 from .errors import SusimError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -221,21 +221,13 @@ class _Replay:
             raise _Refuted(f"step {step.at} cannot split a class on recomputation")
         axis, t = step.touch
         part = self._part(axis)
-        y = assemble_blockdiag(part, {t: dec_a.diagonalizer})
-        z = assemble_blockdiag(part, {t: dec_b.diagonalizer})
         new_part = part.refine(t, [m for _, m in dec_a.groups])
-        if self.mode == "sus":
-            self.a = [y @ m @ adjoint(y) for m in self.a]
-            self.b = [z @ m @ adjoint(z) for m in self.b]
-            self.rows = self.cols = new_part
-        elif axis == "row":
-            self.a = [y @ m for m in self.a]
-            self.b = [z @ m for m in self.b]
-            self.rows = new_part
-        else:
-            self.a = [m @ adjoint(y) for m in self.a]
-            self.b = [m @ adjoint(z) for m in self.b]
-            self.cols = new_part
+        left, right = self.mode == "sus" or axis == "row", self.mode == "sus" or axis == "col"
+        y, z = {t: dec_a.diagonalizer}, {t: dec_b.diagonalizer}
+        self.a = [apply_blocks(m, part, y, left=left, right=right) for m in self.a]
+        self.b = [apply_blocks(m, part, z, left=left, right=right) for m in self.b]
+        self.rows = new_part if left else self.rows
+        self.cols = new_part if right else self.cols
 
     def _expected_touch(self, step) -> tuple[str, int]:
         l, i, j = step.at

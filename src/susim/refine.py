@@ -8,20 +8,19 @@ spectra must agree; if they do not, the instance is unsolvable and the two
 signatures are the disproof.  If they agree, conjugating both sides by the
 respective diagonalizers and splitting the touched class by the eigenvalue
 multiplicities strictly refines the partition while preserving solvability
-in both directions.
+in both directions.  Only the touched class's rows and columns change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocking import Partition, assemble_blockdiag
+from .blocking import Partition, apply_blocks
 from .errors import NumericalFailure
 from .graph import PrPaths
 from .linalg import (
     Matrix,
     Tolerances,
-    adjoint,
     eig_hermitian,
     eig_normal,
     fro,
@@ -46,7 +45,8 @@ class RefinementStep:
 
 @dataclass
 class RefineOutcome:
-    """Either a refined problem or a spectral disproof."""
+    """Either a refined problem or a spectral disproof; ``y`` and ``z`` are the
+    A-side and B-side diagonalizers of the touched class, not n x n matrices."""
 
     status: str
     step: RefinementStep
@@ -91,20 +91,11 @@ def apply_refinement(
 
     axis, t = violation.touch
     part = rows if axis == "row" else cols
-    y = assemble_blockdiag(part, {t: dec_a.diagonalizer})
-    z = assemble_blockdiag(part, {t: dec_b.diagonalizer})
     new_part = part.refine(t, [m for _, m in dec_a.groups])
-
-    if mode == "sus":
-        new_a = [y @ m @ adjoint(y) for m in a_mats]
-        new_b = [z @ m @ adjoint(z) for m in b_mats]
-        new_rows = new_cols = new_part
-    elif axis == "row":
-        new_a = [y @ m for m in a_mats]
-        new_b = [z @ m for m in b_mats]
-        new_rows, new_cols = new_part, cols
-    else:
-        new_a = [m @ adjoint(y) for m in a_mats]
-        new_b = [m @ adjoint(z) for m in b_mats]
-        new_rows, new_cols = rows, new_part
+    y, z = dec_a.diagonalizer, dec_b.diagonalizer
+    left, right = mode == "sus" or axis == "row", mode == "sus" or axis == "col"
+    new_a = [apply_blocks(m, part, {t: y}, left=left, right=right) for m in a_mats]
+    new_b = [apply_blocks(m, part, {t: z}, left=left, right=right) for m in b_mats]
+    new_rows = new_part if left else rows
+    new_cols = new_part if right else cols
     return RefineOutcome("refined", step, new_a, new_b, new_rows, new_cols, y, z)

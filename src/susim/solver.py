@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import Partition, assemble_blockdiag
+from .blocking import Partition, apply_blocks
 from .errors import InternalInconsistency, SusimError
 from .graph import PathData, PrReport, build_paths, check_pr
 from .linalg import DEFAULT_TOLERANCES, Matrix, Tolerances, adjoint, as_matrix, fro
@@ -54,9 +54,9 @@ def witness_residual(
 
 
 def _assemble_solution(
-    paths: PathData, rows: Partition, cols: Partition, mode: str
+    paths: PathData, rows: Partition, cols: Partition, mode: str, yrow: Matrix, ycol: Matrix
 ) -> tuple[Matrix, Matrix | None]:
-    """Blockwise witnesses from the two path products per vertex."""
+    """Blockwise witnesses from the path products, applied to the A-side bases."""
     ublocks: dict[int, Matrix] = {}
     vblocks: dict[int, Matrix] = {}
     for vert in paths.rep_of:
@@ -68,9 +68,9 @@ def _assemble_solution(
             ublocks[t] = blk
         else:
             vblocks[t] = blk
-    u_hat = assemble_blockdiag(rows, ublocks)
-    v_hat = assemble_blockdiag(cols, vblocks) if mode == "sueq" else None
-    return u_hat, v_hat
+    uy = apply_blocks(yrow, rows, ublocks, left=True, right=False)
+    vy = apply_blocks(ycol, cols, vblocks, left=True, right=False) if mode == "sueq" else None
+    return uy, vy
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances)
     loop = _refinements(mode, a_mats, b_mats, tol)
     while True:
         try:
-            out, _, _ = next(loop)
+            out, rows, cols = next(loop)
         except StopIteration as stop:
             end = stop.value
             break
@@ -143,10 +143,13 @@ def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances)
             raise
         except SusimError as exc:
             return SolveResult(FAILED, mode, len(steps) + 1, message=f"{type(exc).__name__}: {exc}")
-        if mode == "sus" or out.step.touch[0] == "row":
-            yrow, zrow = out.y @ yrow, out.z @ zrow
+        axis, t = out.step.touch
+        if mode == "sus" or axis == "row":
+            yrow = apply_blocks(yrow, rows, {t: out.y}, left=True, right=False)
+            zrow = apply_blocks(zrow, rows, {t: out.z}, left=True, right=False)
         else:
-            ycol, zcol = out.y @ ycol, out.z @ zcol
+            ycol = apply_blocks(ycol, cols, {t: out.y}, left=True, right=False)
+            zcol = apply_blocks(zcol, cols, {t: out.z}, left=True, right=False)
         steps.append(out.step)
     it = len(steps) + 1
 
@@ -165,9 +168,9 @@ def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances)
         )
         return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
 
-    u_hat, v_hat = _assemble_solution(end.paths, end.rows, end.cols, mode)
-    u = adjoint(zrow) @ u_hat @ yrow
-    v = adjoint(zcol) @ v_hat @ ycol if mode == "sueq" else None
+    uy, vy = _assemble_solution(end.paths, end.rows, end.cols, mode, yrow, ycol)
+    u = adjoint(zrow) @ uy
+    v = adjoint(zcol) @ vy if mode == "sueq" else None
     residual = witness_residual(a_mats, b_mats, mode, u, v)
     if residual <= tol.verify:
         return SolveResult(SOLVED, mode, it, u=u, v=v, residual=residual)

@@ -1,12 +1,17 @@
-"""Partition arithmetic and block slicing."""
+"""Partition arithmetic, block slicing and class-local changes of basis.
+
+:func:`blockdiag` is the dense identity-padded reference for
+:func:`~susim.blocking.apply_blocks`; the refinement tests use it too.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susim.blocking import Partition, assemble_blockdiag, submatrix
+from susim.blocking import Partition, apply_blocks, submatrix
 from susim.errors import DimensionMismatch
+from susim.instances import random_unitary
 
 
 class TestPartition:
@@ -61,34 +66,40 @@ class TestSubmatrix:
             submatrix(np.eye(3), Partition((2,)), 0, Partition((3,)), 0)
 
 
-class TestAssembleBlockdiag:
-    def test_identity_default(self):
-        p = Partition((2, 2))
-        u = assemble_blockdiag(p, {})
-        assert np.array_equal(u, np.eye(4))
+def blockdiag(partition, blocks):
+    """Dense n x n matrix with the given per-class blocks, identity elsewhere."""
+    y = np.eye(partition.total, dtype=complex)
+    for i, blk in blocks.items():
+        sl = partition.slice_of(i)
+        y[sl, sl] = blk
+    return y
 
-    def test_places_blocks(self):
+
+def reference(m, partition, blocks, left, right):
+    """``y m``, ``m y*`` or ``y m y*`` through the dense ``y``."""
+    y = blockdiag(partition, blocks)
+    out = y @ m if left else m
+    return out @ y.conj().T if right else out
+
+
+class TestApplyBlocks:
+    def test_no_blocks_is_identity(self):
+        m = np.arange(16, dtype=complex).reshape(4, 4)
+        out = apply_blocks(m, Partition((2, 2)), {}, left=True, right=True)
+        assert np.array_equal(out, m)
+        assert out is not m
+
+    def test_touches_only_the_class(self):
         p = Partition((1, 2))
-        blk = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        u = assemble_blockdiag(p, {1: blk})
-        assert u[0, 0] == 1.0
-        assert np.array_equal(u[1:, 1:], blk)
-        assert np.count_nonzero(u[0, 1:]) == 0
+        m = np.arange(9, dtype=complex).reshape(3, 3)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        out = apply_blocks(m, p, {1: swap}, left=True, right=True)
+        assert np.array_equal(out, m[[0, 2, 1]][:, [0, 2, 1]])
+        assert np.array_equal(out, reference(m, p, {1: swap}, True, True))
 
     def test_rejects_wrong_block_shape(self):
         with pytest.raises(DimensionMismatch):
-            assemble_blockdiag(Partition((2, 2)), {0: np.eye(3)})
-
-    def test_blockdiag_of_unitaries_is_unitary(self):
-        rng = np.random.default_rng(0)
-        p = Partition((2, 3))
-        blocks = {}
-        for i, s in enumerate(p.sizes):
-            z = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
-            q, r = np.linalg.qr(z)
-            blocks[i] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        u = assemble_blockdiag(p, blocks)
-        assert np.allclose(u @ u.conj().T, np.eye(5))
+            apply_blocks(np.eye(4), Partition((2, 2)), {0: np.eye(3)}, left=True, right=False)
 
 
 @st.composite
@@ -121,3 +132,18 @@ class TestProperties:
         assert q.total == p.total
         assert q.sizes[:idx] == p.sizes[:idx]
         assert q.sizes[idx + len(subs) :] == p.sizes[idx + 1 :]
+
+    @settings(max_examples=80, deadline=None)
+    @given(partitions(), st.data())
+    def test_apply_blocks_matches_dense_reference(self, p, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        classes = data.draw(st.sets(st.integers(0, p.count - 1)))
+        left, right = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+        other = data.draw(st.integers(1, 5))
+        shape = (p.total if left else other, p.total if right else other)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = m.copy()
+        blocks = {i: random_unitary(p.sizes[i], rng) for i in sorted(classes)}
+        got = apply_blocks(m, p, blocks, left=left, right=right)
+        assert np.allclose(got, reference(m, p, blocks, left, right), atol=1e-12)
+        assert np.array_equal(m, before)

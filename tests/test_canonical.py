@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susim.canonical import compare_features, extract_features
+from susim.errors import SpecInvalid
 from susim.linalg import DEFAULT_TOLERANCES, adjoint
 
 TOL = DEFAULT_TOLERANCES
@@ -65,6 +66,10 @@ class TestExtraction:
         f = extract_features([a], mode="sueq")
         assert f.shape == (2, 4)
         assert f.mode == "sueq"
+
+    def test_empty_collection_is_invalid_input(self):
+        with pytest.raises(SpecInvalid):
+            extract_features([])
 
 
 class TestInvariance:

@@ -7,6 +7,7 @@ picks the functional under test, and build the pair by hand otherwise.
 
 import numpy as np
 import pytest
+from test_blocking import blockdiag
 
 from susim.blocking import Partition, submatrix
 from susim.errors import NumericalFailure
@@ -30,6 +31,15 @@ def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def dense_changes(out, rows, cols):
+    """The refinement's A-side and B-side changes of basis, identity-padded
+    from the touched class's diagonalizers over the partitions it refined."""
+    axis, t = out.step.touch
+    part = rows if axis == "row" else cols
+    assert out.y.shape == out.z.shape == (part.sizes[t], part.sizes[t])
+    return blockdiag(part, {t: out.y}), blockdiag(part, {t: out.z})
 
 
 def scanned(a, b, rows, cols, mode="sus"):
@@ -108,8 +118,9 @@ class TestDiagonalRefinement:
         assert np.allclose(out.a_mats[0], d, atol=1e-9)
         assert np.allclose(out.b_mats[0], d, atol=1e-9)
         # Conjugators actually perform the transformation that was applied.
-        assert np.allclose(out.y @ a[0] @ adjoint(out.y), out.a_mats[0])
-        assert np.allclose(out.z @ b[0] @ adjoint(out.z), out.b_mats[0])
+        y, z = dense_changes(out, whole, whole)
+        assert np.allclose(y @ a[0] @ adjoint(y), out.a_mats[0])
+        assert np.allclose(z @ b[0] @ adjoint(z), out.b_mats[0])
 
     def test_spectral_mismatch_reported(self):
         a = [np.diag([2.0, 1.0]).astype(complex)]
@@ -164,6 +175,11 @@ class TestGramRefinement:
         out = apply_refinement([a], [b], p, p, "sus", v, TOL)
         assert out.status == "refined"
         assert out.rows.sizes == (1, 1, 1)
+        # Only the touched class moves: rows and columns 1..2 of both sides.
+        y, z = dense_changes(out, p, p)
+        assert np.allclose(out.a_mats[0], y @ a @ adjoint(y))
+        assert np.allclose(out.b_mats[0], z @ b @ adjoint(z))
+        assert np.array_equal(out.a_mats[0][0, 0], a[0, 0])
         # After the split the offending cell lands in a square 1x1 cell.
         cell = submatrix(out.a_mats[0], out.rows, 0, out.cols, 1)
         assert abs(cell[0, 0]) == pytest.approx(3.0)
@@ -208,7 +224,8 @@ class TestEquivalenceRefinement:
         assert (v.functional, v.touch) == (GRAM_LEFT, ("row", 0))
         out = apply_refinement([a], [b], rows, cols, "sueq", v, TOL)
         assert out.status == "refined"
-        assert np.allclose(out.a_mats[0], out.y @ a)
+        y, _ = dense_changes(out, rows, cols)
+        assert np.allclose(out.a_mats[0], y @ a)
         assert out.cols.sizes == (3,)
         assert out.rows.count >= 2
         # The refined left Gram is diagonal in the new basis.
@@ -225,7 +242,8 @@ class TestEquivalenceRefinement:
         assert (v.functional, v.touch) == (GRAM_RIGHT, ("col", 0))
         out = apply_refinement([a], [a.copy()], rows, cols, "sueq", v, TOL)
         assert out.status == "refined"
-        assert np.allclose(out.a_mats[0], a @ adjoint(out.y))
+        y, _ = dense_changes(out, rows, cols)
+        assert np.allclose(out.a_mats[0], a @ adjoint(y))
         assert out.rows.sizes == (2,)
         g = adjoint(out.a_mats[0]) @ out.a_mats[0]
         assert np.allclose(g, np.diag(np.diagonal(g)), atol=1e-9)
@@ -245,7 +263,8 @@ class TestSolvabilityPreservation:
         assert v.functional == HERM_REAL
         out = apply_refinement([a0], [b0], whole, whole, "sus", v, TOL)
         assert out.status == "refined"
-        w_new = out.z @ w @ adjoint(out.y)
+        y, z = dense_changes(out, whole, whole)
+        w_new = z @ w @ adjoint(y)
         assert np.allclose(w_new @ out.a_mats[0] @ adjoint(w_new), out.b_mats[0], atol=1e-8)
         # The transported witness is block diagonal for the refined partition.
         s0 = out.rows.slice_of(0)
