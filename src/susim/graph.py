@@ -1,10 +1,12 @@
 """Class graph, spanning forest and path products.
 
 Once a collection passes the form scan, every nonzero square cell is a
-scalar multiple of a unitary and defines an edge between two partition
-classes: between row classes ``i`` and ``j`` in similarity mode, between
-row class ``i`` and column class ``j`` in equivalence mode.  Vertices are
-``("row", i)`` / ``("col", j)`` pairs in both modes.
+scalar multiple of a unitary.  A cell whose scale is positive on both sides
+defines an edge between two partition classes: between row classes ``i``
+and ``j`` in similarity mode, between row class ``i`` and column class
+``j`` in equivalence mode.  A cell that is zero on one side within
+tolerance is no edge, since a path product through it would divide by a
+zero scale.  Vertices are ``("row", i)`` / ``("col", j)`` pairs in both modes.
 
 For every vertex ``v`` reachable from its component representative ``c``
 the breadth-first forest yields a path product, the ordered product of
@@ -15,9 +17,10 @@ the same edge descriptors, so any blockwise solution is forced, up to one
 free unitary per component, to the ratio of the two path products.
 
 :func:`check_pr` then conjugates every edge cell back to the representative
-space.  In a solvable instance every such matrix must be a scalar multiple
-of the identity with the same scalar on both sides; a non-scalar one drives
-the next refinement and a scalar disagreement is a disproof.
+space, all cells of one matrix at once.  In a solvable instance every such
+matrix must be a scalar multiple of the identity with the same scalar on
+both sides; a non-scalar one drives the next refinement and a scalar
+disagreement is a disproof.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocking import Partition, submatrix
+from .blocking import Partition, apply_blocks, submatrix
 from .errors import InternalInconsistency
-from .linalg import Matrix, Tolerances, adjoint, close_scalars, identity_multiple
+from .linalg import Matrix, Tolerances, adjoint
 from .structure import PR_NORMAL, ScalarMismatch, Violation
 
 __all__ = [
@@ -99,10 +102,6 @@ class PrReport:
 
 def _vertex_size(v: Vertex, rows: Partition, cols: Partition) -> int:
     return rows.sizes[v[1]] if v[0] == "row" else cols.sizes[v[1]]
-
-
-def _inv_path(p: Matrix, amp: float) -> Matrix:
-    return adjoint(p) / (amp * amp)
 
 
 def build_paths(
@@ -189,6 +188,25 @@ def build_paths(
     return PathData(components, rep_of, paths_a, paths_b, amps_a, amps_b, steps_to)
 
 
+def _cell_sums(x: np.ndarray, rows: Partition, cols: Partition) -> np.ndarray:
+    """Per-cell sums of a stacked ``(p, m, n)`` array, shape ``(p, rows.count, cols.count)``."""
+    return np.add.reduceat(np.add.reduceat(x, rows.offsets[:-1], axis=1), cols.offsets[:-1], axis=2)
+
+
+def _scalar_cells(x: np.ndarray, rows: Partition, cols: Partition, tol: Tolerances):
+    """Trace scalar ``alpha`` of every square cell of a stacked ``(p, m, n)``
+    array, and whether the cell is ``alpha * I`` within ``cmp * (1 + own norm)``
+    as :func:`~susim.linalg.identity_multiple` tests it.  The residual is the
+    norm of the difference itself: ``‖X‖² - s|alpha|²`` cancels above ``cmp``."""
+    local_r = np.arange(rows.total) - np.repeat(rows.offsets[:-1], rows.sizes)
+    local_c = np.arange(cols.total) - np.repeat(cols.offsets[:-1], cols.sizes)
+    diag = local_r[:, None] == local_c[None, :]
+    alpha = _cell_sums(x * diag, rows, cols) / np.asarray(rows.sizes)[:, None]
+    diff = x - np.repeat(np.repeat(alpha, rows.sizes, axis=1), cols.sizes, axis=2) * diag
+    residual = np.sqrt(_cell_sums(np.abs(diff) ** 2, rows, cols))
+    return alpha, residual <= tol.cmp * (1.0 + np.sqrt(_cell_sums(np.abs(x) ** 2, rows, cols)))
+
+
 def check_pr(
     a_mats: list[Matrix],
     b_mats: list[Matrix],
@@ -202,28 +220,50 @@ def check_pr(
     """Test every edge cell conjugated to its representative space.
 
     Each cell must become a scalar multiple of the identity with matching
-    scalars on both sides.  The first failing cell in scan order is either
-    a refinement driver (non-scalar, a normal matrix on the representative
-    space, carried with its B-side partner) or a scalar disproof; both
-    carry the edge steps of the cell's two path products.
+    scalars on both sides.  Every matrix is transported once per side, the
+    row classes by their path products and the column classes by their
+    inverses, so that cell ``(i, j)`` of the result is the holonomy of edge
+    ``(l, i, j)``; all edge cells are then tested together.  The first
+    failing cell in scan order is either a refinement driver (non-scalar, a
+    normal matrix on the representative space, carried with its B-side
+    partner) or a scalar disproof; both carry the edge steps of the cell's
+    two path products.
     """
-    betas: dict[tuple[int, int, int], complex] = {}
-    for (l, i, j) in scales_a:
-        row_end, col_end = endpoints(mode, i, j)
-        rep = paths.rep_of[row_end]
-        if paths.rep_of[col_end] != rep:
-            raise InternalInconsistency("edge spans two components")
-        cell_a = submatrix(a_mats[l], rows, i, cols, j)
-        cell_b = submatrix(b_mats[l], rows, i, cols, j)
-        pr_a = paths.paths_a[row_end] @ cell_a @ _inv_path(paths.paths_a[col_end], paths.amps_a[col_end])
-        pr_b = paths.paths_b[row_end] @ cell_b @ _inv_path(paths.paths_b[col_end], paths.amps_b[col_end])
-        beta_a = identity_multiple(pr_a, tol)
-        beta_b = None if beta_a is None else identity_multiple(pr_b, tol)
-        if beta_a is None or beta_b is None:
-            v = Violation(PR_NORMAL, (l, i, j), rep, pr_a, pr_b, pr_paths=paths.cell_paths(mode, i, j))
-            return PrReport("violation", violation=v)
-        if not close_scalars(beta_a, beta_b, tol):
-            mm = ScalarMismatch("pr_beta", (l, i, j), beta_a, beta_b, paths.cell_paths(mode, i, j))
-            return PrReport("mismatch", mismatch=mm)
-        betas[(l, i, j)] = beta_a
-    return PrReport("ok", betas=betas)
+    if not scales_a:
+        return PrReport("ok")
+    row_vs = [("row", i) for i in range(rows.count)]
+    col_vs = row_vs if mode == "sus" else [("col", j) for j in range(cols.count)]
+    edges = list(scales_a)
+    at = tuple(np.array(edges, dtype=np.intp).T)
+    comp = {v: k for k, c in enumerate(paths.components) for v in c}
+    row_comp, col_comp = np.array([comp[v] for v in row_vs]), np.array([comp[v] for v in col_vs])
+    if np.any(row_comp[at[1]] != col_comp[at[2]]):
+        raise InternalInconsistency("edge spans two components")
+
+    def holonomies(mats: list[Matrix], prods: dict[Vertex, Matrix], amps: dict[Vertex, float]):
+        left = {i: prods[v] for i, v in enumerate(row_vs)}
+        right = {j: prods[v] / amps[v] ** 2 for j, v in enumerate(col_vs)}
+        carried = [apply_blocks(m, rows, left, left=True, right=False) for m in mats]
+        return np.stack([apply_blocks(m, cols, right, left=False, right=True) for m in carried])
+
+    x_a = holonomies(a_mats, paths.paths_a, paths.amps_a)
+    x_b = holonomies(b_mats, paths.paths_b, paths.amps_b)
+    alpha_a, scalar_a = _scalar_cells(x_a, rows, cols, tol)
+    alpha_b, scalar_b = _scalar_cells(x_b, rows, cols, tol)
+    beta_a, beta_b = alpha_a[at], alpha_b[at]
+    scalar = scalar_a[at] & scalar_b[at]
+    close = np.abs(beta_a - beta_b) <= tol.cmp * np.maximum(np.abs(beta_a), np.abs(beta_b))
+    failing = ~(scalar & close)
+    if not failing.any():
+        return PrReport("ok", betas=dict(zip(edges, beta_a.tolist())))
+    k = int(np.argmax(failing))
+    l, i, j = edges[k]
+    pr_paths = paths.cell_paths(mode, i, j)
+    if not scalar[k]:
+        # Copies: a view would keep both stacked arrays alive with the violation.
+        pr_a = submatrix(x_a[l], rows, i, cols, j).copy()
+        pr_b = submatrix(x_b[l], rows, i, cols, j).copy()
+        v = Violation(PR_NORMAL, (l, i, j), paths.rep_of[("row", i)], pr_a, pr_b, pr_paths=pr_paths)
+        return PrReport("violation", violation=v)
+    mm = ScalarMismatch("pr_beta", (l, i, j), complex(beta_a[k]), complex(beta_b[k]), pr_paths)
+    return PrReport("mismatch", mismatch=mm)

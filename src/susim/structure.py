@@ -12,11 +12,14 @@ current row and column partitions, every matrix should look like this:
 
 :func:`check_presolution` scans all cells in a fixed order (matrix index
 ``l`` outer, then row class, then column class, A side before B side) and
-returns the first deviation.  A deviation is either a
-:class:`ScalarMismatch` (two scalars that should agree do not, which is
-already a disproof) or a :class:`Violation` carrying the Hermitian
-functional of the deviating cell on both sides, whose eigenspaces will
-drive the next refinement.  The four cell functionals are defined here once.
+returns the first deviation.  A passing scan records the squared amplitude
+of every square cell off the similarity diagonal whose amplitude is
+positive on both sides; these cells are the edges of the class graph.  A
+deviation is either a :class:`ScalarMismatch` (two scalars that should
+agree do not, which is already a disproof) or a :class:`Violation` carrying
+the Hermitian functional of the deviating cell on both sides, whose
+eigenspaces will drive the next refinement.  The four cell functionals are
+defined here once.
 """
 
 from __future__ import annotations
@@ -199,7 +202,7 @@ def check_presolution(
                         return _violation(_gram_choice(cb, ctx_b, tol, i, j), at, ca, cb, ctx_a, ctx_b)
                     if not close_scalars(ra, rb, tol, context=ctx * ctx):
                         return _violation((GRAM_LEFT, ("row", i)), at, ca, cb, ctx_a, ctx_b)
-                    if ra > 0.0:
+                    if ra > 0.0 and rb > 0.0:
                         scales_a[at] = ra
                         scales_b[at] = rb
                 else:

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susim.blocking import Partition, submatrix
-from susim.graph import EdgeStep, build_paths, check_pr, vertex_key
-from susim.linalg import DEFAULT_TOLERANCES, adjoint
-from susim.structure import PR_NORMAL, check_presolution
+from susim.graph import EdgeStep, PrReport, build_paths, check_pr, endpoints, vertex_key
+from susim.linalg import DEFAULT_TOLERANCES, adjoint, close_scalars, identity_multiple
+from susim.structure import PR_NORMAL, ScalarMismatch, Violation, check_presolution
 
 TOL = DEFAULT_TOLERANCES
 
@@ -21,6 +23,30 @@ def naive_path_product(mats, rows, cols, steps):
     if out is None:
         return None
     return out
+
+
+def reference_check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol):
+    """Per-edge reference for :func:`check_pr`: conjugate each edge cell on its
+    own and stop at the first failure in scan order."""
+    betas = {}
+    for (l, i, j) in scales_a:
+        row_end, col_end = endpoints(mode, i, j)
+        prs = []
+        for mats, prods, amps in ((a_mats, paths.paths_a, paths.amps_a), (b_mats, paths.paths_b, paths.amps_b)):
+            cell = submatrix(mats[l], rows, i, cols, j)
+            prs.append(prods[row_end] @ cell @ adjoint(prods[col_end]) / amps[col_end] ** 2)
+        pr_a, pr_b = prs
+        beta_a = identity_multiple(pr_a, tol)
+        beta_b = None if beta_a is None else identity_multiple(pr_b, tol)
+        if beta_a is None or beta_b is None:
+            v = Violation(PR_NORMAL, (l, i, j), paths.rep_of[row_end], pr_a, pr_b,
+                          pr_paths=paths.cell_paths(mode, i, j))
+            return PrReport("violation", violation=v)
+        if not close_scalars(beta_a, beta_b, tol):
+            mm = ScalarMismatch("pr_beta", (l, i, j), beta_a, beta_b, paths.cell_paths(mode, i, j))
+            return PrReport("mismatch", mismatch=mm)
+        betas[(l, i, j)] = beta_a
+    return PrReport("ok", betas=betas)
 
 
 def random_unitary(n, rng):
@@ -191,3 +217,80 @@ class TestPrCheck:
             oracle = pa @ cell @ np.linalg.inv(pc)
             mine = pa @ cell @ (adjoint(pc) / paths.amps_a[("row", j)] ** 2)
             assert np.allclose(mine, oracle)
+
+
+def gauge_instance(mode, row_sizes, col_sizes, p, plant, rng):
+    """A collection that passes the form scan with scalar holonomies by
+    construction (every edge cell is ``c W_i W_j*`` for per-vertex unitaries
+    ``W``), and its conjugate by block-diagonal unitaries.  ``plant`` names the
+    defects to plant, each at a random nonzero cell: ``"holonomy"`` multiplies
+    an A cell by a unitary, ``"beta"`` a B cell by a phase."""
+    rows = Partition(row_sizes)
+    cols = rows if mode == "sus" else Partition(col_sizes)
+    gauge_r = [random_unitary(s, rng) for s in rows.sizes]
+    gauge_c = gauge_r if mode == "sus" else [random_unitary(s, rng) for s in cols.sizes]
+    a_mats, cells = [], []
+    for l in range(p):
+        a = np.zeros((rows.total, cols.total), dtype=complex)
+        for i in range(rows.count):
+            for j in range(cols.count):
+                if mode == "sus" and i == j:
+                    a[rows.slice_of(i), cols.slice_of(j)] = rng.standard_normal() * np.eye(rows.sizes[i])
+                elif rows.sizes[i] == cols.sizes[j] and rng.random() < 0.6:
+                    c = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
+                    a[rows.slice_of(i), cols.slice_of(j)] = c * gauge_r[i] @ adjoint(gauge_c[j])
+                    cells.append((l, i, j))
+        a_mats.append(a)
+    v = np.zeros((rows.total, rows.total), dtype=complex)
+    for i in range(rows.count):
+        v[rows.slice_of(i), rows.slice_of(i)] = random_unitary(rows.sizes[i], rng)
+    w = v
+    if mode == "sueq":
+        w = np.zeros((cols.total, cols.total), dtype=complex)
+        for j in range(cols.count):
+            w[cols.slice_of(j), cols.slice_of(j)] = random_unitary(cols.sizes[j], rng)
+    b_mats = [v @ a @ adjoint(w) for a in a_mats]
+    for defect in plant if cells else ():
+        l, i, j = cells[rng.integers(len(cells))]
+        rs, cs = rows.slice_of(i), cols.slice_of(j)
+        if defect == "holonomy":
+            a_mats[l][rs, cs] = a_mats[l][rs, cs] @ random_unitary(cols.sizes[j], rng)
+        else:
+            b_mats[l][rs, cs] *= np.exp(1j * (0.5 + rng.random()))
+    return a_mats, b_mats, rows, cols
+
+
+class TestPrCheckAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        mode=st.sampled_from(["sus", "sueq"]),
+        row_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+        col_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+        p=st.integers(1, 3),
+        plant=st.sets(st.sampled_from(["holonomy", "beta"])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_matches_per_edge(self, mode, row_sizes, col_sizes, p, plant, seed):
+        rng = np.random.default_rng(seed)
+        a, b, rows, cols = gauge_instance(mode, tuple(row_sizes), tuple(col_sizes), p, plant, rng)
+        pre = check_presolution(a, b, rows, cols, mode, TOL)
+        assert pre.status == "ok", pre
+        paths = build_paths(a, b, rows, cols, mode, pre.cell_scales_a, pre.cell_scales_b)
+        got = check_pr(a, b, rows, cols, mode, pre.cell_scales_a, paths, TOL)
+        want = reference_check_pr(a, b, rows, cols, mode, pre.cell_scales_a, paths, TOL)
+        assert got.status == want.status
+        if not plant:
+            assert got.status == "ok"
+        if want.status == "violation":
+            gv, wv = got.violation, want.violation
+            assert (gv.functional, gv.at, gv.touch, gv.pr_paths) == (wv.functional, wv.at, wv.touch, wv.pr_paths)
+            assert np.allclose(gv.s, wv.s, rtol=1e-12, atol=1e-12)
+            assert np.allclose(gv.r, wv.r, rtol=1e-12, atol=1e-12)
+        elif want.status == "mismatch":
+            gm, wm = got.mismatch, want.mismatch
+            assert (gm.target, gm.at, gm.pr_paths) == (wm.target, wm.at, wm.pr_paths)
+            assert gm.a_value == pytest.approx(wm.a_value, rel=1e-12)
+            assert gm.b_value == pytest.approx(wm.b_value, rel=1e-12)
+        assert list(got.betas) == list(want.betas)
+        for key, beta in want.betas.items():
+            assert got.betas[key] == pytest.approx(beta, rel=1e-12)

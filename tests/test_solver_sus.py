@@ -210,6 +210,22 @@ class TestFailureHonesty:
         assert "tolerance" in res.message
 
 
+class TestOneSidedEdge:
+    @pytest.mark.parametrize("eps", [1e-8, 3e-8, 1e-7, 1e-6])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_tiny_cell_against_zero_solved_either_way(self, eps, swap):
+        # The off-diagonal cell is nonzero on one side only and below the
+        # scale comparison's context: the verdict must not depend on which
+        # side is A, and no path product may divide by a zero scale.
+        a = np.array([[1.0, eps], [0.0, 2.0]], dtype=complex)
+        b = np.diag([1.0, 2.0]).astype(complex)
+        if swap:
+            a, b = b, a
+        res = solve_sus([a], [b])
+        assert res.status == SOLVED
+        assert witness_residual([a], [b], "sus", res.u) <= TOL.verify
+
+
 class TestIterationBound:
     @settings(max_examples=40, deadline=None)
     @given(

@@ -87,6 +87,17 @@ class TestSquareOffDiagonalCells:
         assert rep.status == "ok"
         assert rep.cell_scales_a == {}
 
+    def test_cell_zero_on_one_side_not_recorded(self):
+        # Both scales pass as equal within the context, but a zero scale on
+        # either side cannot carry a path product, so neither is an edge.
+        p = Partition((1, 1))
+        a = cplx([[1.0, 1e-8], [0.0, 2.0]])
+        b = cplx([[1.0, 0.0], [0.0, 2.0]])
+        for x, y in ((a, b), (b, a)):
+            rep = run_sus([x], [y], p)
+            assert rep.status == "ok"
+            assert rep.cell_scales_a == rep.cell_scales_b == {}
+
     def test_scale_mismatch_becomes_gram_violation(self):
         p = Partition((1, 1))
         a = cplx([[1.0, 2.0], [0.0, 1.0]])
