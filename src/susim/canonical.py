@@ -1,8 +1,9 @@
 """Canonical features of a matrix collection.
 
 Running the decision loop on a collection paired with itself always ends in
-a solution, and everything the loop observes on the way is invariant under
-a simultaneous unitary change of basis: which cell deviates first, which
+a solution, and every stage of that run computes the shared side once.
+Everything the loop observes on the way is invariant under a simultaneous
+unitary change of basis: which cell deviates first, which
 functional resolves it, the grouped spectrum it splits on, the partition
 sizes, and finally the diagonal scalars, cell amplitudes and holonomy
 scalars of the fully refined form.  Collecting that trace gives a

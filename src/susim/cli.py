@@ -18,9 +18,11 @@ environment variables, then to the defaults.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import orjson
@@ -107,8 +109,36 @@ def _write_document(path: str, data: dict) -> None:
             raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring its prior state on exit.
+
+    A document is an acyclic tree of fresh lists and dicts: collections
+    fired while it is built walk the whole heap and can free none of it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode(path: str, from_json):
+    """Parse a document and decode it; the tree is freed before the collector resumes."""
+    with _collector_paused():
+        return from_json(_read_document(path))
+
+
+def _emit(path: str, to_json, *args) -> None:
+    """Build a document and write it; the tree is freed before the collector resumes."""
+    with _collector_paused():
+        _write_document(path, to_json(*args))
+
+
 def _load_instance(path: str, mode_flag: str | None) -> Instance:
-    inst = instance_from_json(_read_document(path))
+    inst = _decode(path, instance_from_json)
     if mode_flag is not None and mode_flag != inst.mode:
         raise FormatError(
             f"instance declares mode {inst.mode!r} but --mode {mode_flag!r} was given"
@@ -161,7 +191,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance, args.mode)
     result = solve(inst, tol=_tolerances(args))
     if args.out is not None:
-        _write_document(args.out, result_to_json(result))
+        _emit(args.out, result_to_json, result)
     _say(args, _describe(result))
     return _STATUS_EXIT[result.status]
 
@@ -199,17 +229,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         name=args.name,
     )
     inst, meta = generate(config)
-    _write_document(args.out, instance_to_json(inst))
+    _emit(args.out, instance_to_json, inst)
     if args.out != "-":
         witness_path = str(Path(args.out).with_suffix("")) + ".witness.json"
-        _write_document(witness_path, _witness_document(meta, inst.count))
+        _emit(witness_path, _witness_document, meta, inst.count)
         _say(args, f"wrote {args.out} and {witness_path}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance, args.mode)
-    result = result_from_json(_read_document(args.result))
+    result = _decode(args.result, result_from_json)
     if result.mode != inst.mode:
         raise FormatError(
             f"result mode {result.mode!r} does not match instance mode {inst.mode!r}"
@@ -248,7 +278,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         _say(args, f"no stable fingerprint at these tolerances: {type(exc).__name__}: {exc}")
         return EXIT_FAILED
     if args.out is not None:
-        _write_document(args.out, features_to_json(features))
+        _emit(args.out, features_to_json, features)
     _say(
         args,
         f"{len(features.steps)} refinements, "
@@ -259,8 +289,8 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    first = features_from_json(_read_document(args.first))
-    second = features_from_json(_read_document(args.second))
+    first = _decode(args.first, features_from_json)
+    second = _decode(args.second, features_from_json)
     equal, diffs = compare_features(first, second, tol=_tolerances(args))
     if equal:
         print("features match")

@@ -20,7 +20,8 @@ free unitary per component, to the ratio of the two path products.
 space, all cells of one matrix at once.  In a solvable instance every such
 matrix must be a scalar multiple of the identity with the same scalar on
 both sides; a non-scalar one drives the next refinement and a scalar
-disagreement is a disproof.
+disagreement is a disproof.  When the B side is the A-side collection itself,
+its path products and holonomies are the A side's, computed once.
 """
 
 from __future__ import annotations
@@ -138,20 +139,13 @@ def build_paths(
 
     components: list[tuple[Vertex, ...]] = []
     rep_of: dict[Vertex, Vertex] = {}
-    paths_a: dict[Vertex, Matrix] = {}
-    paths_b: dict[Vertex, Matrix] = {}
-    amps_a: dict[Vertex, float] = {}
-    amps_b: dict[Vertex, float] = {}
     steps_to: dict[Vertex, tuple[EdgeStep, ...]] = {}
+    parent: dict[Vertex, Vertex] = {}
 
     for start in sorted(vertices, key=vertex_key):
         if start in rep_of:
             continue
-        size = _vertex_size(start, rows, cols)
         rep_of[start] = start
-        paths_a[start] = np.eye(size, dtype=np.complex128)
-        paths_b[start] = np.eye(size, dtype=np.complex128)
-        amps_a[start] = amps_b[start] = 1.0
         steps_to[start] = ()
         comp = [start]
         queue = deque([start])
@@ -163,28 +157,40 @@ def build_paths(
                 ekey = (q, v) if vertex_key(q) <= vertex_key(v) else (v, q)
                 l, wi, wj = witness[ekey]
                 row_end, col_end = endpoints(mode, wi, wj)
-                cell_a = submatrix(a_mats[l], rows, wi, cols, wj)
-                cell_b = submatrix(b_mats[l], rows, wi, cols, wj)
-                ra, rb = scales_a[(l, wi, wj)], scales_b[(l, wi, wj)]
                 if q == row_end and v == col_end:
-                    paths_a[v] = paths_a[q] @ cell_a
-                    paths_b[v] = paths_b[q] @ cell_b
-                    amps_a[v] = amps_a[q] * np.sqrt(ra)
-                    amps_b[v] = amps_b[q] * np.sqrt(rb)
                     step = EdgeStep(l, wi, wj, invert=False)
                 elif q == col_end and v == row_end:
-                    paths_a[v] = paths_a[q] @ adjoint(cell_a) / ra
-                    paths_b[v] = paths_b[q] @ adjoint(cell_b) / rb
-                    amps_a[v] = amps_a[q] / np.sqrt(ra)
-                    amps_b[v] = amps_b[q] / np.sqrt(rb)
                     step = EdgeStep(l, wi, wj, invert=True)
                 else:
                     raise InternalInconsistency("edge endpoints disagree with adjacency")
                 rep_of[v] = start
+                parent[v] = q
                 steps_to[v] = steps_to[q] + (step,)
                 comp.append(v)
                 queue.append(v)
         components.append(tuple(sorted(comp, key=vertex_key)))
+
+    def products(mats: list[Matrix], scales: dict[tuple[int, int, int], float]):
+        """Path products and amplitudes of one side, in breadth-first order."""
+        prods: dict[Vertex, Matrix] = {}
+        amps: dict[Vertex, float] = {}
+        for v, steps in steps_to.items():
+            if not steps:
+                prods[v] = np.eye(_vertex_size(v, rows, cols), dtype=np.complex128)
+                amps[v] = 1.0
+                continue
+            q, e = parent[v], steps[-1]
+            cell, r = submatrix(mats[e.l], rows, e.i, cols, e.j), scales[(e.l, e.i, e.j)]
+            if e.invert:
+                prods[v] = prods[q] @ adjoint(cell) / r
+                amps[v] = amps[q] / np.sqrt(r)
+            else:
+                prods[v] = prods[q] @ cell
+                amps[v] = amps[q] * np.sqrt(r)
+        return prods, amps
+
+    paths_a, amps_a = products(a_mats, scales_a)
+    paths_b, amps_b = (paths_a, amps_a) if b_mats is a_mats else products(b_mats, scales_b)
     return PathData(components, rep_of, paths_a, paths_b, amps_a, amps_b, steps_to)
 
 
@@ -247,9 +253,12 @@ def check_pr(
         return np.stack([apply_blocks(m, cols, right, left=False, right=True) for m in carried])
 
     x_a = holonomies(a_mats, paths.paths_a, paths.amps_a)
-    x_b = holonomies(b_mats, paths.paths_b, paths.amps_b)
     alpha_a, scalar_a = _scalar_cells(x_a, rows, cols, tol)
-    alpha_b, scalar_b = _scalar_cells(x_b, rows, cols, tol)
+    if b_mats is a_mats and paths.paths_b is paths.paths_a and paths.amps_b is paths.amps_a:
+        x_b, alpha_b, scalar_b = x_a, alpha_a, scalar_a
+    else:
+        x_b = holonomies(b_mats, paths.paths_b, paths.amps_b)
+        alpha_b, scalar_b = _scalar_cells(x_b, rows, cols, tol)
     beta_a, beta_b = alpha_a[at], alpha_b[at]
     scalar = scalar_a[at] & scalar_b[at]
     close = np.abs(beta_a - beta_b) <= tol.cmp * np.maximum(np.abs(beta_a), np.abs(beta_b))
@@ -262,7 +271,7 @@ def check_pr(
     if not scalar[k]:
         # Copies: a view would keep both stacked arrays alive with the violation.
         pr_a = submatrix(x_a[l], rows, i, cols, j).copy()
-        pr_b = submatrix(x_b[l], rows, i, cols, j).copy()
+        pr_b = pr_a if x_b is x_a else submatrix(x_b[l], rows, i, cols, j).copy()
         v = Violation(PR_NORMAL, (l, i, j), paths.rep_of[("row", i)], pr_a, pr_b, pr_paths=pr_paths)
         return PrReport("violation", violation=v)
     mm = ScalarMismatch("pr_beta", (l, i, j), complex(beta_a[k]), complex(beta_b[k]), pr_paths)

@@ -165,25 +165,17 @@ def order_and_group(
     if len(vals) == 0:
         return np.empty(0, dtype=int), ()
     idx = np.argsort(-vals.real, kind="stable")
-    perm: list[int] = []
-    groups: list[tuple[complex, int]] = []
-    k = 0
-    while k < len(idx):
-        j = k
-        while j + 1 < len(idx) and vals[idx[j]].real - vals[idx[j + 1]].real <= threshold:
-            j += 1
-        cluster = idx[k : j + 1]
-        cluster = cluster[np.argsort(-vals[cluster].imag, kind="stable")]
-        start = 0
-        cvals = vals[cluster]
-        for t in range(1, len(cluster) + 1):
-            if t == len(cluster) or cvals[t - 1].imag - cvals[t].imag > threshold:
-                members = cvals[start:t]
-                groups.append((complex(members.mean()), len(members)))
-                start = t
-        perm.extend(int(c) for c in cluster)
-        k = j + 1
-    return np.asarray(perm, dtype=int), tuple(groups)
+    ordered = vals[idx]
+    # A real gap not within the threshold (NaN included) starts a cluster.
+    new_cluster = np.concatenate(([True], ~(ordered.real[:-1] - ordered.real[1:] <= threshold)))
+    inner = np.lexsort((-ordered.imag, np.cumsum(new_cluster)))
+    perm, cvals = idx[inner], ordered[inner]
+    # Inside a cluster an imaginary gap above the threshold starts a group.
+    imag_gap = np.concatenate(([True], cvals.imag[:-1] - cvals.imag[1:] > threshold))
+    starts = np.flatnonzero(new_cluster | imag_gap)
+    counts = np.diff(np.append(starts, len(cvals)))
+    means = np.add.reduceat(cvals, starts) / counts
+    return perm, tuple(zip(means.tolist(), counts.tolist()))
 
 
 def canonical_sort(values, threshold: float) -> np.ndarray:

@@ -8,7 +8,9 @@ spectra must agree; if they do not, the instance is unsolvable and the two
 signatures are the disproof.  If they agree, conjugating both sides by the
 respective diagonalizers and splitting the touched class by the eigenvalue
 multiplicities strictly refines the partition while preserving solvability
-in both directions.  Only the touched class's rows and columns change.
+in both directions.  Only the touched class's rows and columns change.  A
+functional pair that is one matrix is eigensolved once, and a collection
+paired with itself comes out paired with itself, conjugated once.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def apply_refinement(
     s, r, ctx_a, ctx_b = violation.s, violation.r, violation.ctx_a, violation.ctx_b
     eig = eig_normal if violation.functional == PR_NORMAL else eig_hermitian
     dec_a = eig(s, tol, context_scale=ctx_a)
-    dec_b = eig(r, tol, context_scale=ctx_b)
+    dec_b = dec_a if r is s else eig(r, tol, context_scale=ctx_b)
     step = RefinementStep(
         violation.functional, violation.at, violation.touch, dec_a.groups, dec_b.groups,
         violation.pr_paths,
@@ -95,7 +97,10 @@ def apply_refinement(
     y, z = dec_a.diagonalizer, dec_b.diagonalizer
     left, right = mode == "sus" or axis == "row", mode == "sus" or axis == "col"
     new_a = [apply_blocks(m, part, {t: y}, left=left, right=right) for m in a_mats]
-    new_b = [apply_blocks(m, part, {t: z}, left=left, right=right) for m in b_mats]
+    if b_mats is a_mats and z is y:
+        new_b = new_a
+    else:
+        new_b = [apply_blocks(m, part, {t: z}, left=left, right=right) for m in b_mats]
     new_rows = new_part if left else rows
     new_cols = new_part if right else cols
     return RefineOutcome("refined", step, new_a, new_b, new_rows, new_cols, y, z)

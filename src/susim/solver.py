@@ -101,7 +101,9 @@ def _refinements(
     the row and column partitions it refined, and returns the
     :class:`_Ending`.  Each pass either ends the run or strictly refines a
     partition, so the loop runs at most ``n`` passes (similarity) or
-    ``m + n`` passes (equivalence).
+    ``m + n`` passes (equivalence).  Passing one list as both sides, as
+    feature extraction does, makes every stage compute that side once; the
+    refined pair is again one list, so this holds on every pass.
     """
     m, n = a_mats[0].shape
     rows = Partition.whole(m)

@@ -19,7 +19,8 @@ deviation is either a :class:`ScalarMismatch` (two scalars that should
 agree do not, which is already a disproof) or a :class:`Violation` carrying
 the Hermitian functional of the deviating cell on both sides, whose
 eigenspaces will drive the next refinement.  The four cell functionals are
-defined here once.
+defined here once.  A B-side matrix that is the A-side matrix itself, as in
+the self-paired run behind the canonical features, is read and tested once.
 """
 
 from __future__ import annotations
@@ -127,8 +128,10 @@ def _violation(
     if functional in (GRAM_LEFT, GRAM_RIGHT):
         ctx_a, ctx_b = ctx_a**2, ctx_b**2
     f = _FUNCTIONALS[functional]
+    s = f(ca)
+    r = s if cb is ca else f(cb)
     return PreSolutionReport(
-        "violation", violation=Violation(functional, at, touch, f(ca), f(cb), ctx_a, ctx_b)
+        "violation", violation=Violation(functional, at, touch, s, r, ctx_a, ctx_b)
     )
 
 
@@ -173,19 +176,21 @@ def check_presolution(
     scales_a: dict[tuple[int, int, int], float] = {}
     scales_b: dict[tuple[int, int, int], float] = {}
     for l, (a, b) in enumerate(zip(a_mats, b_mats)):
-        ctx_a, ctx_b = fro(a), fro(b)
+        same = b is a
+        ctx_a = fro(a)
+        ctx_b = ctx_a if same else fro(b)
         ctx = max(ctx_a, ctx_b)
         for i in range(rows.count):
             for j in range(cols.count):
                 ca = submatrix(a, rows, i, cols, j)
-                cb = submatrix(b, rows, i, cols, j)
+                cb = ca if same else submatrix(b, rows, i, cols, j)
                 square = rows.sizes[i] == cols.sizes[j]
                 at = (l, i, j)
                 if mode == "sus" and i == j:
                     alpha_a = identity_multiple(ca, tol, ctx_a)
                     if alpha_a is None:
                         return _violation(_diag_choice(ca, ctx_a, tol, i), at, ca, cb, ctx_a, ctx_b)
-                    alpha_b = identity_multiple(cb, tol, ctx_b)
+                    alpha_b = alpha_a if same else identity_multiple(cb, tol, ctx_b)
                     if alpha_b is None:
                         return _violation(_diag_choice(cb, ctx_b, tol, i), at, ca, cb, ctx_a, ctx_b)
                     if not close_scalars(alpha_a, alpha_b, tol, context=ctx):
@@ -197,7 +202,7 @@ def check_presolution(
                     ra = unitary_multiple(ca, tol, ctx_a)
                     if ra is None:
                         return _violation(_gram_choice(ca, ctx_a, tol, i, j), at, ca, cb, ctx_a, ctx_b)
-                    rb = unitary_multiple(cb, tol, ctx_b)
+                    rb = ra if same else unitary_multiple(cb, tol, ctx_b)
                     if rb is None:
                         return _violation(_gram_choice(cb, ctx_b, tol, i, j), at, ca, cb, ctx_a, ctx_b)
                     if not close_scalars(ra, rb, tol, context=ctx * ctx):
@@ -208,7 +213,7 @@ def check_presolution(
                 else:
                     if not is_zero(ca, tol, ctx_a):
                         return _violation(_gram_choice(ca, ctx_a, tol, i, j), at, ca, cb, ctx_a, ctx_b)
-                    if not is_zero(cb, tol, ctx_b):
+                    if not same and not is_zero(cb, tol, ctx_b):
                         return _violation(_gram_choice(cb, ctx_b, tol, i, j), at, ca, cb, ctx_a, ctx_b)
     return PreSolutionReport(
         "ok",

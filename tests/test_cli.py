@@ -1,5 +1,6 @@
 """Exit codes, documents and wiring of the command line interface."""
 
+import gc
 import io
 import json
 import shutil
@@ -458,6 +459,39 @@ class TestDocumentParity:
             "failed",
         }
         assert any(has_negative_zero(data) for _, data in written)
+
+
+class TestCollectorState:
+    """Documents are parsed and emitted with the cyclic collector paused; every
+    command leaves it enabled or disabled as it found it, also on an error."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_commands_restore_the_collector(self, tmp_path, enabled, capsys):
+        inst = planted_file(tmp_path)
+        res, fa, fb, bad = (str(tmp_path / n) for n in ("res.json", "fa.json", "fb.json", "bad.json"))
+        (tmp_path / "bad.json").write_text('{"format": "susim-nothing/1"}')
+        gen = ["gen", "--kind", "pairwise", "-n", "3", "--out"]
+        commands = [
+            (["solve", inst, "--out", res], 0),
+            (["verify", inst, res], 0),
+            (["canon", inst, "--out", fa], 0),
+            (["canon", inst, "--side", "b", "--out", fb], 0),
+            (["diff", fa, fb], 0),
+            (gen + [str(tmp_path / "gen.json")], 0),
+            (["solve", bad], 64),
+            (["verify", inst, bad], 64),
+            (["canon", bad], 64),
+            (["diff", fa, bad], 64),
+            (gen + [str(tmp_path / "missing" / "gen.json")], 64),
+        ]
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in commands:
+                assert main(argv) == code, argv
+                assert gc.isenabled() is enabled, argv
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestEntryPoints:

@@ -304,3 +304,72 @@ class TestProperties:
         perm, groups = order_and_group(vals, 1e-7)
         assert sorted(perm.tolist()) == list(range(n))
         assert sum(m for _, m in groups) == n
+
+
+def order_and_group_loop(values, threshold):
+    """Reference: the per-cluster loop that ``order_and_group`` replaced."""
+    vals = np.asarray(values, dtype=np.complex128)
+    if len(vals) == 0:
+        return np.empty(0, dtype=int), ()
+    idx = np.argsort(-vals.real, kind="stable")
+    perm: list[int] = []
+    groups: list[tuple[complex, int]] = []
+    k = 0
+    while k < len(idx):
+        j = k
+        while j + 1 < len(idx) and vals[idx[j]].real - vals[idx[j + 1]].real <= threshold:
+            j += 1
+        cluster = idx[k : j + 1]
+        cluster = cluster[np.argsort(-vals[cluster].imag, kind="stable")]
+        start = 0
+        cvals = vals[cluster]
+        for t in range(1, len(cluster) + 1):
+            if t == len(cluster) or cvals[t - 1].imag - cvals[t].imag > threshold:
+                members = cvals[start:t]
+                groups.append((complex(members.mean()), len(members)))
+                start = t
+        perm.extend(int(c) for c in cluster)
+        k = j + 1
+    return np.asarray(perm, dtype=int), tuple(groups)
+
+
+# Coordinates on a half-threshold grid chain real clusters and imaginary
+# groups, and land gaps exactly on the threshold; ±0.0 and NaN are included.
+GRID = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0, 3.0, -2.5, float("nan")])
+COORD = st.one_of(GRID, st.floats(min_value=-4.0, max_value=4.0))
+
+
+class TestOrderAndGroupAgainstLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.tuples(COORD, COORD), max_size=12),
+        st.sampled_from([1.0, 0.5, 1e-7, 0.0]),
+    )
+    def test_same_order_and_groups_as_the_loop(self, coords, threshold):
+        vals = np.array([complex(re, im) for re, im in coords], dtype=np.complex128)
+        perm, groups = order_and_group(vals, threshold)
+        want_perm, want_groups = order_and_group_loop(vals, threshold)
+        assert perm.dtype == want_perm.dtype
+        assert perm.tolist() == want_perm.tolist()
+        assert [m for _, m in groups] == [m for _, m in want_groups]
+        got = np.array([v for v, _ in groups], dtype=np.complex128)
+        want = np.array([v for v, _ in want_groups], dtype=np.complex128)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12, equal_nan=True)
+        assert all(type(v) is complex and type(m) is int for v, m in groups)
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [],
+            [2.0],
+            [0.0, -0.0, 0.0j, -0.0 - 0.0j],
+            [1.0, 2.0, 3.0, 4.0, 10.0],  # one chain longer than the threshold
+            [1.0 + 3.0j, 1.0 + 2.0j, 1.0, 1.0 - 5.0j],  # imaginary groups in one cluster
+            [1.0, float("nan"), 1.0, complex(1.0, float("nan"))],
+        ],
+    )
+    def test_edge_cases(self, vals):
+        perm, groups = order_and_group(vals, 1.0)
+        want_perm, want_groups = order_and_group_loop(vals, 1.0)
+        assert perm.tolist() == want_perm.tolist()
+        assert [m for _, m in groups] == [m for _, m in want_groups]
