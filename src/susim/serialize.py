@@ -14,9 +14,11 @@ objects stay zero-based throughout the library.
 
 from __future__ import annotations
 
+import cmath
 import math
-from itertools import chain
-from typing import Any
+from collections import deque
+from itertools import repeat
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -50,7 +52,7 @@ FEATURES_FORMAT = "susim-features/1"
 _STATUSES = (SOLVED, NOT_SIMILAR, FAILED)
 
 
-def _fail(msg: str) -> None:
+def _fail(msg: str) -> NoReturn:
     raise FormatError(msg)
 
 
@@ -65,6 +67,12 @@ def _get(data: Any, key: str, kind: type | tuple[type, ...], where: str) -> Any:
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         _fail(f"{where}: key {key!r} has the wrong type")
     return value
+
+
+def _is_int(x: Any) -> bool:
+    """Whether ``x`` is an integer in the documents' sense, as ``_get`` reads
+    one: JSON ``true`` and ``2.0`` compare equal to 1 and 2 but are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _real(x: float) -> float:
@@ -88,27 +96,80 @@ def _mat(m: np.ndarray) -> list[list[list[float]]]:
     return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 
 
+_NUMBERS = frozenset((float, int))  # exact types: bool, an int subclass, stays out
+
+
 def _pair_entries(cells: list) -> list | None:
-    """The re, im entries of ``cells`` in order, or None unless every cell is
-    a list of exactly two JSON numbers.  The checks run in bulk, per type."""
-    if not all(issubclass(t, list) for t in set(map(type, cells))) or set(map(len, cells)) != {2}:
+    """The re, im entries of ``cells`` in order, or None unless every cell
+    has length 2 and every entry's type is exactly ``float`` or ``int``.
+    Each check is one bulk pass over all the cells or entries."""
+    try:
+        if list(map(len, cells)).count(2) != len(cells):
+            return None
+        entries = _concat(cells)
+    except TypeError:  # a cell with no length, such as a bare number
         return None
-    entries = list(chain.from_iterable(cells))
-    if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, entries))):
-        return entries
+    types = list(map(type, entries))
+    # Documents hold floats; the set test runs only when some entry is not one.
+    if types.count(float) != len(types) and not _NUMBERS.issuperset(types):
+        return None
+    return entries
+
+
+def _concat(lists: list) -> list:
+    """The items of ``lists`` in order.  One C-level ``extend`` per list is
+    much faster than ``chain.from_iterable`` over 2-item lists."""
+    out: list = []
+    deque(map(out.extend, lists), maxlen=0)
+    return out
+
+
+def _cpx_in(value: Any) -> complex | None:
+    """``value`` as a complex scalar, or None unless it is a ``[re, im]``
+    list of two finite numbers."""
+    if isinstance(value, list) and len(value) == 2:
+        re, im = value
+        if type(re) in _NUMBERS and type(im) in _NUMBERS:
+            try:
+                z = complex(re, im)
+            except OverflowError:  # an integer literal beyond the float range
+                return None
+            if cmath.isfinite(z):
+                return z
     return None
 
 
 def _as_cpx(value: Any, where: str) -> complex:
-    entries = _pair_entries([value])
-    if entries is None:
-        _fail(f"{where}: expected a [re, im] pair")
-    return complex(*entries)
+    z = _cpx_in(value)
+    if z is not None:
+        return z
+    if isinstance(value, list) and _pair_entries([value]):
+        _fail(f"{where}: entries must be finite numbers")
+    _fail(f"{where}: expected a [re, im] pair")
 
 
 def _as_mat(value: Any, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         _fail(f"{where}: expected a non-empty list of rows")
+    width = len(value[0]) if isinstance(value[0], list) else 0
+    entries = None
+    if width and all(map(isinstance, value, repeat(list))) and set(map(len, value)) == {width}:
+        entries = _pair_entries(_concat(value))
+    if entries is None:
+        _bad_row(value, where)
+    try:
+        flat = np.fromiter(entries, dtype=np.float64, count=len(entries))
+    except OverflowError:  # an integer literal beyond the float range
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        _fail(f"{where}: entries must be finite numbers")
+    # Consecutive (re, im) float64 pairs are the memory layout of complex128.
+    return flat.view(np.complex128).reshape(len(value), width)
+
+
+def _bad_row(value: list, where: str) -> NoReturn:
+    """Name the first malformed row of a matrix that failed the bulk checks:
+    a row of the wrong shape first, then one holding a bad cell."""
     width = None
     for r, row in enumerate(value):
         if not isinstance(row, list) or not row:
@@ -117,18 +178,8 @@ def _as_mat(value: Any, where: str) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             _fail(f"{where}: row {r + 1} has length {len(row)}, expected {width}")
-    entries = _pair_entries(list(chain.from_iterable(value)))
-    if entries is None:
-        r = next(r for r, row in enumerate(value) if _pair_entries(row) is None)
-        _fail(f"{where} row {r + 1}: expected a [re, im] pair")
-    try:
-        flat = np.array(entries, dtype=np.float64)
-    except OverflowError:  # an integer literal beyond the float range
-        flat = None
-    if flat is None or not np.isfinite(flat).all():
-        _fail(f"{where}: entries must be finite numbers")
-    # Consecutive (re, im) float64 pairs are the memory layout of complex128.
-    return flat.view(np.complex128).reshape(len(value), width)
+    r = next(r for r, row in enumerate(value) if _pair_entries(row) is None)
+    _fail(f"{where} row {r + 1}: expected a [re, im] pair")
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -175,12 +226,22 @@ def _groups_in(value: Any, where: str) -> tuple[tuple[complex, int], ...]:
         _fail(f"{where}: expected a list of groups")
     out = []
     for k, entry in enumerate(value):
-        mean = _as_cpx(_get(entry, "value", list, f"{where}[{k}]"), f"{where}[{k}].value")
-        count = _get(entry, "count", int, f"{where}[{k}]")
-        if count < 1:
-            _fail(f"{where}[{k}]: count must be positive")
+        mean = count = None
+        if isinstance(entry, dict):
+            mean, count = _cpx_in(entry.get("value")), entry.get("count")
+        if mean is None or type(count) is not int or count < 1:
+            mean, count = _group_in(entry, f"{where}[{k}]")
         out.append((mean, count))
     return tuple(out)
+
+
+def _group_in(entry: Any, where: str) -> tuple[complex, int]:
+    """One group, checked field by field so that an error names the field."""
+    mean = _as_cpx(_get(entry, "value", list, where), f"{where}.value")
+    count = _get(entry, "count", int, where)
+    if count < 1:
+        _fail(f"{where}: count must be positive")
+    return mean, count
 
 
 def _edge_out(edge: EdgeStep) -> dict:
@@ -222,18 +283,23 @@ def _step_out(step: RefinementStep) -> dict:
     return out
 
 
-def _step_in(value: Any, where: str) -> RefinementStep:
-    paths = None
-    if isinstance(value, dict) and value.get("pr_paths") is not None:
-        paths = _paths_in(value["pr_paths"], f"{where}.pr_paths")
-    return RefinementStep(
-        functional=_get(value, "functional", str, where),
-        at=_at_in(_get(value, "at", dict, where), f"{where}.at"),
-        touch=_touch_in(_get(value, "touch", dict, where), f"{where}.touch"),
-        groups_a=_groups_in(_get(value, "groups_a", list, where), f"{where}.groups_a"),
-        groups_b=_groups_in(_get(value, "groups_b", list, where), f"{where}.groups_b"),
-        pr_paths=paths,
-    )
+def _step_in(value: Any, k: int) -> RefinementStep:
+    """Certificate step ``k``.  Fields are read under names relative to the
+    step, and the step's own name is put in front only of an error."""
+    try:
+        paths = None
+        if isinstance(value, dict) and value.get("pr_paths") is not None:
+            paths = _paths_in(value["pr_paths"], ".pr_paths")
+        return RefinementStep(
+            functional=_get(value, "functional", str, ""),
+            at=_at_in(_get(value, "at", dict, ""), ".at"),
+            touch=_touch_in(_get(value, "touch", dict, ""), ".touch"),
+            groups_a=_groups_in(_get(value, "groups_a", list, ""), ".groups_a"),
+            groups_b=_groups_in(_get(value, "groups_b", list, ""), ".groups_b"),
+            pr_paths=paths,
+        )
+    except FormatError as exc:
+        raise FormatError(f"certificate.steps[{k}]{exc}") from None
 
 
 def document_format(data: Any) -> str:
@@ -274,9 +340,11 @@ def instance_from_json(data: Any) -> Instance:
     name = data.get("name", "")
     if not isinstance(name, str):
         _fail("instance: name must be a string")
-    if "shape" in data and data["shape"] != list(a_mats[0].shape):
+    shape = data.get("shape", list(a_mats[0].shape))
+    if not (isinstance(shape, list) and all(map(_is_int, shape))) or shape != list(a_mats[0].shape):
         _fail("instance: declared shape disagrees with the matrices")
-    if "count" in data and data["count"] != len(a_mats):
+    count = data.get("count", len(a_mats))
+    if not _is_int(count) or count != len(a_mats):
         _fail("instance: declared count disagrees with the matrices")
     return Instance(mode, a_mats, b_mats, name=name)
 
@@ -306,10 +374,7 @@ def certificate_from_json(data: Any) -> Certificate:
     kind = _get(data, "kind", str, "certificate")
     if mode not in ("sus", "sueq") or kind not in ("scalar", "eigenvalue"):
         _fail("certificate: unknown mode or kind")
-    steps = tuple(
-        _step_in(s, f"certificate.steps[{k}]")
-        for k, s in enumerate(_get(data, "steps", list, "certificate"))
-    )
+    steps = tuple(_step_in(s, k) for k, s in enumerate(_get(data, "steps", list, "certificate")))
     a_value = b_value = None
     if "a_value" in data:
         a_value = _as_cpx(data["a_value"], "certificate.a_value")
@@ -407,9 +472,7 @@ def _feature_step_in(value: Any, where: str) -> FeatureStep:
 
 
 def _sizes_in(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in value
-    ):
+    if not isinstance(value, list) or not all(_is_int(s) and s >= 1 for s in value):
         _fail(f"{where}: expected a list of positive sizes")
     return tuple(value)
 
@@ -448,7 +511,7 @@ def features_from_json(data: Any) -> CanonicalFeatures:
     if mode not in ("sus", "sueq"):
         _fail(f"features: unknown mode {mode!r}")
     shape = _get(data, "shape", list, "features")
-    if len(shape) != 2 or not all(isinstance(x, int) and x >= 1 for x in shape):
+    if len(shape) != 2 or not all(_is_int(x) and x >= 1 for x in shape):
         _fail("features: bad shape")
     alphas = []
     for k, entry in enumerate(_get(data, "alphas", list, "features")):

@@ -287,6 +287,22 @@ class TestUnusableInput:
         assert "declared shape" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "size, declared",
+        [(1, '"shape": [true, true], "count": true'), (2, '"shape": [2.0, 2.0], "count": 2.0')],
+        ids=["booleans", "floats"],
+    )
+    def test_declared_integers(self, tmp_path, capsys, size, declared):
+        # JSON true and 2.0 equal 1 and 2 in Python; as declared sizes they are refused.
+        doc = instance_to_json(Instance("sus", [np.eye(size)] * size, [np.eye(size)] * size))
+        text = json.dumps(doc)
+        text = text.replace(f'"shape": [{size}, {size}], "count": {size}', declared)
+        assert declared in text
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 64
+        assert "instance: declared shape disagrees with the matrices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags, env",
         [
             (["--tol-cmp", "2"], {}),

@@ -62,6 +62,23 @@ class TestInstanceDocuments:
         assert doc["a"][0][0][0] == [1.0, 2.0]
         assert doc["b"][0][0][0] == [3.0, -4.0]
 
+    @pytest.mark.parametrize(
+        "size, count, declared",
+        [
+            (1, 1, {"shape": [True, True], "count": True}),
+            (1, 1, {"count": True}),
+            (2, 2, {"shape": [2.0, 2.0], "count": 2.0}),
+            (2, 2, {"shape": [2.0, 2]}),
+            (2, 2, {"count": 2.0}),
+        ],
+    )
+    def test_declared_integers_refuse_booleans_and_floats(self, size, count, declared):
+        # true and 2.0 compare equal to 1 and 2, but no integer field takes them.
+        mats = [np.eye(size)] * count
+        doc = dict(instance_to_json(Instance("sus", mats, mats)), **declared)
+        with pytest.raises(FormatError, match="declared (shape|count) disagrees"):
+            instance_from_json(doc)
+
     def test_declared_shape_and_count_are_checked(self):
         doc = instance_to_json(Instance("sus", [np.eye(2)], [np.eye(2)]))
         bad = dict(doc, shape=[3, 3])
@@ -143,6 +160,10 @@ BAD_GRIDS = {
     "two-char-string": ([GOOD, ["ab", [0.0, 0.0]]], "row 2"),
     "nested-pair": ([GOOD, [[[1.0, 0.0], 0.0], [0.0, 0.0]]], "row 2"),
     "row-not-a-list": ([GOOD, "row"], "row 2"),
+    # Same number of entries as two pairs: only a per-cell length test sees it.
+    "one-and-three": ([GOOD, [[1.0], [0.0, 0.0, 0.0]]], "row 2"),
+    "two-key-object": ([GOOD, [{"re": 1.0, "im": 0.0}, [0.0, 0.0]]], "row 2"),
+    "400-digit-integer": ([GOOD, [[10**400, 0.0], [0.0, 0.0]]], "entries must be finite numbers"),
     "no-rows": ([], "non-empty list of rows"),
     "not-a-list": ({"re": 1.0}, "non-empty list of rows"),
 }
@@ -183,6 +204,71 @@ class TestMatrixCodec:
         doc["u"][0][1] = [0.0, None]
         with pytest.raises(FormatError, match=r"result\.u row 1"):
             result_from_json(doc)
+
+
+def eigenvalue_result_document() -> dict:
+    """A not_similar result whose eigenvalue certificate holds groups at the
+    certificate and in its first step."""
+    a = [np.diag([3.0, 3.0, 1.0]).astype(complex), np.diag([1.0, 2.0, 5.0]).astype(complex)]
+    b = [a[0].copy(), np.diag([1.0, 3.0, 5.0]).astype(complex)]
+    return result_to_json(solve_sus(a, b))
+
+
+BAD_SCALARS = {
+    "bool-entry": [True, 0.0],
+    "one-entry": [1.0],
+    "two-char-string": "ab",
+    "object": {"re": 1.0},
+}
+
+
+class TestScalarCodec:
+    """Every certificate scalar goes through one [re, im] decoder; a
+    malformed one is named by where it sits."""
+
+    @pytest.mark.parametrize("scalar", BAD_SCALARS.values(), ids=BAD_SCALARS)
+    def test_malformed_certificate_value(self, scalar):
+        doc = result_to_json(solve(pr_beta_instance()))
+        doc["certificate"]["a_value"] = scalar
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == "certificate.a_value: expected a [re, im] pair"
+
+    @pytest.mark.parametrize("scalar", BAD_SCALARS.values(), ids=BAD_SCALARS)
+    @pytest.mark.parametrize("where", ["certificate", "certificate.steps[0]"])
+    def test_malformed_group_value(self, scalar, where):
+        doc = eigenvalue_result_document()
+        cert = doc["certificate"]
+        holder = cert if where == "certificate" else cert["steps"][0]
+        holder["groups_a"][1]["value"] = scalar
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        if isinstance(scalar, list):
+            assert str(info.value) == f"{where}.groups_a[1].value: expected a [re, im] pair"
+        else:
+            assert str(info.value) == f"{where}.groups_a[1]: key 'value' has the wrong type"
+
+    @pytest.mark.parametrize("count", [0, True, 1.0, None])
+    def test_malformed_group_count(self, count):
+        doc = eigenvalue_result_document()
+        doc["certificate"]["steps"][0]["groups_b"][0]["count"] = count
+        with pytest.raises(FormatError, match=r"^certificate\.steps\[0\]\.groups_b\[0\]: "):
+            result_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "value", [10**400, float("nan"), float("inf")], ids=["400-digit-integer", "nan", "inf"]
+    )
+    def test_non_finite_certificate_value(self, value):
+        doc = result_to_json(solve(pr_beta_instance()))
+        doc["certificate"]["b_value"] = [0.0, value]
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == "certificate.b_value: entries must be finite numbers"
+
+    def test_integer_and_float_entries_decode_alike(self):
+        doc = result_to_json(solve(pr_beta_instance()))
+        doc["certificate"]["a_value"] = [2, -3]
+        assert result_from_json(doc).certificate.a_value == complex(2.0, -3.0)
 
 
 class TestResultDocuments:
@@ -289,6 +375,12 @@ class TestFeatureDocuments:
         bad = dict(doc, shape=[2])
         with pytest.raises(FormatError):
             features_from_json(bad)
+
+    @pytest.mark.parametrize("shape", [[True, 2], [2, 2.0]])
+    def test_shape_refuses_booleans_and_floats(self, shape):
+        doc = features_to_json(extract_features([np.diag([2.0, 1.0]).astype(complex)]))
+        with pytest.raises(FormatError, match="features: bad shape"):
+            features_from_json(dict(doc, shape=shape))
 
 
 class TestDocumentFormat:
