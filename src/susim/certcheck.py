@@ -6,6 +6,13 @@ any recorded number: it recomputes both functional matrices at every step,
 runs its own eigendecompositions, refines its own partitions, and rebuilds
 path products from the explicit edge descriptors with generic inverses.
 
+Each path is walked once: the walk checks every factor and that the
+descriptors compose, and returns the product with the class it reaches.
+Both paths of a holonomy must reach one class, the class a ``pr_normal``
+hint touches.  The checker keeps its own copy of the four cell functionals
+and imports only ``linalg``, ``blocking``, ``model`` and ``errors``, never
+the scan, the forest or the refinement code.
+
 Soundness rests on two facts that the checker enforces step by step.
 First, conjugating the A side and the B side by arbitrary block-diagonal
 unitaries preserves whether a solution exists.  Second, if every solution
@@ -20,7 +27,8 @@ the certificate claims.
 The outcome is ``confirmed`` when the replay reaches a genuine forced
 disagreement, and ``refuted`` with a reason otherwise: malformed hints,
 hints that do not compose, recorded values that contradict the
-recomputation, or a final comparison that actually agrees.
+recomputation (a NaN contradicts every value), or a final comparison
+that actually agrees.
 """
 
 from __future__ import annotations
@@ -64,9 +72,15 @@ class _Refuted(Exception):
 class _Confirmed(Exception):
     """Internal control flow: a forced disagreement was reached early."""
 
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+
+# Cell functional: (Hermitian matrix read off the cell, power of the matrix
+# norm that is its eigen-context scale, axis of the class it refines).
+_CELL_FUNCTIONALS = {
+    "herm_real": (lambda c: (c + adjoint(c)) / 2.0, 1, "row"),
+    "herm_imag": (lambda c: (c - adjoint(c)) / 2.0j, 1, "row"),
+    "gram_left": (lambda c: c @ adjoint(c), 2, "row"),
+    "gram_right": (lambda c: adjoint(c) @ c, 2, "col"),
+}
 
 
 class _Replay:
@@ -93,121 +107,87 @@ class _Replay:
             raise _Refuted(f"cell index ({l}, {i}, {j}) out of range")
         return submatrix(mats[l], self.rows, i, self.cols, j)
 
-    def _rebuild_path(self, mats, steps, end_vertex) -> Matrix:
-        """Product of edge factors from the descriptors, generic inverses.
-
-        Validates that consecutive factors compose and that the product
-        starts at ``end_vertex``; returns the product (identity for an
-        empty path) and leaves the target vertex to the caller via
-        :meth:`_path_target`.
-        """
+    def _walk(self, mats, steps, end) -> tuple[Matrix, tuple[str, int]]:
+        """In one pass, the product of a path's factors (generic inverses) and
+        the class it maps ``end`` to.  Every factor must be an invertible scalar
+        multiple of a unitary, and the descriptors must compose up to ``end``."""
         if not steps:
-            size = self._vertex_size(end_vertex)
-            return np.eye(size, dtype=np.complex128)
-        factors = []
-        expect_source = None
+            axis, t = end
+            part = self._part(axis)
+            if not 0 <= t < part.count:
+                raise _Refuted(f"vertex {end} out of range")
+            return np.eye(part.sizes[t], dtype=np.complex128), end
+        source = None
         for s in steps:
             cell = self._cell(mats, s.l, s.i, s.j)
             if cell.shape[0] != cell.shape[1]:
                 raise _Refuted(f"path factor at ({s.l}, {s.i}, {s.j}) is not square")
-            ctx = fro(mats[s.l])
-            r = unitary_multiple(cell, self.tol, ctx)
+            r = unitary_multiple(cell, self.tol, fro(mats[s.l]))
             if r is None or r <= 0.0:
                 raise _Refuted(
                     f"path factor at ({s.l}, {s.i}, {s.j}) is not an invertible "
                     "scalar multiple of a unitary"
                 )
             factor = np.linalg.inv(cell) if s.invert else cell
-            target = ("row", s.i) if not s.invert else self._col_vertex(s.j)
-            source = self._col_vertex(s.j) if not s.invert else ("row", s.i)
-            if expect_source is not None and expect_source != target:
+            row, col = ("row", s.i), self._col_vertex(s.j)
+            target, next_source = (col, row) if s.invert else (row, col)
+            if source is None:
+                product, rep = factor, target
+            elif source != target:
                 raise _Refuted("path descriptors do not compose")
-            factors.append(factor)
-            expect_source = source
-        if expect_source != end_vertex:
+            else:
+                product = product @ factor
+            source = next_source
+        if source != end:
             raise _Refuted("path does not end at the cell it claims to conjugate")
-        out = factors[0]
-        for f in factors[1:]:
-            out = out @ f
-        return out
+        return product, rep
 
-    def _path_target(self, steps, end_vertex) -> tuple[str, int]:
-        if not steps:
-            return end_vertex
-        s = steps[0]
-        return ("row", s.i) if not s.invert else self._col_vertex(s.j)
+    def holonomy(self, mats, at, pr_paths) -> tuple[Matrix, tuple[str, int]]:
+        """Cell ``at`` conjugated along its two paths, and the class both reach.
 
-    def _vertex_size(self, vertex) -> int:
-        axis, t = vertex
-        part = self._part(axis)
-        if not (0 <= t < part.count):
-            raise _Refuted(f"vertex {vertex} out of range")
-        return part.sizes[t]
-
-    def functional(self, functional: str, at, pr_paths):
-        """Recompute (S, R, eigencontexts, kind) for one hint."""
-        l, i, j = at
-        if functional in ("herm_real", "herm_imag"):
-            if self.mode != "sus" or i != j:
-                raise _Refuted("a Hermitian-part hint must target a diagonal cell")
-            ca, cb = self._cell(self.a, l, i, j), self._cell(self.b, l, i, j)
-            if functional == "herm_real":
-                s, r = (ca + adjoint(ca)) / 2.0, (cb + adjoint(cb)) / 2.0
-            else:
-                s, r = (ca - adjoint(ca)) / 2.0j, (cb - adjoint(cb)) / 2.0j
-            return s, r, fro(self.a[l]), fro(self.b[l]), "hermitian"
-        if functional in ("gram_left", "gram_right"):
-            ca, cb = self._cell(self.a, l, i, j), self._cell(self.b, l, i, j)
-            if functional == "gram_left":
-                s, r = ca @ adjoint(ca), cb @ adjoint(cb)
-            else:
-                s, r = adjoint(ca) @ ca, adjoint(cb) @ cb
-            return s, r, fro(self.a[l]) ** 2, fro(self.b[l]) ** 2, "hermitian"
-        if functional == "pr_normal":
-            s = self._pr(self.a, at, pr_paths)
-            r = self._pr(self.b, at, pr_paths)
-            return s, r, 0.0, 0.0, "normal"
-        raise _Refuted(f"unknown functional {functional!r}")
-
-    def _pr(self, mats, at, pr_paths) -> Matrix:
+        The cell is square: square factors join both of its classes to that one."""
         if pr_paths is None:
             raise _Refuted("a holonomy hint carries no path descriptors")
         l, i, j = at
         steps_row, steps_col = pr_paths
-        p_row = self._rebuild_path(mats, steps_row, ("row", i))
-        p_col = self._rebuild_path(mats, steps_col, self._col_vertex(j))
-        if self._path_target(steps_row, ("row", i)) != self._path_target(
-            steps_col, self._col_vertex(j)
-        ):
+        p_row, rep = self._walk(mats, steps_row, ("row", i))
+        p_col, rep_col = self._walk(mats, steps_col, self._col_vertex(j))
+        if rep != rep_col:
             raise _Refuted("the two paths of a holonomy hint target different classes")
-        cell = self._cell(mats, l, i, j)
-        if cell.shape[0] != cell.shape[1]:
-            raise _Refuted("a holonomy hint must target a square cell")
-        return p_row @ cell @ np.linalg.inv(p_col)
+        return p_row @ self._cell(mats, l, i, j) @ np.linalg.inv(p_col), rep
 
-    def pr_rep(self, at, pr_paths) -> tuple[str, int]:
-        steps_row, _ = pr_paths
-        return self._path_target(steps_row, ("row", at[1]))
+    def functional(self, name: str, at, pr_paths):
+        """Recompute one functional: (S, R, eigen contexts, eigensolver, touched class)."""
+        if name == "pr_normal":
+            s, rep = self.holonomy(self.a, at, pr_paths)
+            r, _ = self.holonomy(self.b, at, pr_paths)
+            return s, r, 0.0, 0.0, eig_normal, rep
+        if name not in _CELL_FUNCTIONALS:
+            raise _Refuted(f"unknown functional {name!r}")
+        f, power, axis = _CELL_FUNCTIONALS[name]
+        l, i, j = at
+        if name.startswith("herm") and (self.mode != "sus" or i != j):
+            raise _Refuted("a Hermitian-part hint must target a diagonal cell")
+        ca, cb = self._cell(self.a, l, i, j), self._cell(self.b, l, i, j)
+        ctx_a, ctx_b = fro(self.a[l]) ** power, fro(self.b[l]) ** power
+        return f(ca), f(cb), ctx_a, ctx_b, eig_hermitian, (axis, i if axis == "row" else j)
 
-    def decompose(self, s, r, ctx_a, ctx_b, kind):
-        eig = eig_hermitian if kind == "hermitian" else eig_normal
+    def spectra(self, name: str, at, pr_paths, touch=None):
+        """Recompute one functional and decompose both sides: (dec_a, dec_b,
+        scale).  With ``touch``, the functional must first act on that class."""
+        s, r, ctx_a, ctx_b, eig, acts_on = self.functional(name, at, pr_paths)
+        if touch is not None and tuple(touch) != acts_on:
+            raise _Refuted(f"hint touches class {touch} but the functional acts on {acts_on}")
         try:
             dec_a = eig(s, self.tol, context_scale=ctx_a)
             dec_b = eig(r, self.tol, context_scale=ctx_b)
         except SusimError as exc:
             raise _Refuted(f"functional recomputation failed: {exc}") from exc
-        return dec_a, dec_b
+        return dec_a, dec_b, max(fro(s), fro(r), ctx_a, ctx_b)
 
     def replay_step(self, step) -> None:
         """Apply one recorded refinement, confirming early on disagreement."""
-        s, r, ctx_a, ctx_b, kind = self.functional(step.functional, step.at, step.pr_paths)
-        expected_touch = self._expected_touch(step)
-        if tuple(step.touch) != expected_touch:
-            raise _Refuted(
-                f"hint touches class {step.touch} but the functional acts on {expected_touch}"
-            )
-        dec_a, dec_b = self.decompose(s, r, ctx_a, ctx_b, kind)
-        scale = max(fro(s), fro(r), ctx_a, ctx_b)
+        dec_a, dec_b, scale = self.spectra(step.functional, step.at, step.pr_paths, step.touch)
         if not groups_match(dec_a.groups, dec_b.groups, self.tol, scale):
             raise _Confirmed(
                 f"forced spectra already disagree at step {step.functional} {step.at}"
@@ -229,31 +209,16 @@ class _Replay:
         self.rows = new_part if left else self.rows
         self.cols = new_part if right else self.cols
 
-    def _expected_touch(self, step) -> tuple[str, int]:
-        l, i, j = step.at
-        if step.functional in ("herm_real", "herm_imag"):
-            return ("row", i)
-        if step.functional == "gram_left":
-            return ("row", i)
-        if step.functional == "gram_right":
-            return ("col", j)
-        if step.functional == "pr_normal":
-            if step.pr_paths is None:
-                raise _Refuted("a holonomy hint carries no path descriptors")
-            return self.pr_rep(step.at, step.pr_paths)
-        raise _Refuted(f"unknown functional {step.functional!r}")
-
 
 def _values_close(recorded, recomputed, tol: Tolerances, scale: float) -> bool:
-    if recorded is None:
-        return False
-    if len(recorded) != len(recomputed):
+    if recorded is None or len(recorded) != len(recomputed):
         return False
     thr = tol.verify * (1.0 + scale)
-    for (va, ma), (vb, mb) in zip(recorded, recomputed):
-        if ma != mb or abs(complex(va) - complex(vb)) > thr:
-            return False
-    return True
+    # "<=" is false for NaN, so a NaN recorded value matches nothing.
+    return all(
+        ma == mb and abs(complex(va) - complex(vb)) <= thr
+        for (va, ma), (vb, mb) in zip(recorded, recomputed)
+    )
 
 
 def check_certificate(
@@ -272,7 +237,7 @@ def check_certificate(
             state.replay_step(step)
         return _check_final(state, cert, tol)
     except _Confirmed as c:
-        return CheckReport(True, c.reason)
+        return CheckReport(True, str(c))
     except _Refuted as r:
         return CheckReport(False, str(r))
     except SusimError as exc:
@@ -292,17 +257,15 @@ def _check_final(state: _Replay, cert: Certificate, tol: Tolerances) -> CheckRep
             raise _Refuted("the claimed scalar cells are not scalar on recomputation")
         return _finish_scalar(cert, alpha_a, alpha_b, max(fro(state.a[l]), fro(state.b[l])), tol)
     if cert.kind == "scalar" and cert.target == "pr_beta":
-        pr_a = state._pr(state.a, cert.at, cert.pr_paths)
-        pr_b = state._pr(state.b, cert.at, cert.pr_paths)
+        pr_a, _ = state.holonomy(state.a, cert.at, cert.pr_paths)
+        pr_b, _ = state.holonomy(state.b, cert.at, cert.pr_paths)
         beta_a = identity_multiple(pr_a, tol)
         beta_b = identity_multiple(pr_b, tol)
         if beta_a is None or beta_b is None:
             raise _Refuted("the claimed holonomies are not scalar on recomputation")
         return _finish_scalar(cert, beta_a, beta_b, 0.0, tol)
     if cert.kind == "eigenvalue":
-        s, r, ctx_a, ctx_b, kind = state.functional(cert.target, cert.at, cert.pr_paths)
-        dec_a, dec_b = state.decompose(s, r, ctx_a, ctx_b, kind)
-        scale = max(fro(s), fro(r), ctx_a, ctx_b)
+        dec_a, dec_b, scale = state.spectra(cert.target, cert.at, cert.pr_paths)
         if groups_match(dec_a.groups, dec_b.groups, tol, scale):
             raise _Refuted("the claimed spectral disagreement is not there on recomputation")
         if not _values_close(cert.groups_a, dec_a.groups, tol, scale):
@@ -319,8 +282,9 @@ def _finish_scalar(
     if close_scalars(val_a, val_b, tol, context=context):
         raise _Refuted("the claimed scalar disagreement is not there on recomputation")
     rec_scale = max(abs(val_a), abs(val_b), 1.0)
-    if cert.a_value is None or abs(complex(cert.a_value) - val_a) > tol.verify * rec_scale:
+    # Written as "not <=" so that a NaN recorded value matches nothing.
+    if cert.a_value is None or not abs(complex(cert.a_value) - val_a) <= tol.verify * rec_scale:
         raise _Refuted("recorded A-side scalar does not match the recomputation")
-    if cert.b_value is None or abs(complex(cert.b_value) - val_b) > tol.verify * rec_scale:
+    if cert.b_value is None or not abs(complex(cert.b_value) - val_b) <= tol.verify * rec_scale:
         raise _Refuted("recorded B-side scalar does not match the recomputation")
     return CheckReport(True, f"scalar disagreement at {cert.target} {cert.at} confirmed")

@@ -8,13 +8,16 @@ and ``j`` in similarity mode, between row class ``i`` and column class
 tolerance is no edge, since a path product through it would divide by a
 zero scale.  Vertices are ``("row", i)`` / ``("col", j)`` pairs in both modes.
 
-For every vertex ``v`` reachable from its component representative ``c``
-the breadth-first forest yields a path product, the ordered product of
-edge cells and inverse cells along the tree path.  It maps the space of
-``v`` to the space of ``c`` and is itself a scalar multiple of a unitary
-whose amplitude is tracked separately.  The products on the two sides have
-the same edge descriptors, so any blockwise solution is forced, up to one
-free unitary per component, to the ratio of the two path products.
+Each edge is stored once, as the :class:`EdgeStep` that crosses it from
+either end: its witness cell from the row end, inverted from the column
+end.  For every vertex ``v`` reachable from its component representative
+``c`` the breadth-first forest yields a path, its parent's path plus the
+step across their tree edge, and a path product, the ordered product of
+edge cells and inverse cells along it.  It maps the space of ``v`` to the
+space of ``c`` and is itself a scalar multiple of a unitary whose amplitude
+is tracked separately.  The products on the two sides have the same edge
+descriptors, so any blockwise solution is forced, up to one free unitary
+per component, to the ratio of the two path products.
 
 :func:`check_pr` then conjugates every edge cell back to the representative
 space, all cells of one matrix at once.  In a solvable instance every such
@@ -101,10 +104,6 @@ class PrReport:
     betas: dict[tuple[int, int, int], complex] = field(default_factory=dict)
 
 
-def _vertex_size(v: Vertex, rows: Partition, cols: Partition) -> int:
-    return rows.sizes[v[1]] if v[0] == "row" else cols.sizes[v[1]]
-
-
 def build_paths(
     a_mats: list[Matrix],
     b_mats: list[Matrix],
@@ -125,17 +124,14 @@ def build_paths(
     if mode == "sueq":
         vertices.extend(("col", j) for j in range(cols.count))
 
-    witness: dict[tuple[Vertex, Vertex], tuple[int, int, int]] = {}
-    adjacency: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
+    # adjacency[q][v]: the fields (l, i, j, invert) of the step that crosses
+    # edge {q, v} from q; only the forest's steps become EdgeStep objects.
+    adjacency: dict[Vertex, dict[Vertex, tuple[int, int, int, bool]]] = {v: {} for v in vertices}
     for (l, i, j) in scales_a:
         u, w = endpoints(mode, i, j)
-        ekey = (u, w) if vertex_key(u) <= vertex_key(w) else (w, u)
-        if ekey not in witness:
-            witness[ekey] = (l, i, j)
-            adjacency[u].append(w)
-            adjacency[w].append(u)
-    for v in adjacency:
-        adjacency[v] = sorted(set(adjacency[v]), key=vertex_key)
+        if w not in adjacency[u]:
+            adjacency[u][w] = (l, i, j, False)
+            adjacency[w][u] = (l, i, j, True)
 
     components: list[tuple[Vertex, ...]] = []
     rep_of: dict[Vertex, Vertex] = {}
@@ -151,21 +147,12 @@ def build_paths(
         queue = deque([start])
         while queue:
             q = queue.popleft()
-            for v in adjacency[q]:
+            for v in sorted(adjacency[q], key=vertex_key):
                 if v in rep_of:
                     continue
-                ekey = (q, v) if vertex_key(q) <= vertex_key(v) else (v, q)
-                l, wi, wj = witness[ekey]
-                row_end, col_end = endpoints(mode, wi, wj)
-                if q == row_end and v == col_end:
-                    step = EdgeStep(l, wi, wj, invert=False)
-                elif q == col_end and v == row_end:
-                    step = EdgeStep(l, wi, wj, invert=True)
-                else:
-                    raise InternalInconsistency("edge endpoints disagree with adjacency")
                 rep_of[v] = start
                 parent[v] = q
-                steps_to[v] = steps_to[q] + (step,)
+                steps_to[v] = steps_to[q] + (EdgeStep(*adjacency[q][v]),)
                 comp.append(v)
                 queue.append(v)
         components.append(tuple(sorted(comp, key=vertex_key)))
@@ -176,7 +163,8 @@ def build_paths(
         amps: dict[Vertex, float] = {}
         for v, steps in steps_to.items():
             if not steps:
-                prods[v] = np.eye(_vertex_size(v, rows, cols), dtype=np.complex128)
+                size = (rows if v[0] == "row" else cols).sizes[v[1]]
+                prods[v] = np.eye(size, dtype=np.complex128)
                 amps[v] = 1.0
                 continue
             q, e = parent[v], steps[-1]

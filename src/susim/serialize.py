@@ -62,11 +62,22 @@ def _get(data: Any, key: str, kind: type | tuple[type, ...], where: str) -> Any:
     if key not in data:
         _fail(f"{where}: missing key {key!r}")
     value = data[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return _finite(value, f"{where}: key {key!r}")
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         _fail(f"{where}: key {key!r} has the wrong type")
     return value
+
+
+def _finite(x: int | float, what: str) -> float:
+    """A JSON number as a finite float; ``what`` names the field in the error."""
+    try:
+        x = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(f"{what} must be a finite number")
+    return x
 
 
 def _is_int(x: Any) -> bool:
@@ -429,6 +440,8 @@ def result_from_json(data: Any) -> SolveResult:
     residual = data.get("residual")
     if residual is not None and not isinstance(residual, (int, float)):
         _fail("result: residual must be a number or null")
+    if residual is not None:
+        residual = _finite(residual, "result: residual")
     message = data.get("message", "")
     if not isinstance(message, str):
         _fail("result: message must be a string")
@@ -444,7 +457,7 @@ def result_from_json(data: Any) -> SolveResult:
         u=u,
         v=v,
         certificate=cert,
-        residual=None if residual is None else float(residual),
+        residual=residual,
         message=message,
     )
 
@@ -525,7 +538,7 @@ def features_from_json(data: Any) -> CanonicalFeatures:
     for k, entry in enumerate(_get(data, "scales", list, "features")):
         where = f"features.scales[{k}]"
         at = _at_in(entry, where)
-        scales.append((at, float(_get(entry, "value", float, where))))
+        scales.append((at, _get(entry, "value", float, where)))
     betas = []
     for k, entry in enumerate(_get(data, "betas", list, "features")):
         where = f"features.betas[{k}]"

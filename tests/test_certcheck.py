@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from susim.certcheck import check_certificate
 from susim.graph import EdgeStep
-from susim.instances import GenConfig, generate
+from susim.instances import GenConfig, generate, pairwise_trap, perturbed_nonsimilar
 from susim.linalg import DEFAULT_TOLERANCES, adjoint
 from susim.model import NOT_SIMILAR, Certificate, Instance
 from susim.refine import RefinementStep
@@ -277,6 +277,182 @@ class TestMutatedCertificates:
             fake = dataclasses.replace(cert, pr_paths=(steps_row, flipped))
             assert check_certificate(inst, cert).confirmed, cert.target
             assert not check_certificate(inst, fake).confirmed, cert.target
+
+
+def pr_beta_certificate():
+    """A one-step certificate whose holonomies at cell (2, 0, 1) are 1 and -1;
+    the column path crosses edge (1, 0, 1) from row class 1 to row class 0."""
+    a1, a2 = holonomy_instances()
+    b3 = np.zeros((4, 4), dtype=complex)
+    b3[0:2, 2:4] = -2.0 * np.eye(2)
+    return certified([a1, a2, a2.copy()], [a1.copy(), a2.copy(), b3])
+
+
+def pr_normal_certificate():
+    """As :func:`pr_beta_certificate`, with holonomies diag(1, -1) / 2 and I / 2."""
+    a1, a2 = holonomy_instances()
+    a3 = np.zeros((4, 4), dtype=complex)
+    a3[0:2, 2:4] = np.diag([1.0, -1.0])
+    b3 = np.zeros((4, 4), dtype=complex)
+    b3[0:2, 2:4] = np.eye(2)
+    return certified([a1, a2, a3], [a1.copy(), a2.copy(), b3])
+
+
+def diag_alpha_certificate():
+    """A pairwise trap: one refinement step, then a diagonal scalar claim."""
+    inst = pairwise_trap(6, np.random.default_rng(3))[0]
+    res = solve(inst)
+    assert res.certificate.target == "diag_alpha" and len(res.certificate.steps) == 1
+    return inst, res.certificate
+
+
+def eigenvalue_certificate():
+    """A perturbed pair whose certificate ends in a spectral disagreement."""
+    inst = perturbed_nonsimilar(5, 2, np.random.default_rng(0))[0]
+    res = solve(inst)
+    assert res.certificate.kind == "eigenvalue"
+    return inst, res.certificate
+
+
+def assert_refuted(inst, cert, reason):
+    rep = check_certificate(inst, cert)
+    assert not rep.confirmed
+    assert reason in rep.reason, rep.reason
+
+
+class TestRefutationReasons:
+    """Every refutation the replay can reach, each from one change to a
+    genuine certificate, pinned by its reason."""
+
+    # -- path walk -----------------------------------------------------------
+
+    def test_non_square_path_factor(self):
+        # A 2x3 equivalence instance has one 2x3 cell before any refinement.
+        a = [np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])]
+        b = [np.array([[1.0, 0.0, 0.0], [0.0, 3.0, 0.0]])]
+        inst, cert = certified(a, b, mode="sueq")
+        fake = dataclasses.replace(
+            cert, kind="scalar", target="pr_beta", at=(0, 0, 0), steps=(),
+            a_value=1.0 + 0j, b_value=-1.0 + 0j,
+            pr_paths=((EdgeStep(0, 0, 0, False),), ()),
+        )
+        assert_refuted(inst, fake, "path factor at (0, 0, 0) is not square")
+
+    def test_non_invertible_path_factor(self):
+        inst, cert = pr_beta_certificate()
+        # Cell (0, 0, 1) of the diagonal first matrix is zero.
+        fake = dataclasses.replace(cert, pr_paths=((), (EdgeStep(0, 0, 1, False),)))
+        assert_refuted(inst, fake, "is not an invertible scalar multiple of a unitary")
+
+    def test_descriptors_that_do_not_compose(self):
+        inst, cert = pr_beta_certificate()
+        steps_row, (e,) = cert.pr_paths
+        fake = dataclasses.replace(cert, pr_paths=(steps_row, (e, e)))
+        assert_refuted(inst, fake, "path descriptors do not compose")
+
+    def test_empty_path_out_of_range(self):
+        inst, cert = pr_beta_certificate()
+        fake = dataclasses.replace(cert, at=(2, 5, 1))
+        assert_refuted(inst, fake, "vertex ('row', 5) out of range")
+
+    def test_paths_reach_different_classes(self):
+        inst, cert = pr_beta_certificate()
+        fake = dataclasses.replace(cert, pr_paths=((), ()))
+        assert_refuted(inst, fake, "the two paths of a holonomy hint target different classes")
+
+    # -- holonomy ------------------------------------------------------------
+
+    def test_holonomy_hint_on_non_square_cell(self):
+        # Paths through square factors join classes of one size, so the two
+        # paths of a non-square cell never reach the same class.
+        a = [np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])]
+        b = [np.array([[1.0, 0.0, 0.0], [0.0, 3.0, 0.0]])]
+        inst, cert = certified(a, b, mode="sueq")
+        fake = dataclasses.replace(
+            cert, kind="scalar", target="pr_beta", at=(0, 0, 0), steps=(),
+            a_value=1.0 + 0j, b_value=-1.0 + 0j, pr_paths=((), ()),
+        )
+        assert_refuted(inst, fake, "the two paths of a holonomy hint target different classes")
+
+    def test_pr_normal_holonomy_not_a_unitary_multiple(self):
+        inst, cert = pr_normal_certificate()
+        a3 = np.zeros((4, 4), dtype=complex)
+        a3[0:2, 2:4] = np.diag([1.0, 2.0])
+        fake_inst = dataclasses.replace(inst, a_mats=(*inst.a_mats[:2], a3))
+        assert_refuted(fake_inst, cert, "functional recomputation failed")
+
+    def test_pr_beta_holonomies_not_scalar(self):
+        inst, cert = pr_normal_certificate()
+        fake = dataclasses.replace(
+            cert, kind="scalar", target="pr_beta", a_value=0.5 + 0j, b_value=0.5 + 0j,
+            groups_a=None, groups_b=None,
+        )
+        assert_refuted(inst, fake, "the claimed holonomies are not scalar on recomputation")
+
+    # -- hints and claims ----------------------------------------------------
+
+    def test_hermitian_hint_off_the_diagonal(self):
+        inst, cert = diag_alpha_certificate()
+        fake = with_first_step(cert, at=(0, 0, 1))
+        assert_refuted(inst, fake, "a Hermitian-part hint must target a diagonal cell")
+
+    def test_step_on_a_scalar_cell(self):
+        # After the first step, cell (0, 0, 0) of diag(2, 2, 1, 1) is 2 I.
+        inst, cert = pr_beta_certificate()
+        (first,) = cert.steps
+        again = dataclasses.replace(first, groups_a=((2.0 + 0j, 2),), groups_b=((2.0 + 0j, 2),))
+        fake = dataclasses.replace(cert, steps=(first, again))
+        assert_refuted(inst, fake, "step (0, 0, 0) cannot split a class on recomputation")
+
+    def test_diagonal_scalar_claim_off_the_diagonal(self):
+        inst, cert = diag_alpha_certificate()
+        fake = dataclasses.replace(cert, at=(1, 0, 1))
+        assert_refuted(inst, fake, "a diagonal scalar claim must target a diagonal cell")
+
+    def test_unknown_kind_or_target(self):
+        inst, cert = diag_alpha_certificate()
+        for changes in (dict(kind="made_up"), dict(target="made_up")):
+            fake = dataclasses.replace(cert, **changes)
+            assert_refuted(inst, fake, "unknown certificate kind")
+
+    # -- B side --------------------------------------------------------------
+
+    def test_b_side_spectrum_altered(self):
+        inst, cert = eigenvalue_certificate()
+        (value, count), *rest = cert.groups_b
+        fake = dataclasses.replace(cert, groups_b=((value + 1.0, count), *rest))
+        assert_refuted(inst, fake, "recorded B-side spectrum does not match the recomputation")
+
+    def test_b_side_scalar_altered(self):
+        inst, cert = diag_alpha_certificate()
+        fake = dataclasses.replace(cert, b_value=cert.b_value + 1.0)
+        assert_refuted(inst, fake, "recorded B-side scalar does not match the recomputation")
+
+
+class TestNonFiniteRecordedValues:
+    """A NaN recorded value matches no recomputation."""
+
+    def test_nan_a_value(self):
+        inst, cert = diag_alpha_certificate()
+        fake = dataclasses.replace(cert, a_value=complex(np.nan, 0.0))
+        assert_refuted(inst, fake, "recorded A-side scalar does not match")
+
+    def test_nan_b_value(self):
+        inst, cert = diag_alpha_certificate()
+        fake = dataclasses.replace(cert, b_value=complex(np.nan, 0.0))
+        assert_refuted(inst, fake, "recorded B-side scalar does not match")
+
+    def test_nan_in_a_step_spectrum(self):
+        inst, cert = diag_alpha_certificate()
+        (_, count), *rest = cert.steps[0].groups_a
+        fake = with_first_step(cert, groups_a=((complex(np.nan, 0.0), count), *rest))
+        assert_refuted(inst, fake, "recorded spectra of step (0, 0, 0) do not match")
+
+    def test_nan_in_the_final_spectrum(self):
+        inst, cert = eigenvalue_certificate()
+        (_, count), *rest = cert.groups_b
+        fake = dataclasses.replace(cert, groups_b=((complex(np.nan, 0.0), count), *rest))
+        assert_refuted(inst, fake, "recorded B-side spectrum does not match")
 
 
 class TestEveryRejectionRevalidates:

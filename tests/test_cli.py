@@ -337,6 +337,30 @@ class TestUnusableInput:
         assert main(["solve", str(path)]) == 64
         assert message in capsys.readouterr().err
 
+    def test_non_finite_residual(self, tmp_path, capsys):
+        inst = planted_file(tmp_path)
+        res = tmp_path / "r.json"
+        assert main(["solve", inst, "--out", str(res)]) == 0
+        doc = json.loads(res.read_text())
+        doc["residual"] = 10**400
+        res.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", inst, str(res)]) == 64
+        assert "result: residual must be a finite number" in capsys.readouterr().err
+
+    def test_non_finite_scale(self, tmp_path, capsys):
+        inst = planted_file(tmp_path)
+        feats = tmp_path / "f.json"
+        assert main(["canon", inst, "--out", str(feats)]) == 0
+        doc = json.loads(feats.read_text())
+        assert doc["scales"]
+        doc["scales"][0]["value"] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["diff", str(feats), str(bad)]) == 64
+        assert "features.scales[0]: key 'value' must be a finite number" in capsys.readouterr().err
+
     def test_integer_beyond_64_bits_is_not_a_count(self, tmp_path, capsys):
         # JSON numbers reach the document readers as Python numbers, and an
         # integer literal of more than 64 bits reads as a float.

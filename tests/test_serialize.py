@@ -222,6 +222,10 @@ BAD_SCALARS = {
 }
 
 
+NON_FINITE = [10**400, float("nan"), float("inf")]
+NON_FINITE_IDS = ["400-digit-integer", "nan", "inf"]
+
+
 class TestScalarCodec:
     """Every certificate scalar goes through one [re, im] decoder; a
     malformed one is named by where it sits."""
@@ -255,9 +259,7 @@ class TestScalarCodec:
         with pytest.raises(FormatError, match=r"^certificate\.steps\[0\]\.groups_b\[0\]: "):
             result_from_json(doc)
 
-    @pytest.mark.parametrize(
-        "value", [10**400, float("nan"), float("inf")], ids=["400-digit-integer", "nan", "inf"]
-    )
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
     def test_non_finite_certificate_value(self, value):
         doc = result_to_json(solve(pr_beta_instance()))
         doc["certificate"]["b_value"] = [0.0, value]
@@ -347,6 +349,16 @@ class TestResultDocuments:
             result_from_json(doc)
 
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_residual(self, value):
+        inst, _ = planted_similar(4, 2, np.random.default_rng(8))
+        doc = result_to_json(solve(inst))
+        doc["residual"] = value
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == "result: residual must be a finite number"
+
+
 class TestFeatureDocuments:
     def test_roundtrip_compares_equal(self):
         rng = np.random.default_rng(21)
@@ -381,6 +393,15 @@ class TestFeatureDocuments:
         doc = features_to_json(extract_features([np.diag([2.0, 1.0]).astype(complex)]))
         with pytest.raises(FormatError, match="features: bad shape"):
             features_from_json(dict(doc, shape=shape))
+
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_non_finite_scale(self, value):
+        doc = features_to_json(extract_features(pr_beta_instance().a_mats))
+        doc["scales"][1]["value"] = value
+        with pytest.raises(FormatError) as info:
+            features_from_json(doc)
+        assert str(info.value) == "features.scales[1]: key 'value' must be a finite number"
 
 
 class TestDocumentFormat:
