@@ -9,8 +9,10 @@ signatures are the disproof.  If they agree, conjugating both sides by the
 respective diagonalizers and splitting the touched class by the eigenvalue
 multiplicities strictly refines the partition while preserving solvability
 in both directions.  Only the touched class's rows and columns change.  A
-functional pair that is one matrix is eigensolved once, and a collection
-paired with itself comes out paired with itself, conjugated once.
+functional pair that is one matrix is eigensolved once.  Sharing is kept
+per matrix: when both diagonalizers are one matrix, a B-side matrix that is
+its A-side matrix itself comes out as the conjugated A-side matrix, and a
+collection paired with itself comes out paired with itself, conjugated once.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ def apply_refinement(
     if b_mats is a_mats and z is y:
         new_b = new_a
     else:
-        new_b = [apply_blocks(m, part, {t: z}, left=left, right=right) for m in b_mats]
+        new_b = [
+            na if b is a and z is y else apply_blocks(b, part, {t: z}, left=left, right=right)
+            for a, b, na in zip(a_mats, b_mats, new_a)
+        ]
     new_rows = new_part if left else rows
     new_cols = new_part if right else cols
     return RefineOutcome("refined", step, new_a, new_b, new_rows, new_cols, y, z)

@@ -438,9 +438,9 @@ def result_from_json(data: Any) -> SolveResult:
     if mode not in ("sus", "sueq"):
         _fail(f"result: unknown mode {mode!r}")
     residual = data.get("residual")
-    if residual is not None and not isinstance(residual, (int, float)):
-        _fail("result: residual must be a number or null")
     if residual is not None:
+        if isinstance(residual, bool) or not isinstance(residual, (int, float)):
+            _fail("result: residual must be a number or null")
         residual = _finite(residual, "result: residual")
     message = data.get("message", "")
     if not isinstance(message, str):

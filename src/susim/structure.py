@@ -20,7 +20,9 @@ agree do not, which is already a disproof) or a :class:`Violation` carrying
 the Hermitian functional of the deviating cell on both sides, whose
 eigenspaces will drive the next refinement.  The four cell functionals are
 defined here once.  A B-side matrix that is the A-side matrix itself, as in
-the self-paired run behind the canonical features, is read and tested once.
+the self-paired run behind the canonical features or a pair that the solver
+found equal bit for bit, is read and tested once, and a deviation on it
+carries one functional matrix for both sides.
 """
 
 from __future__ import annotations

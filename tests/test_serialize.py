@@ -358,6 +358,14 @@ class TestResultDocuments:
             result_from_json(doc)
         assert str(info.value) == "result: residual must be a finite number"
 
+    def test_boolean_residual(self):
+        inst, _ = planted_similar(4, 2, np.random.default_rng(8))
+        doc = result_to_json(solve(inst))
+        doc["residual"] = True
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == "result: residual must be a number or null"
+
 
 class TestFeatureDocuments:
     def test_roundtrip_compares_equal(self):
