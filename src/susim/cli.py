@@ -18,7 +18,6 @@ environment variables, then to the defaults.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import os
@@ -376,22 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused for the process.
-
-    Building it costs about thirty times as much as parsing one command line,
-    most of it argparse making a help formatter per argument, and a short
-    command would pay that on every call.
-    Nothing in it binds the streams or the command functions' globals, so
-    reuse sees the ``sys.stderr`` and the module names in effect at each call.
-    """
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -99,11 +99,12 @@ def apply_refinement(
     y, z = dec_a.diagonalizer, dec_b.diagonalizer
     left, right = mode == "sus" or axis == "row", mode == "sus" or axis == "col"
     new_a = [apply_blocks(m, part, {t: y}, left=left, right=right) for m in a_mats]
-    if b_mats is a_mats and z is y:
+    same_z = z is y
+    if b_mats is a_mats and same_z:
         new_b = new_a
     else:
         new_b = [
-            na if b is a and z is y else apply_blocks(b, part, {t: z}, left=left, right=right)
+            na if same_z and b is a else apply_blocks(b, part, {t: z}, left=left, right=right)
             for a, b, na in zip(a_mats, b_mats, new_a)
         ]
     new_rows = new_part if left else rows

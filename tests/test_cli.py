@@ -15,7 +15,7 @@ import pytest
 from susim import cli
 from susim.canonical import extract_features
 from susim.cli import main
-from susim.model import FAILED, Instance, SolveResult
+from susim.model import Instance
 from susim.serialize import instance_to_json
 from susim.solver import solve
 
@@ -567,42 +567,3 @@ class TestEntryPoints:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "susim" in capsys.readouterr().out
-
-
-class TestParserReuse:
-    """The parser is built on the first call and reused; every call still
-    sees the streams and module names in effect when it runs."""
-
-    def test_parser_is_built_once(self, tmp_path, monkeypatch):
-        inst = planted_file(tmp_path)
-        built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-        cli._parser.cache_clear()
-        for _ in range(3):
-            assert main(["solve", inst]) == 0
-        assert main(["--version"]) == 0
-        assert len(built) == 1
-
-    def test_usage_error_after_a_call_goes_to_the_current_stderr(self, tmp_path, monkeypatch):
-        assert main(["solve", planted_file(tmp_path)]) == 0
-        err = io.StringIO()
-        monkeypatch.setattr(sys, "stderr", err)
-        assert main(["solve"]) == 64
-        assert err.getvalue().startswith("usage: susim solve")
-        assert "error: the following arguments are required: instance" in err.getvalue()
-
-    def test_version_after_other_calls(self, tmp_path, monkeypatch):
-        inst = planted_file(tmp_path)
-        assert main(["solve", inst]) == 0
-        assert main(["frobnicate"]) == 64
-        out = io.StringIO()
-        monkeypatch.setattr(sys, "stdout", out)
-        assert main(["--version"]) == 0
-        assert out.getvalue() == f"susim {cli.__version__}\n"
-
-    def test_patched_solver_is_used_after_the_parser_exists(self, tmp_path, monkeypatch):
-        inst = planted_file(tmp_path)
-        assert main(["solve", inst]) == 0
-        monkeypatch.setattr(cli, "solve", lambda instance, tol: SolveResult(FAILED, instance.mode, 1))
-        assert main(["solve", inst]) == 2

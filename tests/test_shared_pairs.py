@@ -142,7 +142,6 @@ def test_sharing_is_decided_per_matrix_and_bit_for_bit(entry):
     assert b3 is a3
 
 
-
 def test_shared_matrices_are_computed_once(monkeypatch):
     """Counted on solves whose B side holds copies of some A-side matrices:
     a scan reads a shared matrix's cells once, a scan violation on a shared
