@@ -34,16 +34,14 @@ from .errors import FormatError, InternalInconsistency, SusimError
 from .instances import GenConfig, generate
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .model import FAILED, NOT_SIMILAR, SOLVED, Instance, SolveResult
-from .oracles import TraceWord, word_to_string
 from .serialize import (
-    complex_to_json,
     features_from_json,
     features_to_json,
     instance_from_json,
     instance_to_json,
-    matrix_to_json,
     result_from_json,
     result_to_json,
+    witness_to_json,
 )
 from .solver import solve, witness_residual
 
@@ -196,25 +194,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return _STATUS_EXIT[result.status]
 
 
-def _witness_document(meta: dict, count: int) -> dict:
-    doc: dict = {"format": "susim-witness/1", "kind": meta["kind"], "seed": meta["seed"]}
-    if "witness_u" in meta:
-        doc["u"] = matrix_to_json(meta["witness_u"])
-    if "witness_v" in meta:
-        doc["v"] = matrix_to_json(meta["witness_v"])
-    if "planned_iterations" in meta:
-        doc["planned_iterations"] = meta["planned_iterations"]
-    word = meta.get("certifying_word")
-    if isinstance(word, TraceWord):
-        doc["word"] = {
-            "letters": [k + 1 for k in word.letters],
-            "text": word_to_string(word.letters, count),
-            "trace_a": complex_to_json(word.trace_a),
-            "trace_b": complex_to_json(word.trace_b),
-        }
-    return doc
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = GenConfig(
         kind=args.kind,
@@ -232,7 +211,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     _emit(args.out, instance_to_json, inst)
     if args.out != "-":
         witness_path = str(Path(args.out).with_suffix("")) + ".witness.json"
-        _emit(witness_path, _witness_document, meta, inst.count)
+        _emit(witness_path, witness_to_json, meta)
         _say(args, f"wrote {args.out} and {witness_path}")
     return 0
 

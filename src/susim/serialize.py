@@ -1,24 +1,36 @@
-"""JSON formats for instances, results, certificates and features.
+"""JSON formats for instances, results, certificates, features and witnesses.
 
-Three tagged document formats are supported:
+Four tagged document formats are written, and the first three are read:
 
 * ``susim-instance/1``: the two matrix collections plus the mode;
 * ``susim-result/1``: a solve outcome with witnesses or certificate;
-* ``susim-features/1``: the canonical feature trace of one collection.
+* ``susim-features/1``: the canonical feature trace of one collection;
+* ``susim-witness/1``: the ground truth of a generated instance.
 
 Complex numbers are written as ``[re, im]`` pairs, matrices as nested row
 lists of such pairs.  All matrix, row, column and class indices are
 one-based in the documents and converted at this boundary; in-memory
 objects stay zero-based throughout the library.
+
+Every document object is a table of ``(key, kind, presence)`` rows, which
+:func:`_read` decodes and :func:`_write` encodes.  A kind has one decoder
+and one encoder.  A presence is *required*, *optional* (the key may be
+absent; None is not written) or *nullable* (absent or null; None is
+written as null).  A field of the wrong JSON type, or whose value is out of
+range, non-finite or unknown, is refused as ``<where>: key 'k' <problem>``;
+a fault inside a nested value is named by its path, such as
+``certificate.steps[0].groups_a[1].value`` or ``instance a[1] row 2``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
+from collections import deque, namedtuple
+from functools import partial
 from itertools import repeat
-from typing import Any, NoReturn
+from operator import attrgetter
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -33,7 +45,6 @@ __all__ = [
     "RESULT_FORMAT",
     "FEATURES_FORMAT",
     "matrix_to_json",
-    "complex_to_json",
     "instance_to_json",
     "instance_from_json",
     "result_to_json",
@@ -42,6 +53,7 @@ __all__ = [
     "certificate_from_json",
     "features_to_json",
     "features_from_json",
+    "witness_to_json",
     "document_format",
 ]
 
@@ -49,40 +61,18 @@ INSTANCE_FORMAT = "susim-instance/1"
 RESULT_FORMAT = "susim-result/1"
 FEATURES_FORMAT = "susim-features/1"
 
-_STATUSES = (SOLVED, NOT_SIMILAR, FAILED)
-
 
 def _fail(msg: str) -> NoReturn:
     raise FormatError(msg)
 
 
-def _get(data: Any, key: str, kind: type | tuple[type, ...], where: str) -> Any:
-    if not isinstance(data, dict):
-        _fail(f"{where}: expected an object")
-    if key not in data:
-        _fail(f"{where}: missing key {key!r}")
-    value = data[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite(value, f"{where}: key {key!r}")
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        _fail(f"{where}: key {key!r} has the wrong type")
-    return value
-
-
-def _finite(x: int | float, what: str) -> float:
-    """A JSON number as a finite float; ``what`` names the field in the error."""
-    try:
-        x = float(x)
-    except OverflowError:  # an integer literal beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        _fail(f"{what} must be a finite number")
-    return x
+def _bad(where: str, key: str, problem: str) -> NoReturn:
+    """Refuse the value of ``key`` in the object named ``where``."""
+    _fail(f"{where}: key {key!r} {problem}")
 
 
 def _is_int(x: Any) -> bool:
-    """Whether ``x`` is an integer in the documents' sense, as ``_get`` reads
-    one: JSON ``true`` and ``2.0`` compare equal to 1 and 2 but are refused."""
+    """Whether ``x`` is an integer; JSON ``true`` and ``2.0`` are not."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -100,7 +90,8 @@ def _cpx(z: complex) -> list[float]:
     return [_real(z.real), _real(z.imag)]
 
 
-def _mat(m: np.ndarray) -> list[list[list[float]]]:
+def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
+    """Encode one matrix the same way the document formats do."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if not np.isfinite(m).all():
         raise ValueError("a document cannot hold a matrix with non-finite entries")
@@ -193,124 +184,309 @@ def _bad_row(value: list, where: str) -> NoReturn:
     _fail(f"{where} row {r + 1}: expected a [re, im] pair")
 
 
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    """Encode one matrix the same way the document formats do."""
-    return _mat(m)
+# -- tables, and the walker that reads and writes them ---------------------------
+
+_REQUIRED, _OPTIONAL, _NULLABLE = "required", "optional", "nullable"
 
 
-def complex_to_json(z: complex) -> list[float]:
-    """Encode one complex scalar the same way the document formats do."""
-    return _cpx(z)
+def _same(x: Any) -> Any:
+    return x
 
 
-def _at_out(at: tuple[int, int, int]) -> dict:
-    return {"matrix": at[0] + 1, "row": at[1] + 1, "col": at[2] + 1}
+# A kind reads and writes one field.  ``types`` are the JSON types the field
+# may hold, booleans only if ``bool`` is named; ``decode(value, where, key)``
+# reads the value of ``key`` in the object named ``where``; ``encode`` writes it.
+_Kind = namedtuple("_Kind", "types decode encode")
+# A table lists an object's (key, kind, presence) rows in document order.
+# ``build`` makes the object from its decoded fields by key, and ``get`` lists
+# an object's values in row order.
+_Table = namedtuple("_Table", "rows build get")
 
 
-def _at_in(value: Any, where: str) -> tuple[int, int, int]:
-    l = _get(value, "matrix", int, where)
-    i = _get(value, "row", int, where)
-    j = _get(value, "col", int, where)
-    if min(l, i, j) < 1:
-        _fail(f"{where}: indices are one-based")
-    return (l - 1, i - 1, j - 1)
+def _table(build, *rows, get=_same) -> _Table:
+    """A table of ``(key, kind, presence)`` rows; a row without a presence is
+    required.  By default an object is the tuple of its values."""
+    return _Table(tuple((*row, _REQUIRED)[:3] for row in rows), build, get)
 
 
-def _touch_out(touch: tuple[str, int]) -> dict:
-    return {"axis": touch[0], "index": touch[1] + 1}
+def _record(make, *rows) -> _Table:
+    """The table of an object whose attributes are named like the keys;
+    ``make`` takes the decoded fields as keyword arguments."""
+    return _table(lambda fields: make(**fields), *rows, get=attrgetter(*(row[0] for row in rows)))
 
 
-def _touch_in(value: Any, where: str) -> tuple[str, int]:
-    axis = _get(value, "axis", str, where)
-    index = _get(value, "index", int, where)
-    if axis not in ("row", "col") or index < 1:
-        _fail(f"{where}: bad axis or index")
-    return (axis, index - 1)
+def _read(table: _Table, data: Any, where: str) -> Any:
+    if not isinstance(data, dict):
+        _fail(f"{where}: expected an object")
+    fields = {}
+    for key, kind, presence in table.rows:
+        if key not in data:
+            if presence is _REQUIRED:
+                _fail(f"{where}: missing key {key!r}")
+            continue
+        value = data[key]
+        if value is None and presence is _NULLABLE:
+            fields[key] = None
+        elif isinstance(value, kind.types) and (type(value) is not bool or bool in kind.types):
+            fields[key] = kind.decode(value, where, key)
+        else:
+            _bad(where, key, "has the wrong type")
+    return table.build(fields)
 
 
-def _groups_out(groups) -> list[dict]:
-    return [{"value": _cpx(mean), "count": int(count)} for mean, count in groups]
-
-
-def _groups_in(value: Any, where: str) -> tuple[tuple[complex, int], ...]:
-    if not isinstance(value, list):
-        _fail(f"{where}: expected a list of groups")
-    out = []
-    for k, entry in enumerate(value):
-        mean = count = None
-        if isinstance(entry, dict):
-            mean, count = _cpx_in(entry.get("value")), entry.get("count")
-        if mean is None or type(count) is not int or count < 1:
-            mean, count = _group_in(entry, f"{where}[{k}]")
-        out.append((mean, count))
-    return tuple(out)
-
-
-def _group_in(entry: Any, where: str) -> tuple[complex, int]:
-    """One group, checked field by field so that an error names the field."""
-    mean = _as_cpx(_get(entry, "value", list, where), f"{where}.value")
-    count = _get(entry, "count", int, where)
-    if count < 1:
-        _fail(f"{where}: count must be positive")
-    return mean, count
-
-
-def _edge_out(edge: EdgeStep) -> dict:
-    return {"matrix": edge.l + 1, "row": edge.i + 1, "col": edge.j + 1, "invert": edge.invert}
-
-
-def _edge_in(value: Any, where: str) -> EdgeStep:
-    l, i, j = _at_in(value, where)
-    return EdgeStep(l, i, j, _get(value, "invert", bool, where))
-
-
-def _paths_out(paths) -> dict:
-    row_path, col_path = paths
-    return {
-        "row": [_edge_out(e) for e in row_path],
-        "col": [_edge_out(e) for e in col_path],
-    }
-
-
-def _paths_in(value: Any, where: str):
-    row = _get(value, "row", list, where)
-    col = _get(value, "col", list, where)
-    return (
-        tuple(_edge_in(e, f"{where}.row[{k}]") for k, e in enumerate(row)),
-        tuple(_edge_in(e, f"{where}.col[{k}]") for k, e in enumerate(col)),
-    )
-
-
-def _step_out(step: RefinementStep) -> dict:
-    out = {
-        "functional": step.functional,
-        "at": _at_out(step.at),
-        "touch": _touch_out(step.touch),
-        "groups_a": _groups_out(step.groups_a),
-        "groups_b": _groups_out(step.groups_b),
-    }
-    if step.pr_paths is not None:
-        out["pr_paths"] = _paths_out(step.pr_paths)
+def _write(table: _Table, obj: Any) -> dict:
+    out = {}
+    for (key, kind, presence), value in zip(table.rows, table.get(obj)):
+        if value is not None:
+            out[key] = kind.encode(value)
+        elif presence is not _OPTIONAL:
+            out[key] = None
     return out
 
 
-def _step_in(value: Any, k: int) -> RefinementStep:
-    """Certificate step ``k``.  Fields are read under names relative to the
-    step, and the step's own name is put in front only of an error."""
+def _as_is(value: Any, where: str, key: str) -> Any:
+    return value
+
+
+def _path(decode: Callable[[Any, str], Any]) -> Callable[[Any, str, str], Any]:
+    """The field decoder of a nested value, whose faults are named by its path."""
+    return lambda value, where, key: decode(value, f"{where}.{key}")
+
+
+def _enum(*values: str) -> _Kind:
+    def decode(value, where, key):
+        if value not in values:
+            _bad(where, key, f"has an unknown value {value!r}")
+        return value
+
+    return _Kind((str,), decode, _same)
+
+
+def _at_least(low: int, shift: int = 0) -> _Kind:
+    """An integer of at least ``low``, held in memory less ``shift``."""
+
+    def decode(value, where, key):
+        if value < low:
+            _bad(where, key, f"must be at least {low}")
+        return value - shift
+
+    return _Kind((int,), decode, (lambda value: value + shift) if shift else _same)
+
+
+def _finite(value: int | float, where: str, key: str) -> float:
     try:
-        paths = None
-        if isinstance(value, dict) and value.get("pr_paths") is not None:
-            paths = _paths_in(value["pr_paths"], ".pr_paths")
-        return RefinementStep(
-            functional=_get(value, "functional", str, ""),
-            at=_at_in(_get(value, "at", dict, ""), ".at"),
-            touch=_touch_in(_get(value, "touch", dict, ""), ".touch"),
-            groups_a=_groups_in(_get(value, "groups_a", list, ""), ".groups_a"),
-            groups_b=_groups_in(_get(value, "groups_b", list, ""), ".groups_b"),
-            pr_paths=paths,
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        _bad(where, key, "must be a finite number")
+    return x
+
+
+def _mats_in(value: list, where: str, key: str) -> tuple[np.ndarray, ...]:
+    if not value:
+        _fail(f"{where}: empty collection")
+    return tuple(_as_mat(m, f"{where} {key}[{k + 1}]") for k, m in enumerate(value))
+
+
+def _sizes_in(value: list, path: str) -> tuple[int, ...]:
+    if not all(_is_int(s) and s >= 1 for s in value):
+        _fail(f"{path}: expected a list of positive sizes")
+    return tuple(value)
+
+
+def _shape_in(value: list, where: str, key: str) -> tuple[int, int]:
+    if len(value) != 2 or not all(_is_int(x) and x >= 1 for x in value):
+        _fail(f"{where}: bad shape")
+    return (value[0], value[1])
+
+
+def _components_in(value: list, path: str) -> tuple:
+    comps = []
+    for k, comp in enumerate(value):
+        if not isinstance(comp, list):
+            _fail(f"{path}[{k}]: expected a list")
+        comps.append(tuple(_read(_TOUCH, v, f"{path}[{k}][{t}]") for t, v in enumerate(comp)))
+    return tuple(comps)
+
+
+def _nested(table: _Table) -> _Kind:
+    return _Kind((dict,), _path(partial(_read, table)), partial(_write, table))
+
+
+def _list(table: _Table, fast=None, encode=None) -> _Kind:
+    """A list of ``table`` objects.  Leaf lists, which can be long, give a
+    comprehension ``encode`` and a ``fast`` decoder of a well-formed entry,
+    which returns None for the walker to read the entry and name its fault."""
+
+    def decode(value, path):
+        return tuple(
+            [
+                fast and type(x) is dict and fast(x) or _read(table, x, f"{path}[{k}]")
+                for k, x in enumerate(value)
+            ]
         )
-    except FormatError as exc:
-        raise FormatError(f"certificate.steps[{k}]{exc}") from None
+
+    return _Kind((list,), _path(decode), encode or (lambda items: [_write(table, x) for x in items]))
+
+
+def _leaf(keys: tuple[str, ...], value: Callable[[Any], Any]) -> Callable[[dict], tuple | None]:
+    """The fast decoder of a feature entry: its one-based ``keys`` and its
+    ``value``, which ``value`` decodes or declines with None."""
+
+    def fast(entry):
+        at, x = [entry.get(key) for key in keys], value(entry.get("value"))
+        if x is not None and list(map(type, at)).count(int) == len(at) and min(at) >= 1:
+            return (tuple([i - 1 for i in at]), x)
+        return None
+
+    return fast
+
+
+def _group_fast(entry: dict) -> tuple[complex, int] | None:
+    mean, count = _cpx_in(entry.get("value")), entry.get("count")
+    return (mean, count) if mean is not None and type(count) is int and count >= 1 else None
+
+
+def _finite_float(x: Any) -> float | None:
+    return x if type(x) is float and math.isfinite(x) else None
+
+
+def _fields(fields: dict) -> tuple:
+    """A value held as the tuple of its fields in row order."""
+    return tuple(fields.values())
+
+
+def _located(fields: dict) -> tuple:
+    """A feature entry: the tuple of its indices, then its value."""
+    return (_fields(fields)[:-1], fields["value"])
+
+
+_STRING, _BOOL = _Kind((str,), _as_is, _same), _Kind((bool,), _as_is, _same)
+_MODE = _enum("sus", "sueq")
+_COUNT, _POSITIVE, _INDEX = _at_least(0), _at_least(1), _at_least(1, 1)
+_REAL = _Kind((int, float), _finite, _real)
+_COMPLEX = _Kind((list,), _path(_as_cpx), _cpx)
+_MATRIX = _Kind((list,), _path(_as_mat), matrix_to_json)
+_MATRICES = _Kind((list,), _mats_in, lambda mats: [matrix_to_json(m) for m in mats])
+_SIZES = _Kind((list,), _path(_sizes_in), list)
+_SHAPE = _Kind((list,), _shape_in, list)
+_DECLARED = _Kind((object, bool), _as_is, _same)  # any value, checked against the matrices
+
+_AT = _table(_fields, ("matrix", _INDEX), ("row", _INDEX), ("col", _INDEX))
+_TOUCH = _table(_fields, ("axis", _enum("row", "col")), ("index", _INDEX))
+_EDGE = _table(
+    lambda fields: EdgeStep(*fields.values()), *_AT.rows, ("invert", _BOOL),
+    get=attrgetter("l", "i", "j", "invert"),
+)
+_PATHS = _table(_fields, ("row", _list(_EDGE)), ("col", _list(_EDGE)))
+_GROUPS = _list(
+    _table(_fields, ("value", _COMPLEX), ("count", _POSITIVE)),
+    _group_fast,
+    lambda groups: [{"value": _cpx(mean), "count": int(count)} for mean, count in groups],
+)
+_STEP = _record(
+    RefinementStep,
+    ("functional", _STRING), ("at", _nested(_AT)), ("touch", _nested(_TOUCH)),
+    ("groups_a", _GROUPS), ("groups_b", _GROUPS),
+    ("pr_paths", _nested(_PATHS), _OPTIONAL),
+)
+
+
+def _certificate(**fields) -> Certificate:
+    """A certificate holds both values of a pair or neither."""
+    for a, b in (("a_value", "b_value"), ("groups_a", "groups_b")):
+        if (a in fields) != (b in fields):
+            _fail(f"certificate: missing key {b if a in fields else a!r}")
+    return Certificate(**fields)
+
+
+_CERTIFICATE = _record(
+    _certificate,
+    ("mode", _MODE), ("kind", _enum("scalar", "eigenvalue")), ("target", _STRING),
+    ("at", _nested(_AT)), ("iterations", _COUNT), ("steps", _list(_STEP)),
+    ("a_value", _COMPLEX, _OPTIONAL), ("b_value", _COMPLEX, _OPTIONAL),
+    ("groups_a", _GROUPS, _OPTIONAL), ("groups_b", _GROUPS, _OPTIONAL),
+    ("pr_paths", _nested(_PATHS), _OPTIONAL),
+)
+# A certificate's faults are named from "certificate", also inside a result.
+_CERTIFICATE_KIND = _Kind(
+    (dict,), lambda value, where, key: _read(_CERTIFICATE, value, key), partial(_write, _CERTIFICATE)
+)
+_RESULT = _record(
+    SolveResult,
+    ("status", _enum(SOLVED, NOT_SIMILAR, FAILED)), ("mode", _MODE), ("iterations", _COUNT),
+    ("residual", _REAL, _NULLABLE), ("message", _STRING, _OPTIONAL),
+    ("u", _MATRIX, _NULLABLE), ("v", _MATRIX, _NULLABLE),
+    ("certificate", _CERTIFICATE_KIND, _NULLABLE),
+)
+
+
+def _instance(fields: dict) -> Instance:
+    """The instance, once its declared shape and count agree with the matrices."""
+    a_mats = fields["a"]
+    for key, actual in (("shape", list(a_mats[0].shape)), ("count", len(a_mats))):
+        declared = fields.get(key, actual)
+        if declared != actual or not all(map(_is_int, declared if key == "shape" else [declared])):
+            _fail(f"instance: declared {key} disagrees with the matrices")
+    return Instance(fields["mode"], a_mats, fields["b"], name=fields.get("name", ""))
+
+
+_INSTANCE = _table(
+    _instance,
+    ("mode", _MODE), ("name", _STRING, _OPTIONAL),
+    ("shape", _DECLARED, _OPTIONAL), ("count", _DECLARED, _OPTIONAL),
+    ("a", _MATRICES), ("b", _MATRICES),
+    get=lambda inst: (inst.mode, inst.name, list(inst.shape), inst.count, inst.a_mats, inst.b_mats),
+)
+_FEATURE_STEP = _record(
+    FeatureStep,
+    ("functional", _STRING), ("at", _nested(_AT)), ("touch", _nested(_TOUCH)),
+    ("rows_sizes", _SIZES), ("cols_sizes", _SIZES), ("groups", _GROUPS),
+)
+_ALPHAS = _list(
+    _table(_located, ("matrix", _INDEX), ("class", _INDEX), ("value", _COMPLEX)),
+    _leaf(("matrix", "class"), _cpx_in),
+    lambda alphas: [{"matrix": l + 1, "class": i + 1, "value": _cpx(v)} for (l, i), v in alphas],
+)
+_SCALES = _list(
+    _table(_located, *_AT.rows, ("value", _REAL)),
+    _leaf(("matrix", "row", "col"), _finite_float),
+    lambda scales: [
+        {"matrix": l + 1, "row": i + 1, "col": j + 1, "value": _real(v)} for (l, i, j), v in scales
+    ],
+)
+_BETAS = _list(
+    _table(_located, *_AT.rows, ("value", _COMPLEX)),
+    _leaf(("matrix", "row", "col"), _cpx_in),
+    lambda betas: [
+        {"matrix": l + 1, "row": i + 1, "col": j + 1, "value": _cpx(v)} for (l, i, j), v in betas
+    ],
+)
+_COMPONENTS = _Kind(
+    (list,),
+    _path(_components_in),
+    lambda comps: [[_write(_TOUCH, vertex) for vertex in comp] for comp in comps],
+)
+_FEATURES = _record(
+    CanonicalFeatures,
+    ("mode", _MODE), ("shape", _SHAPE), ("count", _POSITIVE), ("steps", _list(_FEATURE_STEP)),
+    ("rows_sizes", _SIZES), ("cols_sizes", _SIZES),
+    ("alphas", _ALPHAS), ("scales", _SCALES), ("betas", _BETAS), ("components", _COMPONENTS),
+)
+_WORD = _table(
+    None,
+    ("letters", _Kind((list,), None, lambda letters: [k + 1 for k in letters])),
+    ("text", _STRING), ("trace_a", _COMPLEX), ("trace_b", _COMPLEX),
+)
+_WITNESS = _table(
+    None,
+    ("kind", _STRING), ("seed", _COUNT), ("u", _MATRIX, _OPTIONAL), ("v", _MATRIX, _OPTIONAL),
+    ("planned_iterations", _COUNT, _OPTIONAL), ("word", _nested(_WORD), _OPTIONAL),
+)
+
+
+# -- documents ------------------------------------------------------------------
 
 
 def document_format(data: Any) -> str:
@@ -324,245 +500,49 @@ def document_format(data: Any) -> str:
 
 
 def instance_to_json(inst: Instance) -> dict:
-    m, n = inst.shape
-    return {
-        "format": INSTANCE_FORMAT,
-        "mode": inst.mode,
-        "name": inst.name,
-        "shape": [m, n],
-        "count": inst.count,
-        "a": [_mat(x) for x in inst.a_mats],
-        "b": [_mat(x) for x in inst.b_mats],
-    }
+    return {"format": INSTANCE_FORMAT, **_write(_INSTANCE, inst)}
 
 
 def instance_from_json(data: Any) -> Instance:
     if document_format(data) != INSTANCE_FORMAT:
         _fail("not an instance document")
-    mode = _get(data, "mode", str, "instance")
-    if mode not in ("sus", "sueq"):
-        _fail(f"instance: unknown mode {mode!r}")
-    a_raw = _get(data, "a", list, "instance")
-    b_raw = _get(data, "b", list, "instance")
-    if not a_raw or not b_raw:
-        _fail("instance: empty collection")
-    a_mats = tuple(_as_mat(m, f"instance a[{k + 1}]") for k, m in enumerate(a_raw))
-    b_mats = tuple(_as_mat(m, f"instance b[{k + 1}]") for k, m in enumerate(b_raw))
-    name = data.get("name", "")
-    if not isinstance(name, str):
-        _fail("instance: name must be a string")
-    shape = data.get("shape", list(a_mats[0].shape))
-    if not (isinstance(shape, list) and all(map(_is_int, shape))) or shape != list(a_mats[0].shape):
-        _fail("instance: declared shape disagrees with the matrices")
-    count = data.get("count", len(a_mats))
-    if not _is_int(count) or count != len(a_mats):
-        _fail("instance: declared count disagrees with the matrices")
-    return Instance(mode, a_mats, b_mats, name=name)
+    return _read(_INSTANCE, data, "instance")
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    out: dict = {
-        "mode": cert.mode,
-        "kind": cert.kind,
-        "target": cert.target,
-        "at": _at_out(cert.at),
-        "iterations": cert.iterations,
-        "steps": [_step_out(s) for s in cert.steps],
-    }
-    if cert.a_value is not None:
-        out["a_value"] = _cpx(cert.a_value)
-        out["b_value"] = _cpx(cert.b_value)
-    if cert.groups_a is not None:
-        out["groups_a"] = _groups_out(cert.groups_a)
-        out["groups_b"] = _groups_out(cert.groups_b)
-    if cert.pr_paths is not None:
-        out["pr_paths"] = _paths_out(cert.pr_paths)
-    return out
+    return _write(_CERTIFICATE, cert)
 
 
 def certificate_from_json(data: Any) -> Certificate:
-    mode = _get(data, "mode", str, "certificate")
-    kind = _get(data, "kind", str, "certificate")
-    if mode not in ("sus", "sueq") or kind not in ("scalar", "eigenvalue"):
-        _fail("certificate: unknown mode or kind")
-    steps = tuple(_step_in(s, k) for k, s in enumerate(_get(data, "steps", list, "certificate")))
-    a_value = b_value = None
-    if "a_value" in data:
-        a_value = _as_cpx(data["a_value"], "certificate.a_value")
-        b_value = _as_cpx(_get(data, "b_value", list, "certificate"), "certificate.b_value")
-    groups_a = groups_b = None
-    if "groups_a" in data:
-        groups_a = _groups_in(data["groups_a"], "certificate.groups_a")
-        groups_b = _groups_in(_get(data, "groups_b", list, "certificate"), "certificate.groups_b")
-    paths = None
-    if data.get("pr_paths") is not None:
-        paths = _paths_in(data["pr_paths"], "certificate.pr_paths")
-    return Certificate(
-        mode=mode,
-        kind=kind,
-        target=_get(data, "target", str, "certificate"),
-        at=_at_in(_get(data, "at", dict, "certificate"), "certificate.at"),
-        steps=steps,
-        iterations=_get(data, "iterations", int, "certificate"),
-        a_value=a_value,
-        b_value=b_value,
-        groups_a=groups_a,
-        groups_b=groups_b,
-        pr_paths=paths,
-    )
+    return _read(_CERTIFICATE, data, "certificate")
 
 
 def result_to_json(result: SolveResult) -> dict:
-    return {
-        "format": RESULT_FORMAT,
-        "status": result.status,
-        "mode": result.mode,
-        "iterations": result.iterations,
-        "residual": None if result.residual is None else _real(result.residual),
-        "message": result.message,
-        "u": None if result.u is None else _mat(result.u),
-        "v": None if result.v is None else _mat(result.v),
-        "certificate": None
-        if result.certificate is None
-        else certificate_to_json(result.certificate),
-    }
+    return {"format": RESULT_FORMAT, **_write(_RESULT, result)}
 
 
 def result_from_json(data: Any) -> SolveResult:
     if document_format(data) != RESULT_FORMAT:
         _fail("not a result document")
-    status = _get(data, "status", str, "result")
-    if status not in _STATUSES:
-        _fail(f"result: unknown status {status!r}")
-    mode = _get(data, "mode", str, "result")
-    if mode not in ("sus", "sueq"):
-        _fail(f"result: unknown mode {mode!r}")
-    residual = data.get("residual")
-    if residual is not None:
-        if isinstance(residual, bool) or not isinstance(residual, (int, float)):
-            _fail("result: residual must be a number or null")
-        residual = _finite(residual, "result: residual")
-    message = data.get("message", "")
-    if not isinstance(message, str):
-        _fail("result: message must be a string")
-    u = None if data.get("u") is None else _as_mat(data["u"], "result.u")
-    v = None if data.get("v") is None else _as_mat(data["v"], "result.v")
-    cert = None
-    if data.get("certificate") is not None:
-        cert = certificate_from_json(data["certificate"])
-    return SolveResult(
-        status=status,
-        mode=mode,
-        iterations=_get(data, "iterations", int, "result"),
-        u=u,
-        v=v,
-        certificate=cert,
-        residual=residual,
-        message=message,
-    )
-
-
-def _feature_step_out(step: FeatureStep) -> dict:
-    return {
-        "functional": step.functional,
-        "at": _at_out(step.at),
-        "touch": _touch_out(step.touch),
-        "rows_sizes": list(step.rows_sizes),
-        "cols_sizes": list(step.cols_sizes),
-        "groups": _groups_out(step.groups),
-    }
-
-
-def _feature_step_in(value: Any, where: str) -> FeatureStep:
-    return FeatureStep(
-        functional=_get(value, "functional", str, where),
-        at=_at_in(_get(value, "at", dict, where), f"{where}.at"),
-        touch=_touch_in(_get(value, "touch", dict, where), f"{where}.touch"),
-        rows_sizes=_sizes_in(_get(value, "rows_sizes", list, where), f"{where}.rows_sizes"),
-        cols_sizes=_sizes_in(_get(value, "cols_sizes", list, where), f"{where}.cols_sizes"),
-        groups=_groups_in(_get(value, "groups", list, where), f"{where}.groups"),
-    )
-
-
-def _sizes_in(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(_is_int(s) and s >= 1 for s in value):
-        _fail(f"{where}: expected a list of positive sizes")
-    return tuple(value)
+    return _read(_RESULT, data, "result")
 
 
 def features_to_json(features: CanonicalFeatures) -> dict:
-    return {
-        "format": FEATURES_FORMAT,
-        "mode": features.mode,
-        "shape": list(features.shape),
-        "count": features.count,
-        "steps": [_feature_step_out(s) for s in features.steps],
-        "rows_sizes": list(features.rows_sizes),
-        "cols_sizes": list(features.cols_sizes),
-        "alphas": [
-            {"matrix": l + 1, "class": i + 1, "value": _cpx(v)}
-            for (l, i), v in features.alphas
-        ],
-        "scales": [
-            {"matrix": l + 1, "row": i + 1, "col": j + 1, "value": _real(v)}
-            for (l, i, j), v in features.scales
-        ],
-        "betas": [
-            {"matrix": l + 1, "row": i + 1, "col": j + 1, "value": _cpx(v)}
-            for (l, i, j), v in features.betas
-        ],
-        "components": [
-            [_touch_out(vertex) for vertex in comp] for comp in features.components
-        ],
-    }
+    return {"format": FEATURES_FORMAT, **_write(_FEATURES, features)}
 
 
 def features_from_json(data: Any) -> CanonicalFeatures:
     if document_format(data) != FEATURES_FORMAT:
         _fail("not a features document")
-    mode = _get(data, "mode", str, "features")
-    if mode not in ("sus", "sueq"):
-        _fail(f"features: unknown mode {mode!r}")
-    shape = _get(data, "shape", list, "features")
-    if len(shape) != 2 or not all(_is_int(x) and x >= 1 for x in shape):
-        _fail("features: bad shape")
-    alphas = []
-    for k, entry in enumerate(_get(data, "alphas", list, "features")):
-        where = f"features.alphas[{k}]"
-        l = _get(entry, "matrix", int, where)
-        i = _get(entry, "class", int, where)
-        if min(l, i) < 1:
-            _fail(f"{where}: indices are one-based")
-        alphas.append(((l - 1, i - 1), _as_cpx(_get(entry, "value", list, where), where)))
-    scales = []
-    for k, entry in enumerate(_get(data, "scales", list, "features")):
-        where = f"features.scales[{k}]"
-        at = _at_in(entry, where)
-        scales.append((at, _get(entry, "value", float, where)))
-    betas = []
-    for k, entry in enumerate(_get(data, "betas", list, "features")):
-        where = f"features.betas[{k}]"
-        at = _at_in(entry, where)
-        betas.append((at, _as_cpx(_get(entry, "value", list, where), where)))
-    components = []
-    for k, comp in enumerate(_get(data, "components", list, "features")):
-        if not isinstance(comp, list):
-            _fail(f"features.components[{k}]: expected a list")
-        components.append(
-            tuple(_touch_in(v, f"features.components[{k}][{t}]") for t, v in enumerate(comp))
-        )
-    return CanonicalFeatures(
-        mode=mode,
-        shape=(shape[0], shape[1]),
-        count=_get(data, "count", int, "features"),
-        steps=tuple(
-            _feature_step_in(s, f"features.steps[{k}]")
-            for k, s in enumerate(_get(data, "steps", list, "features"))
-        ),
-        rows_sizes=_sizes_in(_get(data, "rows_sizes", list, "features"), "features.rows_sizes"),
-        cols_sizes=_sizes_in(_get(data, "cols_sizes", list, "features"), "features.cols_sizes"),
-        alphas=tuple(alphas),
-        scales=tuple(scales),
-        betas=tuple(betas),
-        components=tuple(components),
-    )
+    return _read(_FEATURES, data, "features")
+
+
+def witness_to_json(meta: dict) -> dict:
+    """The ``susim-witness/1`` document of a generated instance, from the
+    metadata that ``instances.generate`` returns with it."""
+    word = meta.get("certifying_word")
+    if word is not None:
+        word = (word.letters, meta["word_text"], word.trace_a, word.trace_b)
+    optional = [meta.get(key) for key in ("witness_u", "witness_v", "planned_iterations")]
+    values = (meta["kind"], meta["seed"], *optional, word)
+    return {"format": "susim-witness/1", **_write(_WITNESS, values)}

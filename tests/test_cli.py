@@ -346,7 +346,7 @@ class TestUnusableInput:
         res.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", inst, str(res)]) == 64
-        assert "result: residual must be a finite number" in capsys.readouterr().err
+        assert "result: key 'residual' must be a finite number" in capsys.readouterr().err
 
     def test_boolean_residual(self, tmp_path, capsys):
         inst = planted_file(tmp_path)
@@ -357,7 +357,7 @@ class TestUnusableInput:
         res.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", inst, str(res)]) == 64
-        assert "result: residual must be a number or null" in capsys.readouterr().err
+        assert "result: key 'residual' has the wrong type" in capsys.readouterr().err
 
     def test_non_finite_scale(self, tmp_path, capsys):
         inst = planted_file(tmp_path)
@@ -371,6 +371,39 @@ class TestUnusableInput:
         capsys.readouterr()
         assert main(["diff", str(feats), str(bad)]) == 64
         assert "features.scales[0]: key 'value' must be a finite number" in capsys.readouterr().err
+
+    def test_negative_iterations(self, tmp_path, capsys):
+        inst = planted_file(tmp_path)
+        res = tmp_path / "r.json"
+        assert main(["solve", inst, "--out", str(res)]) == 0
+        res.write_text(json.dumps(dict(json.loads(res.read_text()), iterations=-3)))
+        capsys.readouterr()
+        assert main(["verify", inst, str(res)]) == 64
+        assert "result: key 'iterations' must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_feature_count_below_one(self, tmp_path, capsys, count):
+        inst = planted_file(tmp_path)
+        feats = tmp_path / "f.json"
+        assert main(["canon", inst, "--out", str(feats)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(feats.read_text()), count=count)))
+        capsys.readouterr()
+        assert main(["diff", str(feats), str(bad)]) == 64
+        assert "features: key 'count' must be at least 1" in capsys.readouterr().err
+
+    def test_certificate_value_without_its_pair(self, tmp_path, capsys):
+        # A = I, B = 2I: a scalar certificate, whose B value alone used to load
+        # and then fail the replay.
+        inst = write_instance(tmp_path / "i.json", Instance("sus", [np.eye(2)], [2 * np.eye(2)]))
+        res = tmp_path / "r.json"
+        assert main(["solve", inst, "--out", str(res)]) == 1
+        doc = json.loads(res.read_text())
+        del doc["certificate"]["a_value"]
+        res.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", inst, str(res)]) == 64
+        assert "certificate: missing key 'a_value'" in capsys.readouterr().err
 
     def test_integer_beyond_64_bits_is_not_a_count(self, tmp_path, capsys):
         # JSON numbers reach the document readers as Python numbers, and an

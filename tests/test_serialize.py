@@ -1,6 +1,8 @@
 """Round trips and validation for the JSON document formats."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 from susim.canonical import compare_features, extract_features
 from susim.certcheck import check_certificate
 from susim.cli import main
-from susim.errors import FormatError
-from susim.instances import planted_equivalent, planted_similar
-from susim.model import Instance, NOT_SIMILAR, SOLVED
+from susim.errors import FormatError, SusimError
+from susim.graph import EdgeStep
+from susim.instances import GenConfig, generate, planted_equivalent, planted_similar
+from susim.model import Certificate, Instance, NOT_SIMILAR, SOLVED, SolveResult
+from susim.refine import RefinementStep
 from susim.serialize import (
     FEATURES_FORMAT,
     INSTANCE_FORMAT,
@@ -25,8 +29,10 @@ from susim.serialize import (
     matrix_to_json,
     result_from_json,
     result_to_json,
+    witness_to_json,
 )
 from susim.solver import solve, solve_sus
+from test_golden import CONFIGS
 
 
 def roundtrip(data):
@@ -236,7 +242,10 @@ class TestScalarCodec:
         doc["certificate"]["a_value"] = scalar
         with pytest.raises(FormatError) as info:
             result_from_json(doc)
-        assert str(info.value) == "certificate.a_value: expected a [re, im] pair"
+        if isinstance(scalar, list):
+            assert str(info.value) == "certificate.a_value: expected a [re, im] pair"
+        else:
+            assert str(info.value) == "certificate: key 'a_value' has the wrong type"
 
     @pytest.mark.parametrize("scalar", BAD_SCALARS.values(), ids=BAD_SCALARS)
     @pytest.mark.parametrize("where", ["certificate", "certificate.steps[0]"])
@@ -356,7 +365,7 @@ class TestResultDocuments:
         doc["residual"] = value
         with pytest.raises(FormatError) as info:
             result_from_json(doc)
-        assert str(info.value) == "result: residual must be a finite number"
+        assert str(info.value) == "result: key 'residual' must be a finite number"
 
     def test_boolean_residual(self):
         inst, _ = planted_similar(4, 2, np.random.default_rng(8))
@@ -364,7 +373,7 @@ class TestResultDocuments:
         doc["residual"] = True
         with pytest.raises(FormatError) as info:
             result_from_json(doc)
-        assert str(info.value) == "result: residual must be a number or null"
+        assert str(info.value) == "result: key 'residual' has the wrong type"
 
 
 class TestFeatureDocuments:
@@ -410,6 +419,212 @@ class TestFeatureDocuments:
         with pytest.raises(FormatError) as info:
             features_from_json(doc)
         assert str(info.value) == "features.scales[1]: key 'value' must be a finite number"
+
+
+class TestIntegerRanges:
+    """Iteration counts are at least 0 and a feature count at least 1."""
+
+    @pytest.mark.parametrize("holder", ["result", "certificate"])
+    def test_negative_iterations(self, holder):
+        doc = result_to_json(solve(pr_beta_instance()))
+        (doc if holder == "result" else doc["certificate"])["iterations"] = -3
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == f"{holder}: key 'iterations' must be at least 0"
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_feature_count_below_one(self, count):
+        doc = features_to_json(extract_features(pr_beta_instance().a_mats))
+        doc["count"] = count
+        with pytest.raises(FormatError) as info:
+            features_from_json(doc)
+        assert str(info.value) == "features: key 'count' must be at least 1"
+
+
+class TestPairedValues:
+    """A certificate holds both values of a pair or neither, and a null
+    ``pr_paths`` is refused like any other optional field's null."""
+
+    @pytest.mark.parametrize(
+        "drop, missing",
+        [("a_value", "a_value"), ("b_value", "b_value")],
+    )
+    def test_scalar_pair(self, drop, missing):
+        doc = result_to_json(solve(pr_beta_instance()))
+        del doc["certificate"][drop]
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == f"certificate: missing key {missing!r}"
+
+    @pytest.mark.parametrize("drop", ["groups_a", "groups_b"])
+    def test_group_pair(self, drop):
+        doc = eigenvalue_result_document()
+        del doc["certificate"][drop]
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == f"certificate: missing key {drop!r}"
+
+    @pytest.mark.parametrize("where", ["certificate", "certificate.steps[0]"])
+    def test_null_pr_paths(self, where):
+        doc = result_to_json(solve(pr_beta_instance()))
+        cert = doc["certificate"]
+        (cert if where == "certificate" else cert["steps"][0])["pr_paths"] = None
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == f"{where}: key 'pr_paths' has the wrong type"
+
+
+def key_sequences(doc, path="$", out=None) -> dict:
+    """The key sequences of every object in ``doc``, by its path with the
+    list indices left out."""
+    out = {} if out is None else out
+    if isinstance(doc, dict):
+        out.setdefault(path, set()).add(tuple(doc))
+        for key, value in doc.items():
+            key_sequences(value, f"{path}.{key}", out)
+    elif isinstance(doc, list):
+        for item in doc:
+            key_sequences(item, f"{path}[]", out)
+    return out
+
+
+AT = ("matrix", "row", "col")
+TOUCH = ("axis", "index")
+EDGE = (*AT, "invert")
+GROUP = ("value", "count")
+STEP = ("functional", "at", "touch", "groups_a", "groups_b")
+RESULT = ("format", "status", "mode", "iterations", "residual", "message", "u", "v", "certificate")
+CERTIFICATE = ("mode", "kind", "target", "at", "iterations", "steps")
+
+
+def hand_certificate() -> Certificate:
+    """A certificate holding every optional field: scalar values, groups,
+    and path descriptors at the certificate and at one of its steps."""
+    edge = EdgeStep(0, 0, 1, False)
+    step = RefinementStep("hermitian", (0, 0, 0), ("row", 0), ((1j, 1),), ((1j, 1),))
+    return Certificate(
+        "sus", "scalar", "pr_beta", (1, 0, 1), (replace(step, pr_paths=((edge,), (edge,))), step),
+        2, a_value=1j, b_value=2j, groups_a=((1j, 2),), groups_b=((2j, 2),),
+        pr_paths=((edge, replace(edge, invert=True)), ()),
+    )
+
+
+class TestKeyOrder:
+    """The emitted documents keep their key order, object by object."""
+
+    def test_result_documents(self):
+        inst, _ = planted_equivalent(3, 4, 2, np.random.default_rng(9))
+        solved = key_sequences(result_to_json(solve(inst)))
+        assert solved == {"$": {RESULT}}
+        cert = hand_certificate()
+        res = SolveResult(NOT_SIMILAR, "sus", 2, certificate=cert)
+        assert key_sequences(result_to_json(res)) == {
+            "$": {RESULT},
+            "$.certificate": {
+                (*CERTIFICATE, "a_value", "b_value", "groups_a", "groups_b", "pr_paths")
+            },
+            "$.certificate.at": {AT},
+            "$.certificate.steps[]": {STEP, (*STEP, "pr_paths")},
+            "$.certificate.steps[].at": {AT},
+            "$.certificate.steps[].touch": {TOUCH},
+            "$.certificate.steps[].groups_a[]": {GROUP},
+            "$.certificate.steps[].groups_b[]": {GROUP},
+            "$.certificate.steps[].pr_paths": {("row", "col")},
+            "$.certificate.steps[].pr_paths.row[]": {EDGE},
+            "$.certificate.steps[].pr_paths.col[]": {EDGE},
+            "$.certificate.groups_a[]": {GROUP},
+            "$.certificate.groups_b[]": {GROUP},
+            "$.certificate.pr_paths": {("row", "col")},
+            "$.certificate.pr_paths.row[]": {EDGE},
+        }
+
+    def test_instance_and_features_documents(self):
+        inst = pr_beta_instance()
+        assert key_sequences(instance_to_json(inst)) == {
+            "$": {("format", "mode", "name", "shape", "count", "a", "b")}
+        }
+        assert key_sequences(features_to_json(extract_features(inst.a_mats))) == {
+            "$": {
+                (
+                    "format", "mode", "shape", "count", "steps", "rows_sizes", "cols_sizes",
+                    "alphas", "scales", "betas", "components",
+                )
+            },
+            "$.steps[]": {("functional", "at", "touch", "rows_sizes", "cols_sizes", "groups")},
+            "$.steps[].at": {AT},
+            "$.steps[].touch": {TOUCH},
+            "$.steps[].groups[]": {GROUP},
+            "$.alphas[]": {("matrix", "class", "value")},
+            "$.scales[]": {(*AT, "value")},
+            "$.betas[]": {(*AT, "value")},
+            "$.components[][]": {TOUCH},
+        }
+
+    @pytest.mark.parametrize(
+        "config, keys",
+        [
+            (dict(kind="planted_equivalent", m=4, n=3), ("u", "v")),
+            (dict(kind="deep_split", n=8, depth=2), ("u", "planned_iterations")),
+            (dict(kind="pairwise", n=4), ("word",)),
+        ],
+        ids=["planted_equivalent", "deep_split", "pairwise"],
+    )
+    def test_witness_documents(self, config, keys):
+        _, meta = generate(GenConfig(seed=1, **config))
+        sequences = key_sequences(witness_to_json(meta))
+        word = {"$.word": {("letters", "text", "trace_a", "trace_b")}} if "word" in keys else {}
+        assert sequences == {"$": {("format", "kind", "seed", *keys)}, **word}
+
+
+MUTATIONS = (None, 0, True, "x", 1.5, [], {}, 10**400, math.nan, "drop")
+
+
+def mutate(doc, rng) -> None:
+    """Mutate one slot of ``doc`` in place: drop the key or entry, or set it to
+    null, to 0 (an index below one) or to a value of another type.  The slot
+    is found by a random walk, so that short fields are hit as often as the
+    entries of a matrix."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = keys[rng.integers(len(keys))]
+        if not (isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.6):
+            break
+        node = node[key]
+    mutation = MUTATIONS[rng.integers(len(MUTATIONS))]
+    if mutation == "drop":
+        del node[key]
+    else:
+        node[key] = mutation
+
+
+class TestMutations:
+    """A mutated document is refused with a SusimError, or it decodes to an
+    object that re-encodes and decodes to an equal one."""
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c["kind"] for c in CONFIGS])
+    def test_mutated_documents(self, config):
+        inst, _ = generate(GenConfig(seed=0, **config))
+        features = extract_features(inst.a_mats, mode=inst.mode)
+        codecs = [
+            (instance_to_json(inst), instance_to_json, instance_from_json),
+            (result_to_json(solve(inst)), result_to_json, result_from_json),
+            (features_to_json(features), features_to_json, features_from_json),
+        ]
+        rng = np.random.default_rng(17)
+        refused = 0
+        for good, to_json, from_json in codecs:
+            for _ in range(60):
+                doc = json.loads(json.dumps(good))
+                mutate(doc, rng)
+                try:
+                    obj = from_json(doc)
+                except SusimError:
+                    refused += 1
+                    continue
+                again = from_json(json.loads(json.dumps(to_json(obj))))
+                assert to_json(again) == to_json(obj)
+        assert 0 < refused < 180
 
 
 class TestDocumentFormat:
