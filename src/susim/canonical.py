@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, SpecInvalid
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix
-from .solver import _refinements
+from .solver import _Solution, _refinements
 
 __all__ = ["FeatureStep", "CanonicalFeatures", "extract_features", "compare_features"]
 
@@ -84,7 +84,7 @@ def extract_features(
             break
         s = out.step
         steps.append(FeatureStep(s.functional, s.at, s.touch, rows.sizes, cols.sizes, s.groups_a))
-    if end.status != "solution":
+    if not isinstance(end, _Solution):
         raise InternalInconsistency("a self-paired run cannot mismatch")
     return CanonicalFeatures(
         mode=mode,
@@ -93,9 +93,9 @@ def extract_features(
         steps=tuple(steps),
         rows_sizes=end.rows.sizes,
         cols_sizes=end.cols.sizes,
-        alphas=tuple(sorted(end.pre.diag_alphas.items())),
-        scales=tuple(sorted(end.pre.cell_scales_a.items())),
-        betas=tuple(sorted(end.pr.betas.items())),
+        alphas=tuple(sorted(end.form.diag_alphas.items())),
+        scales=tuple(sorted(end.form.cell_scales_a.items())),
+        betas=tuple(sorted(end.betas.items())),
         components=tuple(end.paths.components),
     )
 

@@ -22,15 +22,18 @@ per component, to the ratio of the two path products.
 :func:`check_pr` then conjugates every edge cell back to the representative
 space, all cells of one matrix at once.  In a solvable instance every such
 matrix must be a scalar multiple of the identity with the same scalar on
-both sides; a non-scalar one drives the next refinement and a scalar
-disagreement is a disproof.  When the B side is the A-side collection itself,
+both sides, and the check returns these holonomy scalars by edge; otherwise
+it returns the first failing edge, a non-scalar one as the
+:class:`~susim.structure.Violation` that drives the next refinement and a
+scalar disagreement as the :class:`~susim.structure.ScalarMismatch` that
+disproves the instance.  When the B side is the A-side collection itself,
 its path products and holonomies are the A side's, computed once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +42,7 @@ from .errors import InternalInconsistency
 from .linalg import Matrix, Tolerances, adjoint
 from .structure import PR_NORMAL, ScalarMismatch, Violation
 
-__all__ = [
-    "Vertex", "EdgeStep", "PathData", "PrReport", "vertex_key", "endpoints", "build_paths", "check_pr"
-]
+__all__ = ["Vertex", "EdgeStep", "PathData", "vertex_key", "endpoints", "build_paths", "check_pr"]
 
 Vertex = tuple[str, int]
 
@@ -92,16 +93,6 @@ class PathData:
         """Edge steps from the row and the column endpoint of cell (i, j)."""
         row_end, col_end = endpoints(mode, i, j)
         return self.steps_to[row_end], self.steps_to[col_end]
-
-
-@dataclass(frozen=True)
-class PrReport:
-    """Outcome of conjugating every edge cell to its representative space."""
-
-    status: str
-    violation: Violation | None = None
-    mismatch: ScalarMismatch | None = None
-    betas: dict[tuple[int, int, int], complex] = field(default_factory=dict)
 
 
 def build_paths(
@@ -210,21 +201,22 @@ def check_pr(
     scales_a: dict[tuple[int, int, int], float],
     paths: PathData,
     tol: Tolerances,
-) -> PrReport:
+) -> dict[tuple[int, int, int], complex] | Violation | ScalarMismatch:
     """Test every edge cell conjugated to its representative space.
 
     Each cell must become a scalar multiple of the identity with matching
     scalars on both sides.  Every matrix is transported once per side, the
     row classes by their path products and the column classes by their
     inverses, so that cell ``(i, j)`` of the result is the holonomy of edge
-    ``(l, i, j)``; all edge cells are then tested together.  The first
-    failing cell in scan order is either a refinement driver (non-scalar, a
-    normal matrix on the representative space, carried with its B-side
-    partner) or a scalar disproof; both carry the edge steps of the cell's
-    two path products.
+    ``(l, i, j)``; all edge cells are then tested together.  Returns the
+    A-side holonomy scalar of every edge when all pass.  Otherwise the first
+    failing cell in scan order is returned, either a refinement driver
+    (non-scalar, a normal matrix on the representative space, carried with
+    its B-side partner) or a scalar disproof; both carry the edge steps of
+    the cell's two path products.
     """
     if not scales_a:
-        return PrReport("ok")
+        return {}
     row_vs = [("row", i) for i in range(rows.count)]
     col_vs = row_vs if mode == "sus" else [("col", j) for j in range(cols.count)]
     edges = list(scales_a)
@@ -252,7 +244,7 @@ def check_pr(
     close = np.abs(beta_a - beta_b) <= tol.cmp * np.maximum(np.abs(beta_a), np.abs(beta_b))
     failing = ~(scalar & close)
     if not failing.any():
-        return PrReport("ok", betas=dict(zip(edges, beta_a.tolist())))
+        return dict(zip(edges, beta_a.tolist()))
     k = int(np.argmax(failing))
     l, i, j = edges[k]
     pr_paths = paths.cell_paths(mode, i, j)
@@ -260,7 +252,6 @@ def check_pr(
         # Copies: a view would keep both stacked arrays alive with the violation.
         pr_a = submatrix(x_a[l], rows, i, cols, j).copy()
         pr_b = pr_a if x_b is x_a else submatrix(x_b[l], rows, i, cols, j).copy()
-        v = Violation(PR_NORMAL, (l, i, j), paths.rep_of[("row", i)], pr_a, pr_b, pr_paths=pr_paths)
-        return PrReport("violation", violation=v)
-    mm = ScalarMismatch("pr_beta", (l, i, j), complex(beta_a[k]), complex(beta_b[k]), pr_paths)
-    return PrReport("mismatch", mismatch=mm)
+        touch = paths.rep_of[("row", i)]
+        return Violation(PR_NORMAL, (l, i, j), touch, pr_a, pr_b, pr_paths=pr_paths)
+    return ScalarMismatch("pr_beta", (l, i, j), complex(beta_a[k]), complex(beta_b[k]), pr_paths)

@@ -39,6 +39,7 @@ from .errors import FormatError
 from .graph import EdgeStep
 from .model import FAILED, NOT_SIMILAR, SOLVED, Certificate, Instance, SolveResult
 from .refine import RefinementStep
+from .structure import GRAM_LEFT, GRAM_RIGHT, HERM_IMAG, HERM_REAL, PR_NORMAL
 
 __all__ = [
     "INSTANCE_FORMAT",
@@ -49,8 +50,6 @@ __all__ = [
     "instance_from_json",
     "result_to_json",
     "result_from_json",
-    "certificate_to_json",
-    "certificate_from_json",
     "features_to_json",
     "features_from_json",
     "witness_to_json",
@@ -385,25 +384,39 @@ _GROUPS = _list(
     _group_fast,
     lambda groups: [{"value": _cpx(mean), "count": int(count)} for mean, count in groups],
 )
+_FUNCTIONAL_NAMES = (HERM_REAL, HERM_IMAG, GRAM_LEFT, GRAM_RIGHT, PR_NORMAL)
 _STEP = _record(
     RefinementStep,
-    ("functional", _STRING), ("at", _nested(_AT)), ("touch", _nested(_TOUCH)),
+    ("functional", _enum(*_FUNCTIONAL_NAMES)), ("at", _nested(_AT)), ("touch", _nested(_TOUCH)),
     ("groups_a", _GROUPS), ("groups_b", _GROUPS),
     ("pr_paths", _nested(_PATHS), _OPTIONAL),
 )
 
 
+# The targets a certificate of each kind may name, and the values it carries.
+_CERTIFICATE_KINDS = {
+    "scalar": (("diag_alpha", "pr_beta"), ("a_value", "b_value")),
+    "eigenvalue": (_FUNCTIONAL_NAMES, ("groups_a", "groups_b")),
+}
+
+
 def _certificate(**fields) -> Certificate:
-    """A certificate holds both values of a pair or neither."""
-    for a, b in (("a_value", "b_value"), ("groups_a", "groups_b")):
-        if (a in fields) != (b in fields):
-            _fail(f"certificate: missing key {b if a in fields else a!r}")
+    """A certificate names a target of its kind and carries that kind's values only."""
+    kind, target = fields["kind"], fields["target"]
+    targets, values = _CERTIFICATE_KINDS[kind]
+    if target not in targets:
+        _bad("certificate", "target", f"has an unknown value {target!r} for kind {kind!r}")
+    for key in ("a_value", "b_value", "groups_a", "groups_b"):
+        if key in values and key not in fields:
+            _fail(f"certificate: missing key {key!r}")
+        if key in fields and key not in values:
+            _bad("certificate", key, f"does not belong to kind {kind!r}")
     return Certificate(**fields)
 
 
 _CERTIFICATE = _record(
     _certificate,
-    ("mode", _MODE), ("kind", _enum("scalar", "eigenvalue")), ("target", _STRING),
+    ("mode", _MODE), ("kind", _enum(*_CERTIFICATE_KINDS)), ("target", _STRING),
     ("at", _nested(_AT)), ("iterations", _COUNT), ("steps", _list(_STEP)),
     ("a_value", _COMPLEX, _OPTIONAL), ("b_value", _COMPLEX, _OPTIONAL),
     ("groups_a", _GROUPS, _OPTIONAL), ("groups_b", _GROUPS, _OPTIONAL),
@@ -507,14 +520,6 @@ def instance_from_json(data: Any) -> Instance:
     if document_format(data) != INSTANCE_FORMAT:
         _fail("not an instance document")
     return _read(_INSTANCE, data, "instance")
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    return _write(_CERTIFICATE, cert)
-
-
-def certificate_from_json(data: Any) -> Certificate:
-    return _read(_CERTIFICATE, data, "certificate")
 
 
 def result_to_json(result: SolveResult) -> dict:

@@ -1,10 +1,12 @@
 """Decision procedures for simultaneous unitary similarity and equivalence.
 
-The solver alternates a structural scan with refinements.  Each pass either
-finds the collections in the expected block form (and then checks the
-holonomy of every edge cell), or finds the first deviation and resolves it:
-a forced scalar or spectral disagreement ends the run with a certificate,
-anything else conjugates both sides and strictly refines the partition.
+The solver alternates a structural scan with refinements.  Each stage
+returns what it found.  The scan returns the solution form, in which the
+holonomy of every edge cell is then checked, or its first deviation; a
+forced scalar (:class:`~susim.structure.ScalarMismatch`) or spectral
+(:class:`~susim.refine.RefinementStep`) disagreement ends the run with a
+certificate, and any other deviation conjugates both sides and strictly
+refines the partition.
 Since a partition of ``n`` indices refines at most ``n - 1`` times, the
 loop runs at most ``n`` passes in similarity mode and ``m + n`` passes in
 equivalence mode.
@@ -23,11 +25,11 @@ import numpy as np
 
 from .blocking import Partition, apply_blocks
 from .errors import InternalInconsistency, SusimError
-from .graph import PathData, PrReport, build_paths, check_pr
+from .graph import PathData, build_paths, check_pr
 from .linalg import DEFAULT_TOLERANCES, Matrix, Tolerances, adjoint, as_matrix, fro
 from .model import FAILED, NOT_SIMILAR, SOLVED, Certificate, Instance, SolveResult
 from .refine import RefinementStep, RefineOutcome, apply_refinement
-from .structure import PreSolutionReport, ScalarMismatch, check_presolution
+from .structure import ScalarMismatch, SolutionForm, check_presolution
 
 __all__ = ["solve", "solve_sus", "solve_sueq", "witness_residual"]
 
@@ -74,32 +76,29 @@ def _assemble_solution(
 
 
 @dataclass(frozen=True)
-class _Ending:
-    """How a run of the decision loop ended.
+class _Solution:
+    """The final form of a run: its partitions, the passing scan, the path
+    data and the holonomy scalar of every edge."""
 
-    ``status`` is ``"scalar"`` (``mismatch`` set), ``"eigenvalue"`` (``step``
-    is the refinement whose spectra disagree) or ``"solution"`` (the final
-    form, with the scan report, path data and holonomy report).
-    """
-
-    status: str
     rows: Partition
     cols: Partition
-    pre: PreSolutionReport
-    paths: PathData | None = None
-    pr: PrReport | None = None
-    mismatch: ScalarMismatch | None = None
-    step: RefinementStep | None = None
+    form: SolutionForm
+    paths: PathData
+    betas: dict[tuple[int, int, int], complex]
 
 
 def _refinements(
     mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances
-) -> Generator[tuple[RefineOutcome, Partition, Partition], None, _Ending]:
+) -> Generator[
+    tuple[RefineOutcome, Partition, Partition], None, _Solution | ScalarMismatch | RefinementStep
+]:
     """The decision loop: scan, path products, holonomy check, refine.
 
     Yields every successful :class:`~susim.refine.RefineOutcome` together with
-    the row and column partitions it refined, and returns the
-    :class:`_Ending`.  Each pass either ends the run or strictly refines a
+    the row and column partitions it refined, and returns how the run
+    ended: the :class:`_Solution`, the :class:`~susim.structure.ScalarMismatch`
+    that disproves the instance, or the refinement step whose spectra
+    disagree.  Each pass either ends the run or strictly refines a
     partition, so the loop runs at most ``n`` passes (similarity) or
     ``m + n`` passes (equivalence).  Passing one list as both sides, as
     feature extraction does, makes every stage compute that side once; the
@@ -111,21 +110,19 @@ def _refinements(
     rows = Partition.whole(m)
     cols = rows if mode == "sus" else Partition.whole(n)
     for _ in range(n + 1 if mode == "sus" else m + n + 1):
-        pre = check_presolution(a_mats, b_mats, rows, cols, mode, tol)
-        if pre.status == "mismatch":
-            return _Ending("scalar", rows, cols, pre, mismatch=pre.mismatch)
-        violation = pre.violation
-        if pre.status == "ok":
-            paths = build_paths(a_mats, b_mats, rows, cols, mode, pre.cell_scales_a, pre.cell_scales_b)
-            pr = check_pr(a_mats, b_mats, rows, cols, mode, pre.cell_scales_a, paths, tol)
-            if pr.status == "mismatch":
-                return _Ending("scalar", rows, cols, pre, mismatch=pr.mismatch)
-            if pr.status == "ok":
-                return _Ending("solution", rows, cols, pre, paths, pr)
-            violation = pr.violation
-        out = apply_refinement(a_mats, b_mats, rows, cols, mode, violation, tol)
+        found = check_presolution(a_mats, b_mats, rows, cols, mode, tol)
+        if isinstance(found, SolutionForm):
+            scales_a, scales_b = found.cell_scales_a, found.cell_scales_b
+            paths = build_paths(a_mats, b_mats, rows, cols, mode, scales_a, scales_b)
+            holonomy = check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol)
+            if isinstance(holonomy, dict):
+                return _Solution(rows, cols, found, paths, holonomy)
+            found = holonomy
+        if isinstance(found, ScalarMismatch):
+            return found
+        out = apply_refinement(a_mats, b_mats, rows, cols, mode, found, tol)
         if out.status == "mismatch":
-            return _Ending("eigenvalue", rows, cols, pre, step=out.step)
+            return out.step
         yield out, rows, cols
         a_mats, b_mats, rows, cols = out.a_mats, out.b_mats, out.rows, out.cols
     raise InternalInconsistency("refinement loop exceeded its iteration bound")
@@ -157,18 +154,16 @@ def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances)
         steps.append(out.step)
     it = len(steps) + 1
 
-    if end.status == "eigenvalue":
-        step = end.step
+    if isinstance(end, RefinementStep):
         cert = Certificate(
-            mode, "eigenvalue", step.functional, step.at, tuple(steps), it,
-            groups_a=step.groups_a, groups_b=step.groups_b, pr_paths=step.pr_paths,
+            mode, "eigenvalue", end.functional, end.at, tuple(steps), it,
+            groups_a=end.groups_a, groups_b=end.groups_b, pr_paths=end.pr_paths,
         )
         return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
-    if end.status == "scalar":
-        mm = end.mismatch
+    if isinstance(end, ScalarMismatch):
         cert = Certificate(
-            mode, "scalar", mm.target, mm.at, tuple(steps), it,
-            a_value=mm.a_value, b_value=mm.b_value, pr_paths=mm.pr_paths,
+            mode, "scalar", end.target, end.at, tuple(steps), it,
+            a_value=end.a_value, b_value=end.b_value, pr_paths=end.pr_paths,
         )
         return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
 

@@ -12,22 +12,23 @@ current row and column partitions, every matrix should look like this:
 
 :func:`check_presolution` scans all cells in a fixed order (matrix index
 ``l`` outer, then row class, then column class, A side before B side) and
-returns the first deviation.  A passing scan records the squared amplitude
-of every square cell off the similarity diagonal whose amplitude is
-positive on both sides; these cells are the edges of the class graph.  A
-deviation is either a :class:`ScalarMismatch` (two scalars that should
-agree do not, which is already a disproof) or a :class:`Violation` carrying
-the Hermitian functional of the deviating cell on both sides, whose
-eigenspaces will drive the next refinement.  The four cell functionals are
-defined here once.  A B-side matrix that is the A-side matrix itself, as in
-the self-paired run behind the canonical features or a pair that the solver
+returns what it found.  A passing scan returns the :class:`SolutionForm`:
+the diagonal scalars, and the squared amplitude of every square cell off
+the similarity diagonal whose amplitude is positive on both sides; these
+cells are the edges of the class graph.  Otherwise it returns the first
+deviation, either a :class:`ScalarMismatch` (two scalars that should agree
+do not, which is already a disproof) or a :class:`Violation` carrying the
+Hermitian functional of the deviating cell on both sides, whose eigenspaces
+will drive the next refinement.  The four cell functionals are defined here
+once.  A B-side matrix that is the A-side matrix itself, as in the
+self-paired run behind the canonical features or a pair that the solver
 found equal bit for bit, is read and tested once, and a deviation on it
 carries one functional matrix for both sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .blocking import Partition, submatrix
@@ -48,7 +49,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Violation",
     "ScalarMismatch",
-    "PreSolutionReport",
+    "SolutionForm",
     "check_presolution",
     "HERM_REAL",
     "HERM_IMAG",
@@ -99,62 +100,55 @@ class ScalarMismatch:
 
 
 @dataclass(frozen=True)
-class PreSolutionReport:
-    """Outcome of the form scan plus the data read off when it passes."""
+class SolutionForm:
+    """What a passing scan reads off: the diagonal scalars by matrix and
+    class, and the squared amplitudes of the edge cells on each side."""
 
-    status: str
-    violation: Violation | None = None
-    mismatch: ScalarMismatch | None = None
-    diag_alphas: dict[tuple[int, int], complex] = field(default_factory=dict)
-    cell_scales_a: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    cell_scales_b: dict[tuple[int, int, int], float] = field(default_factory=dict)
+    diag_alphas: dict[tuple[int, int], complex]
+    cell_scales_a: dict[tuple[int, int, int], float]
+    cell_scales_b: dict[tuple[int, int, int], float]
 
 
-# The four cell functionals, each a Hermitian matrix read off a cell.  The
-# eigen-context scale of a Gram functional is the squared matrix norm.
+# Cell functional: (Hermitian matrix read off the cell, power of ``||A_l||``
+# that is its eigen-context scale, axis of the class it refines).
 _FUNCTIONALS = {
-    HERM_REAL: lambda c: (c + adjoint(c)) / 2.0,
-    HERM_IMAG: lambda c: (c - adjoint(c)) / 2.0j,
-    GRAM_LEFT: lambda c: c @ adjoint(c),
-    GRAM_RIGHT: lambda c: adjoint(c) @ c,
+    HERM_REAL: (lambda c: (c + adjoint(c)) / 2.0, 1, "row"),
+    HERM_IMAG: (lambda c: (c - adjoint(c)) / 2.0j, 1, "row"),
+    GRAM_LEFT: (lambda c: c @ adjoint(c), 2, "row"),
+    GRAM_RIGHT: (lambda c: adjoint(c) @ c, 2, "col"),
 }
-# A functional name and the partition class it refines.
-_Choice = tuple[str, tuple[str, int]]
 
 
 def _violation(
-    choice: _Choice, at: tuple[int, int, int], ca: Matrix, cb: Matrix, ctx_a: float, ctx_b: float
-) -> PreSolutionReport:
-    """The report of a deviation at cell ``at``, with its functional pair."""
-    functional, touch = choice
-    if functional in (GRAM_LEFT, GRAM_RIGHT):
-        ctx_a, ctx_b = ctx_a**2, ctx_b**2
-    f = _FUNCTIONALS[functional]
+    functional: str, at: tuple[int, int, int], ca: Matrix, cb: Matrix, ctx_a: float, ctx_b: float
+) -> Violation:
+    """The deviation at cell ``at``, with its functional pair."""
+    f, power, axis = _FUNCTIONALS[functional]
     s = f(ca)
     r = s if cb is ca else f(cb)
-    return PreSolutionReport(
-        "violation", violation=Violation(functional, at, touch, s, r, ctx_a, ctx_b)
-    )
+    _, i, j = at
+    touch = (axis, i if axis == "row" else j)
+    return Violation(functional, at, touch, s, r, ctx_a**power, ctx_b**power)
 
 
-def _gram_choice(cell: Matrix, ctx: float, tol: Tolerances, i: int, j: int) -> _Choice:
+def _gram_choice(cell: Matrix, ctx: float, tol: Tolerances) -> str:
     """Pick the Gram functional that actually separates eigenvalues.
 
     The left Gram ``M M*`` refines the row class, the right Gram ``M* M``
     the column class.  Prefer the left one unless it is itself a scalar
     matrix, which for a nonzero non-square cell forces the right one to be
-    non-scalar.  Returns the functional and the class it touches.
+    non-scalar.
     """
-    if identity_multiple(_FUNCTIONALS[GRAM_LEFT](cell), tol, ctx * ctx) is None:
-        return GRAM_LEFT, ("row", i)
-    return GRAM_RIGHT, ("col", j)
+    if identity_multiple(_FUNCTIONALS[GRAM_LEFT][0](cell), tol, ctx * ctx) is None:
+        return GRAM_LEFT
+    return GRAM_RIGHT
 
 
-def _diag_choice(cell: Matrix, ctx: float, tol: Tolerances, i: int) -> _Choice:
+def _diag_choice(cell: Matrix, ctx: float, tol: Tolerances) -> str:
     """Pick the Hermitian part of a non-scalar diagonal cell that is non-scalar."""
-    if identity_multiple(_FUNCTIONALS[HERM_REAL](cell), tol, ctx) is None:
-        return HERM_REAL, ("row", i)
-    return HERM_IMAG, ("row", i)
+    if identity_multiple(_FUNCTIONALS[HERM_REAL][0](cell), tol, ctx) is None:
+        return HERM_REAL
+    return HERM_IMAG
 
 
 def check_presolution(
@@ -164,13 +158,12 @@ def check_presolution(
     cols: Partition,
     mode: str,
     tol: Tolerances,
-) -> PreSolutionReport:
+) -> SolutionForm | Violation | ScalarMismatch:
     """Scan both collections for the expected block structure.
 
     ``mode`` is ``"sus"`` (similarity, one shared partition) or ``"sueq"``
     (equivalence, independent partitions).  Returns the first deviation in
-    scan order, or a passing report carrying the diagonal scalars and the
-    squared amplitudes of the nonzero square cells on each side.
+    scan order, or the :class:`SolutionForm` of a passing scan.
     """
     if mode not in ("sus", "sueq"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -191,35 +184,28 @@ def check_presolution(
                 if mode == "sus" and i == j:
                     alpha_a = identity_multiple(ca, tol, ctx_a)
                     if alpha_a is None:
-                        return _violation(_diag_choice(ca, ctx_a, tol, i), at, ca, cb, ctx_a, ctx_b)
+                        return _violation(_diag_choice(ca, ctx_a, tol), at, ca, cb, ctx_a, ctx_b)
                     alpha_b = alpha_a if same else identity_multiple(cb, tol, ctx_b)
                     if alpha_b is None:
-                        return _violation(_diag_choice(cb, ctx_b, tol, i), at, ca, cb, ctx_a, ctx_b)
+                        return _violation(_diag_choice(cb, ctx_b, tol), at, ca, cb, ctx_a, ctx_b)
                     if not close_scalars(alpha_a, alpha_b, tol, context=ctx):
-                        return PreSolutionReport(
-                            "mismatch", mismatch=ScalarMismatch("diag_alpha", at, alpha_a, alpha_b)
-                        )
+                        return ScalarMismatch("diag_alpha", at, alpha_a, alpha_b)
                     diag_alphas[(l, i)] = alpha_a
                 elif square:
                     ra = unitary_multiple(ca, tol, ctx_a)
                     if ra is None:
-                        return _violation(_gram_choice(ca, ctx_a, tol, i, j), at, ca, cb, ctx_a, ctx_b)
+                        return _violation(_gram_choice(ca, ctx_a, tol), at, ca, cb, ctx_a, ctx_b)
                     rb = ra if same else unitary_multiple(cb, tol, ctx_b)
                     if rb is None:
-                        return _violation(_gram_choice(cb, ctx_b, tol, i, j), at, ca, cb, ctx_a, ctx_b)
+                        return _violation(_gram_choice(cb, ctx_b, tol), at, ca, cb, ctx_a, ctx_b)
                     if not close_scalars(ra, rb, tol, context=ctx * ctx):
-                        return _violation((GRAM_LEFT, ("row", i)), at, ca, cb, ctx_a, ctx_b)
+                        return _violation(GRAM_LEFT, at, ca, cb, ctx_a, ctx_b)
                     if ra > 0.0 and rb > 0.0:
                         scales_a[at] = ra
                         scales_b[at] = rb
                 else:
                     if not is_zero(ca, tol, ctx_a):
-                        return _violation(_gram_choice(ca, ctx_a, tol, i, j), at, ca, cb, ctx_a, ctx_b)
+                        return _violation(_gram_choice(ca, ctx_a, tol), at, ca, cb, ctx_a, ctx_b)
                     if not same and not is_zero(cb, tol, ctx_b):
-                        return _violation(_gram_choice(cb, ctx_b, tol, i, j), at, ca, cb, ctx_a, ctx_b)
-    return PreSolutionReport(
-        "ok",
-        diag_alphas=diag_alphas,
-        cell_scales_a=scales_a,
-        cell_scales_b=scales_b,
-    )
+                        return _violation(_gram_choice(cb, ctx_b, tol), at, ca, cb, ctx_a, ctx_b)
+    return SolutionForm(diag_alphas, scales_a, scales_b)

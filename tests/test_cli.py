@@ -405,6 +405,37 @@ class TestUnusableInput:
         assert main(["verify", inst, str(res)]) == 64
         assert "certificate: missing key 'a_value'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (
+                lambda cert: cert.update(target="bogus"),
+                "certificate: key 'target' has an unknown value 'bogus' for kind 'scalar'",
+            ),
+            (
+                lambda cert: [cert.pop(key) for key in ("a_value", "b_value")],
+                "certificate: missing key 'a_value'",
+            ),
+            (
+                lambda cert: cert.update(kind="eigenvalue"),
+                "certificate: key 'target' has an unknown value 'diag_alpha' for kind 'eigenvalue'",
+            ),
+        ],
+        ids=["bogus-target", "no-values", "eigenvalue-kind"],
+    )
+    def test_certificate_of_the_wrong_kind(self, tmp_path, capsys, edit, error):
+        # A = I, B = 2I: a scalar certificate; each edit used to load and
+        # then fail the replay (exit 3).
+        inst = write_instance(tmp_path / "i.json", Instance("sus", [np.eye(2)], [2 * np.eye(2)]))
+        res = tmp_path / "r.json"
+        assert main(["solve", inst, "--out", str(res)]) == 1
+        doc = json.loads(res.read_text())
+        edit(doc["certificate"])
+        res.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", inst, str(res)]) == 64
+        assert error in capsys.readouterr().err
+
     def test_integer_beyond_64_bits_is_not_a_count(self, tmp_path, capsys):
         # JSON numbers reach the document readers as Python numbers, and an
         # integer literal of more than 64 bits reads as a float.

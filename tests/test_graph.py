@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susim.blocking import Partition, submatrix
-from susim.graph import EdgeStep, PrReport, build_paths, check_pr, endpoints, vertex_key
+from susim.graph import EdgeStep, build_paths, check_pr, endpoints, vertex_key
 from susim.linalg import DEFAULT_TOLERANCES, adjoint, close_scalars, identity_multiple
-from susim.structure import PR_NORMAL, ScalarMismatch, Violation, check_presolution
+from susim.structure import PR_NORMAL, ScalarMismatch, SolutionForm, Violation, check_presolution
 
 TOL = DEFAULT_TOLERANCES
 
@@ -38,15 +38,13 @@ def reference_check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol):
         pr_a, pr_b = prs
         beta_a = identity_multiple(pr_a, tol)
         beta_b = None if beta_a is None else identity_multiple(pr_b, tol)
+        pr_paths = paths.cell_paths(mode, i, j)
         if beta_a is None or beta_b is None:
-            v = Violation(PR_NORMAL, (l, i, j), paths.rep_of[row_end], pr_a, pr_b,
-                          pr_paths=paths.cell_paths(mode, i, j))
-            return PrReport("violation", violation=v)
+            return Violation(PR_NORMAL, (l, i, j), paths.rep_of[row_end], pr_a, pr_b, pr_paths=pr_paths)
         if not close_scalars(beta_a, beta_b, tol):
-            mm = ScalarMismatch("pr_beta", (l, i, j), beta_a, beta_b, paths.cell_paths(mode, i, j))
-            return PrReport("mismatch", mismatch=mm)
+            return ScalarMismatch("pr_beta", (l, i, j), beta_a, beta_b, pr_paths)
         betas[(l, i, j)] = beta_a
-    return PrReport("ok", betas=betas)
+    return betas
 
 
 def random_unitary(n, rng):
@@ -57,7 +55,7 @@ def random_unitary(n, rng):
 
 def sus_paths(a, b, partition, mode="sus"):
     rep = check_presolution(a, b, partition, partition, mode, TOL)
-    assert rep.status == "ok", rep
+    assert isinstance(rep, SolutionForm), rep
     paths = build_paths(a, b, partition, partition, mode, rep.cell_scales_a, rep.cell_scales_b)
     return rep, paths
 
@@ -162,9 +160,9 @@ class TestPrCheck:
         a[1, 0], a[1, 2], a[3, 2] = 2.0, 3.0, 4.0
         rep, paths = sus_paths([a], [a.copy()], p)
         out = check_pr([a], [a.copy()], p, p, "sus", rep.cell_scales_a, paths, TOL)
-        assert out.status == "ok"
-        assert set(out.betas) == {(0, 1, 0), (0, 1, 2), (0, 3, 2)}
-        for beta in out.betas.values():
+        assert isinstance(out, dict)
+        assert set(out) == {(0, 1, 0), (0, 1, 2), (0, 3, 2)}
+        for beta in out.values():
             assert beta == pytest.approx(1.0)
 
     def test_nonscalar_holonomy_is_violation(self):
@@ -176,13 +174,13 @@ class TestPrCheck:
         mats = [a0, a1]
         rep, paths = sus_paths(mats, [m.copy() for m in mats], p)
         out = check_pr(mats, [m.copy() for m in mats], p, p, "sus", rep.cell_scales_a, paths, TOL)
-        assert out.status == "violation"
-        assert out.violation.functional == PR_NORMAL
-        assert out.violation.at == (1, 0, 1)
-        assert out.violation.touch == ("row", 0)
-        assert np.allclose(out.violation.s, np.diag([1.0, -1.0]))
-        assert np.allclose(out.violation.r, out.violation.s)
-        assert out.violation.pr_paths == paths.cell_paths("sus", 0, 1)
+        assert isinstance(out, Violation)
+        assert out.functional == PR_NORMAL
+        assert out.at == (1, 0, 1)
+        assert out.touch == ("row", 0)
+        assert np.allclose(out.s, np.diag([1.0, -1.0]))
+        assert np.allclose(out.r, out.s)
+        assert out.pr_paths == paths.cell_paths("sus", 0, 1)
 
     def test_scalar_holonomy_disagreement_is_mismatch(self):
         p = Partition((2, 2))
@@ -194,12 +192,12 @@ class TestPrCheck:
         b1[0:2, 2:4] = -2.0 * np.eye(2)
         rep, paths = sus_paths([a0, a1], [a0.copy(), b1], p)
         out = check_pr([a0, a1], [a0.copy(), b1], p, p, "sus", rep.cell_scales_a, paths, TOL)
-        assert out.status == "mismatch"
-        assert out.mismatch.target == "pr_beta"
-        assert out.mismatch.at == (1, 0, 1)
-        assert out.mismatch.a_value == pytest.approx(2.0 + 0j)
-        assert out.mismatch.b_value == pytest.approx(-2.0 + 0j)
-        assert out.mismatch.pr_paths == paths.cell_paths("sus", 0, 1)
+        assert isinstance(out, ScalarMismatch)
+        assert out.target == "pr_beta"
+        assert out.at == (1, 0, 1)
+        assert out.a_value == pytest.approx(2.0 + 0j)
+        assert out.b_value == pytest.approx(-2.0 + 0j)
+        assert out.pr_paths == paths.cell_paths("sus", 0, 1)
 
     def test_pr_matrices_against_naive_oracle(self):
         # A dense one-component instance: pr of each cell must equal the
@@ -274,23 +272,24 @@ class TestPrCheckAgainstReference:
         rng = np.random.default_rng(seed)
         a, b, rows, cols = gauge_instance(mode, tuple(row_sizes), tuple(col_sizes), p, plant, rng)
         pre = check_presolution(a, b, rows, cols, mode, TOL)
-        assert pre.status == "ok", pre
+        assert isinstance(pre, SolutionForm), pre
         paths = build_paths(a, b, rows, cols, mode, pre.cell_scales_a, pre.cell_scales_b)
         got = check_pr(a, b, rows, cols, mode, pre.cell_scales_a, paths, TOL)
         want = reference_check_pr(a, b, rows, cols, mode, pre.cell_scales_a, paths, TOL)
-        assert got.status == want.status
+        assert type(got) is type(want)
         if not plant:
-            assert got.status == "ok"
-        if want.status == "violation":
-            gv, wv = got.violation, want.violation
+            assert isinstance(got, dict)
+        if isinstance(want, Violation):
+            gv, wv = got, want
             assert (gv.functional, gv.at, gv.touch, gv.pr_paths) == (wv.functional, wv.at, wv.touch, wv.pr_paths)
             assert np.allclose(gv.s, wv.s, rtol=1e-12, atol=1e-12)
             assert np.allclose(gv.r, wv.r, rtol=1e-12, atol=1e-12)
-        elif want.status == "mismatch":
-            gm, wm = got.mismatch, want.mismatch
+        elif isinstance(want, ScalarMismatch):
+            gm, wm = got, want
             assert (gm.target, gm.at, gm.pr_paths) == (wm.target, wm.at, wm.pr_paths)
             assert gm.a_value == pytest.approx(wm.a_value, rel=1e-12)
             assert gm.b_value == pytest.approx(wm.b_value, rel=1e-12)
-        assert list(got.betas) == list(want.betas)
-        for key, beta in want.betas.items():
-            assert got.betas[key] == pytest.approx(beta, rel=1e-12)
+        else:
+            assert list(got) == list(want)
+            for key, beta in want.items():
+                assert got[key] == pytest.approx(beta, rel=1e-12)

@@ -45,8 +45,8 @@ def dense_changes(out, rows, cols):
 def scanned(a, b, rows, cols, mode="sus"):
     """The violation the form scan reports for the collections ``a``, ``b``."""
     rep = check_presolution(a, b, rows, cols, mode, TOL)
-    assert rep.status == "violation"
-    return rep.violation
+    assert isinstance(rep, Violation)
+    return rep
 
 
 class TestFunctionalPair:
@@ -199,8 +199,8 @@ class TestPrRefinement:
         b = [m.copy() for m in mats]
         rep = check_presolution(mats, b, p, p, "sus", TOL)
         paths = build_paths(mats, b, p, p, "sus", rep.cell_scales_a, rep.cell_scales_b)
-        pr = check_pr(mats, b, p, p, "sus", rep.cell_scales_a, paths, TOL)
-        v = pr.violation
+        v = check_pr(mats, b, p, p, "sus", rep.cell_scales_a, paths, TOL)
+        assert isinstance(v, Violation)
         assert (v.functional, v.at, v.touch) == (PR_NORMAL, (1, 0, 1), ("row", 0))
         # The holonomy matrix on the representative space, on both sides.
         assert np.allclose(v.s, np.diag([2.0, -2.0]))

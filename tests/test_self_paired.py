@@ -48,19 +48,19 @@ def run_record(mode, a_mats, b_mats):
     paths = end.paths
     record.append(
         (
-            end.status,
+            type(end),
             end.rows.sizes,
             end.cols.sizes,
-            end.pre.diag_alphas,
-            end.pre.cell_scales_a,
-            end.pre.cell_scales_b,
+            end.form.diag_alphas,
+            end.form.cell_scales_a,
+            end.form.cell_scales_b,
             paths.components,
             paths.steps_to,
             paths.amps_a,
             paths.amps_b,
             {v: p.tobytes() for v, p in paths.paths_a.items()},
             {v: p.tobytes() for v, p in paths.paths_b.items()},
-            end.pr.betas,
+            end.betas,
         )
     )
     return record, None
@@ -110,10 +110,10 @@ def test_self_paired_run_computes_each_side_once(cfg, monkeypatch):
 
     def counted_scan(a_mats, b_mats, rows, cols, mode, tol):
         pre = scan(a_mats, b_mats, rows, cols, mode, tol)
-        if pre.status == "ok":
+        if isinstance(pre, structure.SolutionForm):
             scanned.append(len(a_mats) * rows.count * cols.count)
         else:
-            l, i, j = (pre.violation or pre.mismatch).at
+            l, i, j = pre.at
             scanned.append((l * rows.count + i) * cols.count + j + 1)
         return pre
 
@@ -130,7 +130,7 @@ def test_self_paired_run_computes_each_side_once(cfg, monkeypatch):
             end = stop.value
             break
         steps += 1
-    assert end.status == "solution"
+    assert isinstance(end, solver._Solution)
     assert calls["eig_hermitian"] + calls["eig_normal"] == steps
     assert calls["submatrix"] == sum(scanned)
     assert end.paths.paths_b is end.paths.paths_a

@@ -474,6 +474,53 @@ class TestPairedValues:
         assert str(info.value) == f"{where}: key 'pr_paths' has the wrong type"
 
 
+class TestCertificateKinds:
+    """A certificate names a target of its kind and carries that kind's
+    values only, and a step names one of the five functionals."""
+
+    @pytest.mark.parametrize(
+        "kind, target",
+        [("scalar", "bogus"), ("scalar", "herm_real"), ("eigenvalue", "diag_alpha")],
+    )
+    def test_target_of_another_kind(self, kind, target):
+        doc = result_to_json(solve(pr_beta_instance()))
+        doc["certificate"].update(kind=kind, target=target)
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == (
+            f"certificate: key 'target' has an unknown value {target!r} for kind {kind!r}"
+        )
+
+    def test_step_functional(self):
+        doc = eigenvalue_result_document()
+        doc["certificate"]["steps"][0]["functional"] = "bogus"
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == (
+            "certificate.steps[0]: key 'functional' has an unknown value 'bogus'"
+        )
+
+    def test_scalar_without_values(self):
+        doc = result_to_json(solve(pr_beta_instance()))
+        del doc["certificate"]["a_value"], doc["certificate"]["b_value"]
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == "certificate: missing key 'a_value'"
+
+    def test_values_of_the_other_kind(self):
+        scalar = result_to_json(solve(pr_beta_instance()))["certificate"]
+        eigen = eigenvalue_result_document()
+        eigen["certificate"].update(a_value=scalar["a_value"], b_value=scalar["b_value"])
+        with pytest.raises(FormatError) as info:
+            result_from_json(eigen)
+        assert str(info.value) == "certificate: key 'a_value' does not belong to kind 'eigenvalue'"
+        doc = result_to_json(solve(pr_beta_instance()))
+        doc["certificate"]["groups_b"] = eigen["certificate"]["groups_b"]
+        with pytest.raises(FormatError) as info:
+            result_from_json(doc)
+        assert str(info.value) == "certificate: key 'groups_b' does not belong to kind 'scalar'"
+
+
 def key_sequences(doc, path="$", out=None) -> dict:
     """The key sequences of every object in ``doc``, by its path with the
     list indices left out."""

@@ -174,8 +174,8 @@ def test_shared_matrices_are_computed_once(monkeypatch):
         # them when the scan passes, else up to the first deviation.
         per_matrix = rows.count * cols.count
         read = len(a_mats) * per_matrix
-        if pre.status != "ok":
-            l, i, j = (pre.violation or pre.mismatch).at
+        if not isinstance(pre, structure.SolutionForm):
+            l, i, j = pre.at
             read = (l * rows.count + i) * cols.count + j + 1
         shared = [b_mats[k // per_matrix] is a_mats[k // per_matrix] for k in range(read)]
         assert calls["submatrix"] - before == sum(1 if s else 2 for s in shared)
