@@ -454,7 +454,7 @@ _INSTANCE = _table(
 )
 _FEATURE_STEP = _record(
     FeatureStep,
-    ("functional", _STRING), ("at", _nested(_AT)), ("touch", _nested(_TOUCH)),
+    ("functional", _enum(*_FUNCTIONAL_NAMES)), ("at", _nested(_AT)), ("touch", _nested(_TOUCH)),
     ("rows_sizes", _SIZES), ("cols_sizes", _SIZES), ("groups", _GROUPS),
 )
 _ALPHAS = _list(

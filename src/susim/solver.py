@@ -18,6 +18,7 @@ reported as a failure rather than a solution.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator
 from dataclasses import dataclass
 
@@ -44,35 +45,32 @@ def witness_residual(
     """Worst normalized deviation of a claimed witness.
 
     Covers unitarity of both factors and the mapping property for every
-    matrix pair, each relative to ``1 + ||A_l||``.
+    matrix pair, each relative to ``1 + ||A_l||``.  A term that is not
+    finite, as when ``||A_l||`` overflows, makes the residual infinite.
     """
     m, n = a_mats[0].shape
     right = u if mode == "sus" else v
-    dev = fro(u @ adjoint(u) - np.eye(m)) / np.sqrt(m)
-    dev = max(dev, fro(right @ adjoint(right) - np.eye(n)) / np.sqrt(n))
-    for a, b in zip(a_mats, b_mats):
-        dev = max(dev, fro(u @ a @ adjoint(right) - b) / (1.0 + fro(a)))
-    return dev
+    terms = [fro(u @ adjoint(u) - np.eye(m)) / np.sqrt(m)]
+    terms.append(fro(right @ adjoint(right) - np.eye(n)) / np.sqrt(n))
+    terms.extend(fro(u @ a @ adjoint(right) - b) / (1.0 + fro(a)) for a, b in zip(a_mats, b_mats))
+    return max(terms) if all(map(math.isfinite, terms)) else math.inf
 
 
 def _assemble_solution(
-    paths: PathData, rows: Partition, cols: Partition, mode: str, yrow: Matrix, ycol: Matrix
-) -> tuple[Matrix, Matrix | None]:
-    """Blockwise witnesses from the path products, applied to the A-side bases."""
-    ublocks: dict[int, Matrix] = {}
-    vblocks: dict[int, Matrix] = {}
+    paths: PathData, parts: dict[str, Partition], bases: dict[str, tuple[Matrix, Matrix]]
+) -> dict[str, Matrix]:
+    """Each axis's witness: the blockwise ratio of the path products, applied
+    to the axis's A-side basis and taken back through its B-side basis."""
+    blocks: dict[str, dict[int, Matrix]] = {axis: {} for axis in bases}
     for vert in paths.rep_of:
         pa, pb = paths.paths_a[vert], paths.paths_b[vert]
         amp_b = paths.amps_b[vert]
-        blk = (adjoint(pb) / (amp_b * amp_b)) @ pa
         axis, t = vert
-        if axis == "row":
-            ublocks[t] = blk
-        else:
-            vblocks[t] = blk
-    uy = apply_blocks(yrow, rows, ublocks, left=True, right=False)
-    vy = apply_blocks(ycol, cols, vblocks, left=True, right=False) if mode == "sueq" else None
-    return uy, vy
+        blocks[axis][t] = (adjoint(pb) / (amp_b * amp_b)) @ pa
+    return {
+        axis: adjoint(z) @ apply_blocks(y, parts[axis], blocks[axis], left=True, right=False)
+        for axis, (y, z) in bases.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,10 @@ def _refinements(
 
 def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances) -> SolveResult:
     m, n = a_mats[0].shape
-    yrow = zrow = np.eye(m, dtype=np.complex128)
-    ycol = zcol = np.eye(n, dtype=np.complex128)
+    # Per axis, the (A-side, B-side) bases that the refinements built up;
+    # similarity has one partition, on the row axis.
+    axes = ("row",) if mode == "sus" else ("row", "col")
+    bases = {axis: (np.eye(k, dtype=np.complex128),) * 2 for axis, k in zip(axes, (m, n))}
     steps: list[RefinementStep] = []
     loop = _refinements(mode, a_mats, b_mats, tol)
     while True:
@@ -145,38 +145,32 @@ def _run(mode: str, a_mats: list[Matrix], b_mats: list[Matrix], tol: Tolerances)
         except SusimError as exc:
             return SolveResult(FAILED, mode, len(steps) + 1, message=f"{type(exc).__name__}: {exc}")
         axis, t = out.step.touch
-        if mode == "sus" or axis == "row":
-            yrow = apply_blocks(yrow, rows, {t: out.y}, left=True, right=False)
-            zrow = apply_blocks(zrow, rows, {t: out.z}, left=True, right=False)
-        else:
-            ycol = apply_blocks(ycol, cols, {t: out.y}, left=True, right=False)
-            zcol = apply_blocks(zcol, cols, {t: out.z}, left=True, right=False)
+        part = rows if axis == "row" else cols
+        axis = axis if axis in bases else "row"
+        bases[axis] = tuple(
+            apply_blocks(x, part, {t: w}, left=True, right=False)
+            for x, w in zip(bases[axis], (out.y, out.z))
+        )
         steps.append(out.step)
     it = len(steps) + 1
 
-    if isinstance(end, RefinementStep):
-        cert = Certificate(
-            mode, "eigenvalue", end.functional, end.at, tuple(steps), it,
-            groups_a=end.groups_a, groups_b=end.groups_b, pr_paths=end.pr_paths,
-        )
-        return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
+    if isinstance(end, _Solution):
+        witness = _assemble_solution(end.paths, {"row": end.rows, "col": end.cols}, bases)
+        u, v = witness["row"], witness.get("col")
+        residual = witness_residual(a_mats, b_mats, mode, u, v)
+        if residual <= tol.verify:
+            return SolveResult(SOLVED, mode, it, u=u, v=v, residual=residual)
+        message = f"assembled witness misses the acceptance tolerance: residual {residual:.3e}"
+        if math.isinf(residual):  # a document cannot hold it
+            residual, message = None, f"{message}, since the input overflows double precision"
+        return SolveResult(FAILED, mode, it, residual=residual, message=message)
+    # The disproof's kind, target and values (a_value, b_value, groups_a, groups_b).
     if isinstance(end, ScalarMismatch):
-        cert = Certificate(
-            mode, "scalar", end.target, end.at, tuple(steps), it,
-            a_value=end.a_value, b_value=end.b_value, pr_paths=end.pr_paths,
-        )
-        return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
-
-    uy, vy = _assemble_solution(end.paths, end.rows, end.cols, mode, yrow, ycol)
-    u = adjoint(zrow) @ uy
-    v = adjoint(zcol) @ vy if mode == "sueq" else None
-    residual = witness_residual(a_mats, b_mats, mode, u, v)
-    if residual <= tol.verify:
-        return SolveResult(SOLVED, mode, it, u=u, v=v, residual=residual)
-    return SolveResult(
-        FAILED, mode, it, residual=residual,
-        message=f"assembled witness misses the acceptance tolerance: residual {residual:.3e}",
-    )
+        kind, target, values = "scalar", end.target, (end.a_value, end.b_value, None, None)
+    else:
+        kind, target, values = "eigenvalue", end.functional, (None, None, end.groups_a, end.groups_b)
+    cert = Certificate(mode, kind, target, end.at, tuple(steps), it, *values, end.pr_paths)
+    return SolveResult(NOT_SIMILAR, mode, it, certificate=cert)
 
 
 def solve(instance: Instance, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveResult:

@@ -1,14 +1,18 @@
 """Structural form check for partitioned matrix collections.
 
 Both sides of a problem are repeatedly conjugated so that, relative to the
-current row and column partitions, every matrix should look like this:
+current row and column partitions, each cell passes the rule of its kind:
 
-* similarity mode: diagonal cells are scalar multiples of the identity with
-  the same scalar on both sides; every other square cell is a scalar
-  multiple of a unitary with the same squared amplitude ``r`` on both
-  sides; non-square cells are zero,
-* equivalence mode: the same without the diagonal rule because every cell
-  relates a row class to a column class.
+=====================  =================  =========================
+cell                   form               functional pair
+=====================  =================  =========================
+diagonal (similarity)  identity multiple  ``herm_real, herm_imag``
+other square           unitary multiple   ``gram_left, gram_right``
+non-square             zero               ``gram_left, gram_right``
+=====================  =================  =========================
+
+with the same diagonal scalar, and the same squared amplitude ``r`` of a
+square cell, on both sides.  In equivalence mode no cell is diagonal.
 
 :func:`check_presolution` scans all cells in a fixed order (matrix index
 ``l`` outer, then row class, then column class, A side before B side) and
@@ -17,13 +21,15 @@ the diagonal scalars, and the squared amplitude of every square cell off
 the similarity diagonal whose amplitude is positive on both sides; these
 cells are the edges of the class graph.  Otherwise it returns the first
 deviation, either a :class:`ScalarMismatch` (two scalars that should agree
-do not, which is already a disproof) or a :class:`Violation` carrying the
-Hermitian functional of the deviating cell on both sides, whose eigenspaces
-will drive the next refinement.  The four cell functionals are defined here
-once.  A B-side matrix that is the A-side matrix itself, as in the
-self-paired run behind the canonical features or a pair that the solver
-found equal bit for bit, is read and tested once, and a deviation on it
-carries one functional matrix for both sides.
+do not, which is already a disproof) or a :class:`Violation` carrying a
+functional of the deviating cell on both sides, whose eigenspaces will
+drive the next refinement: the first of the cell's pair unless that one is
+scalar on the failing side, and ``gram_left`` for unequal amplitudes.  The
+four cell functionals are defined here once.  A B-side matrix that is the
+A-side matrix itself, as in the self-paired run behind the canonical
+features or a pair that the solver found equal bit for bit, is read and
+tested once, and a deviation on it carries one functional matrix for both
+sides.
 """
 
 from __future__ import annotations
@@ -131,24 +137,20 @@ def _violation(
     return Violation(functional, at, touch, s, r, ctx_a**power, ctx_b**power)
 
 
-def _gram_choice(cell: Matrix, ctx: float, tol: Tolerances) -> str:
-    """Pick the Gram functional that actually separates eigenvalues.
-
-    The left Gram ``M M*`` refines the row class, the right Gram ``M* M``
-    the column class.  Prefer the left one unless it is itself a scalar
-    matrix, which for a nonzero non-square cell forces the right one to be
-    non-scalar.
-    """
-    if identity_multiple(_FUNCTIONALS[GRAM_LEFT][0](cell), tol, ctx * ctx) is None:
-        return GRAM_LEFT
-    return GRAM_RIGHT
+# Cell rule: (form test, which returns the cell's scalar or None, and the
+# functional pair a cell that fails it picks from).  A zero cell's scalar is 0.
+_DIAGONAL = (identity_multiple, HERM_REAL, HERM_IMAG)
+_SQUARE = (unitary_multiple, GRAM_LEFT, GRAM_RIGHT)
+_NON_SQUARE = (lambda c, tol, ctx: 0.0 if is_zero(c, tol, ctx) else None, GRAM_LEFT, GRAM_RIGHT)
 
 
-def _diag_choice(cell: Matrix, ctx: float, tol: Tolerances) -> str:
-    """Pick the Hermitian part of a non-scalar diagonal cell that is non-scalar."""
-    if identity_multiple(_FUNCTIONALS[HERM_REAL][0](cell), tol, ctx) is None:
-        return HERM_REAL
-    return HERM_IMAG
+def _choice(first: str, second: str, cell: Matrix, ctx: float, tol: Tolerances) -> str:
+    """The first functional of a failing cell's pair, or the second where the
+    first is scalar on the cell, which forces the second to be non-scalar."""
+    f, power, _ = _FUNCTIONALS[first]
+    if identity_multiple(f(cell), tol, ctx * ctx if power == 2 else ctx) is None:
+        return first
+    return second
 
 
 def check_presolution(
@@ -181,31 +183,22 @@ def check_presolution(
                 cb = ca if same else submatrix(b, rows, i, cols, j)
                 square = rows.sizes[i] == cols.sizes[j]
                 at = (l, i, j)
-                if mode == "sus" and i == j:
-                    alpha_a = identity_multiple(ca, tol, ctx_a)
-                    if alpha_a is None:
-                        return _violation(_diag_choice(ca, ctx_a, tol), at, ca, cb, ctx_a, ctx_b)
-                    alpha_b = alpha_a if same else identity_multiple(cb, tol, ctx_b)
-                    if alpha_b is None:
-                        return _violation(_diag_choice(cb, ctx_b, tol), at, ca, cb, ctx_a, ctx_b)
-                    if not close_scalars(alpha_a, alpha_b, tol, context=ctx):
-                        return ScalarMismatch("diag_alpha", at, alpha_a, alpha_b)
-                    diag_alphas[(l, i)] = alpha_a
-                elif square:
-                    ra = unitary_multiple(ca, tol, ctx_a)
-                    if ra is None:
-                        return _violation(_gram_choice(ca, ctx_a, tol), at, ca, cb, ctx_a, ctx_b)
-                    rb = ra if same else unitary_multiple(cb, tol, ctx_b)
-                    if rb is None:
-                        return _violation(_gram_choice(cb, ctx_b, tol), at, ca, cb, ctx_a, ctx_b)
-                    if not close_scalars(ra, rb, tol, context=ctx * ctx):
+                rule = _DIAGONAL if mode == "sus" and i == j else _SQUARE if square else _NON_SQUARE
+                test, first, second = rule
+                va = test(ca, tol, ctx_a)
+                vb = va if same or va is None else test(cb, tol, ctx_b)
+                if va is None or vb is None:
+                    cell, cell_ctx = (ca, ctx_a) if va is None else (cb, ctx_b)
+                    functional = _choice(first, second, cell, cell_ctx, tol)
+                    return _violation(functional, at, ca, cb, ctx_a, ctx_b)
+                if rule is _DIAGONAL:
+                    if not close_scalars(va, vb, tol, context=ctx):
+                        return ScalarMismatch("diag_alpha", at, va, vb)
+                    diag_alphas[(l, i)] = va
+                elif rule is _SQUARE:
+                    if not close_scalars(va, vb, tol, context=ctx * ctx):
                         return _violation(GRAM_LEFT, at, ca, cb, ctx_a, ctx_b)
-                    if ra > 0.0 and rb > 0.0:
-                        scales_a[at] = ra
-                        scales_b[at] = rb
-                else:
-                    if not is_zero(ca, tol, ctx_a):
-                        return _violation(_gram_choice(ca, ctx_a, tol), at, ca, cb, ctx_a, ctx_b)
-                    if not same and not is_zero(cb, tol, ctx_b):
-                        return _violation(_gram_choice(cb, ctx_b, tol), at, ca, cb, ctx_a, ctx_b)
+                    if va > 0.0 and vb > 0.0:
+                        scales_a[at] = va
+                        scales_b[at] = vb
     return SolutionForm(diag_alphas, scales_a, scales_b)

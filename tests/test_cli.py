@@ -15,8 +15,8 @@ import pytest
 from susim import cli
 from susim.canonical import extract_features
 from susim.cli import main
-from susim.model import Instance
-from susim.serialize import instance_to_json
+from susim.model import Instance, SolveResult
+from susim.serialize import instance_to_json, result_to_json
 from susim.solver import solve
 
 
@@ -224,6 +224,31 @@ class TestVerify:
         main(["solve", inst, "--out", str(res)])
         monkeypatch.setenv("SUSIM_TOL_VERIFY", "tiny")
         assert main(["verify", inst, str(res)]) == 64
+
+
+class TestOverflowingInput:
+    """Entries of about 1e154 and up overflow ``||A_l||``, so every form test
+    passes and each mapping term of the witness residual is inf/inf.  Such a
+    residual is infinite: the solve ends failed with no residual in its
+    document, and a claimed witness is refuted."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_solve_fails_and_verify_refutes(self, tmp_path, capsys, scale):
+        rng = np.random.default_rng(0)
+        mats = [scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+                for _ in range(4)]
+        inst = write_instance(tmp_path / "i.json", Instance("sus", mats[:2], mats[2:]))
+        res = tmp_path / "r.json"
+        assert main(["solve", inst, "--out", str(res)]) == 2
+        doc = json.loads(res.read_text())
+        assert doc["status"] == "failed" and doc["residual"] is None
+        assert "overflows" in doc["message"]
+        # The identity, the witness such a solve assembles, claimed as solved.
+        claim = SolveResult("solved", "sus", 1, u=np.eye(4, dtype=complex), residual=0.0)
+        res.write_text(json.dumps(result_to_json(claim)))
+        assert main(["verify", inst, str(res)]) == 3
+        assert "witness refuted, residual inf" in capsys.readouterr().out
 
 
 class TestCanonAndDiff:

@@ -476,7 +476,8 @@ class TestPairedValues:
 
 class TestCertificateKinds:
     """A certificate names a target of its kind and carries that kind's
-    values only, and a step names one of the five functionals."""
+    values only, and a step, also a feature step, names one of the five
+    functionals."""
 
     @pytest.mark.parametrize(
         "kind, target",
@@ -498,6 +499,20 @@ class TestCertificateKinds:
             result_from_json(doc)
         assert str(info.value) == (
             "certificate.steps[0]: key 'functional' has an unknown value 'bogus'"
+        )
+
+    def test_feature_step_functional(self, tmp_path, capsys):
+        inst, _ = generate(GenConfig(kind="planted_similar", n=6, count=2, seed=1))
+        paths = []
+        for side, mats in (("a", inst.a_mats), ("b", inst.b_mats)):
+            doc = features_to_json(extract_features(mats))
+            if side == "b":
+                doc["steps"][0]["functional"] = "bogus"
+            (tmp_path / side).write_text(json.dumps(doc))
+            paths.append(str(tmp_path / side))
+        assert main(["diff", *paths]) == 64
+        assert capsys.readouterr().err == (
+            "susim: features.steps[0]: key 'functional' has an unknown value 'bogus'\n"
         )
 
     def test_scalar_without_values(self):

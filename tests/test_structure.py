@@ -176,6 +176,58 @@ class TestNonSquareCells:
         assert rep.at == (0, 0, 1)
 
 
+def wide_cell_matrix(cell):
+    """A 5x5 identity whose wide cell (0, 1) under partition (2, 3) is ``cell``."""
+    m = np.eye(5, dtype=complex)
+    m[0:2, 2:5] = cell
+    return m
+
+
+class TestPickingSide:
+    """The functional is picked on the first side whose cell fails its form."""
+
+    def test_b_diagonal_with_scalar_hermitian_part(self):
+        a = 2.0 * np.eye(2, dtype=complex)
+        b = cplx([[2.0, 1.0], [-1.0, 2.0]])
+        rep = run_sus([a], [b], Partition.whole(2))
+        assert isinstance(rep, Violation)
+        assert rep.functional == HERM_IMAG
+        assert rep.at == (0, 0, 0)
+        np.testing.assert_allclose(rep.r, (b - b.conj().T) / 2.0j)
+
+    @pytest.mark.parametrize(
+        "cell, functional, touch",
+        [
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], GRAM_RIGHT, ("col", 1)),
+            ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], GRAM_LEFT, ("row", 0)),
+        ],
+        ids=["scalar-left-gram", "non-scalar-left-gram"],
+    )
+    def test_b_wide_cell(self, cell, functional, touch):
+        b = wide_cell_matrix(cell)
+        rep = run_sus([np.eye(5, dtype=complex)], [b], Partition((2, 3)))
+        assert isinstance(rep, Violation)
+        assert (rep.functional, rep.at, rep.touch) == (functional, (0, 0, 1), touch)
+
+    @pytest.mark.parametrize(
+        "a, b, partition, functional",
+        [
+            (cplx([[0.0, 1.0], [-1.0, 0.0]]), np.diag([1.0, 2.0]), Partition.whole(2), HERM_IMAG),
+            (
+                wide_cell_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                wide_cell_matrix([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+                Partition((2, 3)),
+                GRAM_RIGHT,
+            ),
+        ],
+        ids=["diagonal", "wide"],
+    )
+    def test_both_sides_fail_and_a_picks(self, a, b, partition, functional):
+        rep = run_sus([a.astype(complex)], [b.astype(complex)], partition)
+        assert isinstance(rep, Violation)
+        assert rep.functional == functional
+
+
 class TestEquivalenceMode:
     def test_no_diagonal_rule(self):
         rows = cols = Partition.whole(2)
