@@ -68,12 +68,12 @@ class Partition:
 
 def submatrix(m: Matrix, rows: Partition, i: int, cols: Partition, j: int) -> Matrix:
     """Cell ``(i, j)`` of ``m`` under the row and column partitions."""
-    if m.shape != (rows.total, cols.total):
+    ro, co = rows.offsets, cols.offsets
+    if m.shape != (ro[-1], co[-1]):
         raise DimensionMismatch(
-            f"matrix shape {m.shape} does not match partitions "
-            f"({rows.total}, {cols.total})"
+            f"matrix shape {m.shape} does not match partitions ({ro[-1]}, {co[-1]})"
         )
-    return m[rows.slice_of(i), cols.slice_of(j)]
+    return m[ro[i] : ro[i + 1], co[j] : co[j + 1]]
 
 
 def apply_blocks(

@@ -17,10 +17,13 @@ tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, SpecInvalid
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix
+import numpy as np
+
+from .errors import InternalInconsistency, NumericalFailure, SpecInvalid
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, fro
 from .solver import _Solution, _refinements
 
 __all__ = ["FeatureStep", "CanonicalFeatures", "extract_features", "compare_features"]
@@ -68,12 +71,20 @@ def extract_features(
     for spectral gaps between the comparison and grouping tolerances or
     :class:`~susim.errors.NotMultipleOfUnitary` for a holonomy just outside
     the unitary-multiple test; no stable fingerprint exists at these
-    settings then.  :class:`~susim.errors.InternalInconsistency` signals a
+    settings then.  So does a matrix whose Frobenius norm overflows double
+    precision (entries of about 1e154 and up), since every form test would
+    pass on it.  :class:`~susim.errors.InternalInconsistency` signals a
     bug, such as a self-paired run that does not end in the solution form.
     """
     mats = [as_matrix(m) for m in a_mats]
     if not mats:
         raise SpecInvalid("cannot fingerprint an empty collection")
+    with np.errstate(over="ignore"):
+        overflowing = [l for l, m in enumerate(mats) if not math.isfinite(fro(m))]
+    if overflowing:
+        raise NumericalFailure(
+            f"the norm of matrix {overflowing[0] + 1} overflows double precision"
+        )
     steps: list[FeatureStep] = []
     loop = _refinements(mode, mats, mats, tol)
     while True:

@@ -57,7 +57,21 @@ _STATUS_EXIT = {SOLVED: EXIT_SOLVED, NOT_SIMILAR: EXIT_NOT_SIMILAR, FAILED: EXIT
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors use the input-error exit code."""
+    """Argument parser whose usage errors use the input-error exit code.
+
+    ``add_arguments``, if given, adds the parser's arguments the first time it
+    parses, so that a subcommand's arguments are built only when it is invoked.
+    """
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -293,20 +307,15 @@ def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="susim", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _solve_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance", help="instance document, - for stdin")
+    parser.add_argument("--out", help="write the result document here, - for stdout")
+    _add_mode_flag(parser)
+    _add_tolerance_flags(parser)
 
-    p_solve = sub.add_parser("solve", help="decide one instance")
-    p_solve.add_argument("instance", help="instance document, - for stdin")
-    p_solve.add_argument("--out", help="write the result document here, - for stdout")
-    _add_mode_flag(p_solve)
-    _add_tolerance_flags(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
 
-    p_gen = sub.add_parser("gen", help="generate a benchmark instance")
-    p_gen.add_argument(
+def _gen_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--kind",
         required=True,
         choices=(
@@ -318,39 +327,58 @@ def build_parser() -> argparse.ArgumentParser:
             "pr_cycle",
         ),
     )
-    p_gen.add_argument("-n", type=int, required=True, help="matrix size (columns for sueq)")
-    p_gen.add_argument("-m", type=int, help="row count for planted_equivalent")
-    p_gen.add_argument("-p", type=int, default=1, help="matrices per side")
-    p_gen.add_argument("--seed", type=_seed, default=0)
-    p_gen.add_argument("--style", choices=("dense", "structured"), default="dense")
-    p_gen.add_argument("--eps", type=float, default=1e-2, help="perturbation size")
-    p_gen.add_argument("--depth", type=int, default=3, help="scheduled refinement count")
-    p_gen.add_argument("--gap", type=float, default=1.0, help="eigenvalue level spacing")
-    p_gen.add_argument("--name", type=_utf8, default="", help="instance name")
-    p_gen.add_argument("--out", required=True, help="instance file, - for stdout")
-    p_gen.set_defaults(func=_cmd_gen)
+    parser.add_argument("-n", type=int, required=True, help="matrix size (columns for sueq)")
+    parser.add_argument("-m", type=int, help="row count for planted_equivalent")
+    parser.add_argument("-p", type=int, default=1, help="matrices per side")
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--style", choices=("dense", "structured"), default="dense")
+    parser.add_argument("--eps", type=float, default=1e-2, help="perturbation size")
+    parser.add_argument("--depth", type=int, default=3, help="scheduled refinement count")
+    parser.add_argument("--gap", type=float, default=1.0, help="eigenvalue level spacing")
+    parser.add_argument("--name", type=_utf8, default="", help="instance name")
+    parser.add_argument("--out", required=True, help="instance file, - for stdout")
 
-    p_verify = sub.add_parser("verify", help="recheck a result against its instance")
-    p_verify.add_argument("instance")
-    p_verify.add_argument("result")
-    _add_mode_flag(p_verify)
-    _add_tolerance_flags(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_canon = sub.add_parser("canon", help="canonical features of one collection")
-    p_canon.add_argument("instance", help="instance document, - for stdin")
-    p_canon.add_argument("--side", choices=("a", "b"), default="a")
-    p_canon.add_argument("--out", help="write the features document here, - for stdout")
-    _add_mode_flag(p_canon)
-    _add_tolerance_flags(p_canon)
-    p_canon.set_defaults(func=_cmd_canon)
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance")
+    parser.add_argument("result")
+    _add_mode_flag(parser)
+    _add_tolerance_flags(parser)
 
-    p_diff = sub.add_parser("diff", help="compare two feature documents")
-    p_diff.add_argument("first")
-    p_diff.add_argument("second")
-    _add_tolerance_flags(p_diff)
-    p_diff.set_defaults(func=_cmd_diff)
 
+def _canon_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance", help="instance document, - for stdin")
+    parser.add_argument("--side", choices=("a", "b"), default="a")
+    parser.add_argument("--out", help="write the features document here, - for stdout")
+    _add_mode_flag(parser)
+    _add_tolerance_flags(parser)
+
+
+def _diff_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("first")
+    parser.add_argument("second")
+    _add_tolerance_flags(parser)
+
+
+# Subcommand: (help text, argument adder, handler).
+_COMMANDS = {
+    "solve": ("decide one instance", _solve_arguments, _cmd_solve),
+    "gen": ("generate a benchmark instance", _gen_arguments, _cmd_gen),
+    "verify": ("recheck a result against its instance", _verify_arguments, _cmd_verify),
+    "canon": ("canonical features of one collection", _canon_arguments, _cmd_canon),
+    "diff": ("compare two feature documents", _diff_arguments, _cmd_diff),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser.  Every subcommand is registered, but only the
+    one that is invoked gets its arguments, when it starts to parse."""
+    parser = _Parser(prog="susim", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+        command.set_defaults(func=handler)
     return parser
 
 

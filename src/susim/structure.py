@@ -29,15 +29,21 @@ four cell functionals are defined here once.  A B-side matrix that is the
 A-side matrix itself, as in the self-paired run behind the canonical
 features or a pair that the solver found equal bit for bit, is read and
 tested once, and a deviation on it carries one functional matrix for both
-sides.
+sides.  Such a matrix's 1x1 cells cannot deviate: a 1x1 cell passes its
+test, and its scalar equals itself.  So, where the matrix's norm is finite,
+they are read off through the same test only once the whole scan has
+passed, and take their place in scan order then.  Where the matrix's norm
+overflows, a 1x1 Gram may overflow too, so its cells are tested in order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .blocking import Partition, submatrix
+from .errors import InternalInconsistency
 from .linalg import (
     Matrix,
     Tolerances,
@@ -172,11 +178,14 @@ def check_presolution(
     diag_alphas: dict[tuple[int, int], complex] = {}
     scales_a: dict[tuple[int, int, int], float] = {}
     scales_b: dict[tuple[int, int, int], float] = {}
+    # Singleton cells of shared matrices, read off once the scan has passed.
+    deferred: list[tuple[tuple[int, int, int], tuple, Matrix, float]] = []
     for l, (a, b) in enumerate(zip(a_mats, b_mats)):
         same = b is a
         ctx_a = fro(a)
         ctx_b = ctx_a if same else fro(b)
         ctx = max(ctx_a, ctx_b)
+        defer = same and math.isfinite(ctx_a)
         for i in range(rows.count):
             for j in range(cols.count):
                 ca = submatrix(a, rows, i, cols, j)
@@ -184,6 +193,14 @@ def check_presolution(
                 square = rows.sizes[i] == cols.sizes[j]
                 at = (l, i, j)
                 rule = _DIAGONAL if mode == "sus" and i == j else _SQUARE if square else _NON_SQUARE
+                if defer and rows.sizes[i] == cols.sizes[j] == 1:
+                    # A placeholder keeps the cell's place in scan order.
+                    deferred.append((at, rule, ca, ctx_a))
+                    if rule is _DIAGONAL:
+                        diag_alphas[(l, i)] = 0j
+                    else:
+                        scales_a[at] = scales_b[at] = 0.0
+                    continue
                 test, first, second = rule
                 va = test(ca, tol, ctx_a)
                 vb = va if same or va is None else test(cb, tol, ctx_b)
@@ -201,4 +218,14 @@ def check_presolution(
                     if va > 0.0 and vb > 0.0:
                         scales_a[at] = va
                         scales_b[at] = vb
+    for at, rule, cell, cell_ctx in deferred:
+        v = rule[0](cell, tol, cell_ctx)
+        if v is None:
+            raise InternalInconsistency(f"singleton cell {at} of a shared matrix fails its form test")
+        if rule is _DIAGONAL:
+            diag_alphas[at[:2]] = v
+        elif v > 0.0:
+            scales_a[at] = scales_b[at] = v
+        else:
+            del scales_a[at], scales_b[at]
     return SolutionForm(diag_alphas, scales_a, scales_b)

@@ -250,6 +250,47 @@ class TestOverflowingInput:
         assert main(["verify", inst, str(res)]) == 3
         assert "witness refuted, residual inf" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_canon_refuses_without_a_warning(self, tmp_path, capsys, scale):
+        # No filterwarnings mark: an overflow warning would fail the test.
+        rng = np.random.default_rng(0)
+        mats = [scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+                for _ in range(4)]
+        inst = write_instance(tmp_path / "i.json", Instance("sus", mats[:2], mats[2:]))
+        out = tmp_path / "f.json"
+        for side in ("a", "b"):
+            assert main(["canon", inst, "--side", side, "--out", str(out)]) == 2
+            assert "NumericalFailure: the norm of matrix 1 overflows" in capsys.readouterr().out
+            assert not out.exists()
+
+
+class TestParser:
+    """Every subcommand is registered; only the invoked one gets its arguments."""
+
+    def test_only_the_invoked_command_builds_its_arguments(self, monkeypatch):
+        built = []
+        for name, (help_text, add_arguments, handler) in list(cli._COMMANDS.items()):
+            def record(parser, name=name, add_arguments=add_arguments):
+                built.append(name)
+                add_arguments(parser)
+
+            monkeypatch.setitem(cli._COMMANDS, name, (help_text, record, handler))
+        args = cli.build_parser().parse_args(["diff", "x.json", "y.json", "--tol-cmp", "1e-8"])
+        assert built == ["diff"]
+        assert (args.first, args.second, args.tol_cmp) == ("x.json", "y.json", 1e-8)
+
+    def test_usage_names_every_command(self, capsys):
+        assert main(["solve", "x.json", "--bogus"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: susim [-h] [--version] {solve,gen,verify,canon,diff} ...\n")
+        assert err.endswith("susim: error: unrecognized arguments: --bogus\n")
+
+    def test_command_help_lists_its_arguments(self, capsys):
+        assert main(["canon", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: susim canon [-h] [--side {a,b}] [--out OUT]")
+        assert "--tol-verify TOL_VERIFY" in out
+
 
 class TestCanonAndDiff:
     def test_sides_of_similar_pair_match(self, tmp_path, capsys):
