@@ -97,7 +97,11 @@ def digest(inst) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--corpus", choices=tuple(CORPORA), action="append", help="corpus to hash (default: all)"
+        "--corpus",
+        choices=tuple(CORPORA),
+        nargs="+",
+        action="extend",
+        help="corpora to hash (default: all)",
     )
     args = parser.parse_args(argv)
     for name in args.corpus or CORPORA:

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency, NumericalFailure, SpecInvalid
+from .errors import InternalInconsistency, NumericalFailure
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, fro
+from .model import Instance
 from .solver import _Solution, _refinements
 
 __all__ = ["FeatureStep", "CanonicalFeatures", "extract_features", "compare_features"]
@@ -65,7 +66,10 @@ def extract_features(
     """Invariant fingerprint of one collection.
 
     Reads the features off the decision loop run on the collection paired
-    with itself.  An empty collection raises :class:`~susim.errors.SpecInvalid`.
+    with itself.  Before the loop starts, invalid input raises as the
+    :class:`~susim.model.Instance` of that pair would (an empty collection
+    :class:`~susim.errors.SpecInvalid`, unequal shapes
+    :class:`~susim.errors.DimensionMismatch`).
     Raises a :class:`~susim.errors.SusimError` when the loop
     meets a numerical boundary, e.g. :class:`~susim.errors.NumericalFailure`
     for spectral gaps between the comparison and grouping tolerances or
@@ -77,8 +81,7 @@ def extract_features(
     bug, such as a self-paired run that does not end in the solution form.
     """
     mats = [as_matrix(m) for m in a_mats]
-    if not mats:
-        raise SpecInvalid("cannot fingerprint an empty collection")
+    Instance(mode, mats, mats)
     with np.errstate(over="ignore"):
         overflowing = [l for l, m in enumerate(mats) if not math.isfinite(fro(m))]
     if overflowing:

@@ -26,12 +26,14 @@ both sides, and the check returns these holonomy scalars by edge; otherwise
 it returns the first failing edge, a non-scalar one as the
 :class:`~susim.structure.Violation` that drives the next refinement and a
 scalar disagreement as the :class:`~susim.structure.ScalarMismatch` that
-disproves the instance.  When the B side is the A-side collection itself,
-its path products and holonomies are the A side's, computed once.
+disproves the instance.  Both read edges in the form's key order, which
+is scan order.  When every B-side matrix is its A-side matrix itself, the
+B side's path products and holonomies are the A side's, computed once.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -169,7 +171,8 @@ def build_paths(
         return prods, amps
 
     paths_a, amps_a = products(a_mats, scales_a)
-    paths_b, amps_b = (paths_a, amps_a) if b_mats is a_mats else products(b_mats, scales_b)
+    shared = all(map(operator.is_, b_mats, a_mats))
+    paths_b, amps_b = (paths_a, amps_a) if shared else products(b_mats, scales_b)
     return PathData(components, rep_of, paths_a, paths_b, amps_a, amps_b, steps_to)
 
 
@@ -234,7 +237,7 @@ def check_pr(
 
     x_a = holonomies(a_mats, paths.paths_a, paths.amps_a)
     alpha_a, scalar_a = _scalar_cells(x_a, rows, cols, tol)
-    if b_mats is a_mats and paths.paths_b is paths.paths_a and paths.amps_b is paths.amps_a:
+    if paths.paths_b is paths.paths_a:
         x_b, alpha_b, scalar_b = x_a, alpha_a, scalar_a
     else:
         x_b = holonomies(b_mats, paths.paths_b, paths.amps_b)

@@ -10,9 +10,8 @@ respective diagonalizers and splitting the touched class by the eigenvalue
 multiplicities strictly refines the partition while preserving solvability
 in both directions.  Only the touched class's rows and columns change.  A
 functional pair that is one matrix is eigensolved once.  Sharing is kept
-per matrix: when both diagonalizers are one matrix, a B-side matrix that is
-its A-side matrix itself comes out as the conjugated A-side matrix, and a
-collection paired with itself comes out paired with itself, conjugated once.
+per matrix: when both diagonalizers are one matrix, a B-side matrix that
+is its A-side matrix itself comes out as the conjugated A-side matrix.
 """
 
 from __future__ import annotations
@@ -99,14 +98,10 @@ def apply_refinement(
     y, z = dec_a.diagonalizer, dec_b.diagonalizer
     left, right = mode == "sus" or axis == "row", mode == "sus" or axis == "col"
     new_a = [apply_blocks(m, part, {t: y}, left=left, right=right) for m in a_mats]
-    same_z = z is y
-    if b_mats is a_mats and same_z:
-        new_b = new_a
-    else:
-        new_b = [
-            na if same_z and b is a else apply_blocks(b, part, {t: z}, left=left, right=right)
-            for a, b, na in zip(a_mats, b_mats, new_a)
-        ]
+    new_b = [
+        na if z is y and b is a else apply_blocks(b, part, {t: z}, left=left, right=right)
+        for a, b, na in zip(a_mats, b_mats, new_a)
+    ]
     new_rows = new_part if left else rows
     new_cols = new_part if right else cols
     return RefineOutcome("refined", step, new_a, new_b, new_rows, new_cols, y, z)

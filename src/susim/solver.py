@@ -98,11 +98,11 @@ def _refinements(
     that disproves the instance, or the refinement step whose spectra
     disagree.  Each pass either ends the run or strictly refines a
     partition, so the loop runs at most ``n`` passes (similarity) or
-    ``m + n`` passes (equivalence).  Passing one list as both sides, as
-    feature extraction does, makes every stage compute that side once; the
-    refined pair is again one list, so this holds on every pass.  A single
-    B-side matrix that is its A-side matrix is scanned once, and stays
-    shared through every refinement that diagonalizes both sides alike.
+    ``m + n`` passes (equivalence).  Sharing is per matrix: a B-side
+    matrix that is its A-side matrix is scanned and eigensolved once and
+    stays shared through every refinement that diagonalizes both sides
+    alike; when all are, as in feature extraction's self-paired run, so
+    are the path products and the holonomy check.
     """
     m, n = a_mats[0].shape
     rows = Partition.whole(m)
@@ -184,16 +184,14 @@ def solve(instance: Instance, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveResu
 
     Sharing is decided per matrix, bit for bit: each ``B_l`` whose bytes
     equal those of ``A_l`` (the instance fixes one shape; ``-0.0`` and
-    ``0.0`` differ) becomes the ``A_l`` object itself, and a B side that is
-    all shared becomes the A list.  The loop computes a shared matrix, or a
-    shared list, once; equal inputs give equal arithmetic, so the result is
-    the one an unshared run gives.  The certificate checker does not share.
+    ``0.0`` differ) becomes the ``A_l`` object itself.  The loop computes a
+    shared matrix once, and the path products once when every matrix is
+    shared; equal inputs give equal arithmetic, so the result is the one an
+    unshared run gives.  The certificate checker does not share.
     """
     a = [as_matrix(m) for m in instance.a_mats]
     b = [as_matrix(m) for m in instance.b_mats]
     b = [x if x.tobytes() == y.tobytes() else y for x, y in zip(a, b)]
-    if all(y is x for x, y in zip(a, b)):
-        b = a
     return _run(instance.mode, a, b, tol)
 
 

@@ -25,20 +25,19 @@ do not, which is already a disproof) or a :class:`Violation` carrying a
 functional of the deviating cell on both sides, whose eigenspaces will
 drive the next refinement: the first of the cell's pair unless that one is
 scalar on the failing side, and ``gram_left`` for unequal amplitudes.  The
-four cell functionals are defined here once.  A B-side matrix that is the
-A-side matrix itself, as in the self-paired run behind the canonical
-features or a pair that the solver found equal bit for bit, is read and
-tested once, and a deviation on it carries one functional matrix for both
-sides.  Such a matrix's 1x1 cells cannot deviate: a 1x1 cell passes its
-test, and its scalar equals itself.  So, where the matrix's norm is finite,
-they are read off through the same test only once the whole scan has
-passed, and take their place in scan order then.  Where the matrix's norm
-overflows, a 1x1 Gram may overflow too, so its cells are tested in order.
+four cell functionals are defined here once.  Sharing is per matrix: a
+B-side matrix that is the A-side matrix itself, as in the self-paired run
+behind the canonical features or a pair that the solver found equal bit
+for bit, is read and tested once, and a deviation on it carries one
+functional matrix for both sides.  Its 1x1 cells cannot deviate: a finite
+1x1 cell passes its test at any context, and its scalar equals itself, so
+they are read off only once the whole scan has passed.  The form's dicts
+are in key order, which is scan order and the order :mod:`susim.graph`
+reads edges in.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -185,7 +184,6 @@ def check_presolution(
         ctx_a = fro(a)
         ctx_b = ctx_a if same else fro(b)
         ctx = max(ctx_a, ctx_b)
-        defer = same and math.isfinite(ctx_a)
         for i in range(rows.count):
             for j in range(cols.count):
                 ca = submatrix(a, rows, i, cols, j)
@@ -193,13 +191,8 @@ def check_presolution(
                 square = rows.sizes[i] == cols.sizes[j]
                 at = (l, i, j)
                 rule = _DIAGONAL if mode == "sus" and i == j else _SQUARE if square else _NON_SQUARE
-                if defer and rows.sizes[i] == cols.sizes[j] == 1:
-                    # A placeholder keeps the cell's place in scan order.
+                if same and square and rows.sizes[i] == 1:
                     deferred.append((at, rule, ca, ctx_a))
-                    if rule is _DIAGONAL:
-                        diag_alphas[(l, i)] = 0j
-                    else:
-                        scales_a[at] = scales_b[at] = 0.0
                     continue
                 test, first, second = rule
                 va = test(ca, tol, ctx_a)
@@ -226,6 +219,9 @@ def check_presolution(
             diag_alphas[at[:2]] = v
         elif v > 0.0:
             scales_a[at] = scales_b[at] = v
-        else:
-            del scales_a[at], scales_b[at]
+    if deferred:
+        # Key order (l, i, j) is scan order.
+        diag_alphas, scales_a, scales_b = (
+            dict(sorted(d.items())) for d in (diag_alphas, scales_a, scales_b)
+        )
     return SolutionForm(diag_alphas, scales_a, scales_b)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susim import canonical
 from susim.canonical import compare_features, extract_features
-from susim.errors import SpecInvalid
+from susim.errors import DimensionMismatch, SpecInvalid
 from susim.linalg import DEFAULT_TOLERANCES, adjoint
 
 TOL = DEFAULT_TOLERANCES
@@ -70,6 +71,23 @@ class TestExtraction:
     def test_empty_collection_is_invalid_input(self):
         with pytest.raises(SpecInvalid):
             extract_features([])
+
+    @pytest.mark.parametrize(
+        "mats, mode, error",
+        [
+            ([np.diag([1.0, 2.0]), np.eye(3)], "sus", DimensionMismatch),
+            ([np.ones((2, 3)), np.ones((2, 3))], "sus", DimensionMismatch),
+            ([np.diag([1.0, 2.0])], "bogus", SpecInvalid),
+        ],
+        ids=["unequal_shapes", "rectangular_sus", "unknown_mode"],
+    )
+    def test_invalid_collection_is_refused_before_the_loop(self, mats, mode, error, monkeypatch):
+        def loop(*args):
+            raise AssertionError("the decision loop ran on an invalid collection")
+
+        monkeypatch.setattr(canonical, "_refinements", loop)
+        with pytest.raises(error):
+            extract_features(mats, mode=mode)
 
 
 class TestInvariance:

@@ -139,7 +139,7 @@ def test_sharing_is_decided_per_matrix_and_bit_for_bit(entry):
     (a1, b1), (a2, b2), (a3, b3) = entry
     assert b1 is not a1 and b1[0] is not a1[0] and b1[1] is a1[1]
     assert b2 is not a2 and b2[0] is a2[0] and b2[1] is not a2[1]
-    assert b3 is a3
+    assert b3 is not a3 and all(y is x for x, y in zip(a3, b3))
 
 
 def test_shared_matrices_are_computed_once(monkeypatch):
@@ -202,3 +202,34 @@ def test_shared_matrices_are_computed_once(monkeypatch):
         b = [m.copy() for m in inst.b_mats]
         solver.solve(Instance(inst.mode, inst.a_mats, b), TOL)
     assert seen["shared reads"] and seen["shared violations"] and seen["sharing kept"]
+
+
+def test_all_shared_b_side_is_computed_once(monkeypatch):
+    """A B side of copies of every A-side matrix is, matrix by matrix, the
+    A side: each refinement eigensolves once and the final path products
+    are the A side's, as in a collection paired with itself."""
+    calls = Counter()
+    for name in ("eig_hermitian", "eig_normal"):
+        real = getattr(refine, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls["eig"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(refine, name, counted)
+    ends = []
+    refinements = solver._refinements
+
+    def spy(mode, a_mats, b_mats, tol):
+        ends.append((yield from refinements(mode, a_mats, b_mats, tol)))
+        return ends[-1]
+
+    monkeypatch.setattr(solver, "_refinements", spy)
+    for cfg in CONFIGS:
+        inst, _ = generate(GenConfig(seed=0, **cfg))
+        mats = list(inst.a_mats)
+        calls.clear()
+        result = solver.solve(Instance(inst.mode, mats, [m.copy() for m in mats]), TOL)
+        assert result.status == SOLVED
+        assert calls["eig"] == result.iterations - 1 > 0
+        assert ends[-1].paths.paths_b is ends[-1].paths.paths_a

@@ -109,6 +109,10 @@ def test_shared_and_copied_b_give_the_same_answer(mode, singletons):
         shared = check_presolution(a_mats, a_mats, rows, cols, mode, TOL)
         copied = check_presolution(a_mats, [m.copy() for m in a_mats], rows, cols, mode, TOL)
         assert_same_answer(shared, copied)
+        if isinstance(shared, SolutionForm):
+            # graph reads edge witnesses and the first failing edge in key order.
+            for found in (shared.diag_alphas, shared.cell_scales_a, shared.cell_scales_b):
+                assert list(found) == sorted(found)
         kinds.add(type(shared).__name__)
     assert "SolutionForm" in kinds
     assert ("Violation" in kinds) is not singletons
