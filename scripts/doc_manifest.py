@@ -18,6 +18,9 @@ Corpora (492 instances in all):
   at full size (read from ``perfbench/workloads.py``; this takes about a
   minute).
 
+BLAS runs on one thread unless the caller set ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``.
+
 Usage, from the root of a source checkout::
 
     PYTHONPATH=src python3 scripts/doc_manifest.py [--corpus NAME ...]
@@ -28,8 +31,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the caller chose a count, as in the test suite: the
+# hashes of the deep_split pool entries change with the thread count.  BLAS
+# reads these variables once, when numpy loads it.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]

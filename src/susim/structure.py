@@ -31,9 +31,10 @@ behind the canonical features or a pair that the solver found equal bit
 for bit, is read and tested once, and a deviation on it carries one
 functional matrix for both sides.  Its 1x1 cells cannot deviate: a finite
 1x1 cell passes its test at any context, and its scalar equals itself, so
-they are read off only once the whole scan has passed.  The form's dicts
-are in key order, which is scan order and the order :mod:`susim.graph`
-reads edges in.
+the scan skips them.  Once it has passed, they are read off in one array
+read per shared matrix, whose values are, bit for bit, those the two
+predicates return.  The form's dicts are in key order, which is scan order
+and the order :mod:`susim.graph` reads edges in.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .blocking import Partition, submatrix
-from .errors import InternalInconsistency
+import numpy as np
+
+from .blocking import Partition, singleton_cells, submatrix
 from .linalg import (
     Matrix,
     Tolerances,
@@ -177,23 +179,24 @@ def check_presolution(
     diag_alphas: dict[tuple[int, int], complex] = {}
     scales_a: dict[tuple[int, int, int], float] = {}
     scales_b: dict[tuple[int, int, int], float] = {}
-    # Singleton cells of shared matrices, read off once the scan has passed.
-    deferred: list[tuple[tuple[int, int, int], tuple, Matrix, float]] = []
+    # Shared matrices, whose 1x1 cells are read off once the scan has passed.
+    shared: list[tuple[int, Matrix, float]] = []
     for l, (a, b) in enumerate(zip(a_mats, b_mats)):
         same = b is a
         ctx_a = fro(a)
         ctx_b = ctx_a if same else fro(b)
         ctx = max(ctx_a, ctx_b)
+        if same:
+            shared.append((l, a, ctx_a))
         for i in range(rows.count):
             for j in range(cols.count):
+                square = rows.sizes[i] == cols.sizes[j]
+                if same and square and rows.sizes[i] == 1:
+                    continue
                 ca = submatrix(a, rows, i, cols, j)
                 cb = ca if same else submatrix(b, rows, i, cols, j)
-                square = rows.sizes[i] == cols.sizes[j]
                 at = (l, i, j)
                 rule = _DIAGONAL if mode == "sus" and i == j else _SQUARE if square else _NON_SQUARE
-                if same and square and rows.sizes[i] == 1:
-                    deferred.append((at, rule, ca, ctx_a))
-                    continue
                 test, first, second = rule
                 va = test(ca, tol, ctx_a)
                 vb = va if same or va is None else test(cb, tol, ctx_b)
@@ -211,15 +214,24 @@ def check_presolution(
                     if va > 0.0 and vb > 0.0:
                         scales_a[at] = va
                         scales_b[at] = vb
-    for at, rule, cell, cell_ctx in deferred:
-        v = rule[0](cell, tol, cell_ctx)
-        if v is None:
-            raise InternalInconsistency(f"singleton cell {at} of a shared matrix fails its form test")
-        if rule is _DIAGONAL:
-            diag_alphas[at[:2]] = v
-        elif v > 0.0:
-            scales_a[at] = scales_b[at] = v
-    if deferred:
+    for l, a, ctx in shared:
+        ii, jj, cells = singleton_cells(a, rows, cols)
+        with np.errstate(over="ignore"):
+            # What unitary_multiple returns: 0 within tolerance, else the mean
+            # of its two Gram scalars, both r (infinite once 2r overflows).
+            r = cells.real * cells.real + cells.imag * cells.imag
+            r = np.where(np.sqrt(r) <= tol.cmp * (1.0 + ctx), 0.0, (r + r) / 2.0)
+        if mode == "sus":
+            # What identity_multiple returns: a trace, whose sum turns -0.0 into 0.0.
+            alphas = (np.diagonal(cells) + 0.0).tolist()
+            diag_alphas.update(zip(((l, i) for i in ii.tolist()), alphas))
+            np.fill_diagonal(r, 0.0)
+        ki, kj = np.nonzero(r > 0.0)
+        keys = ((l, i, j) for i, j in zip(ii[ki].tolist(), jj[kj].tolist()))
+        edges = dict(zip(keys, r[ki, kj].tolist()))
+        scales_a.update(edges)
+        scales_b.update(edges)
+    if shared:
         # Key order (l, i, j) is scan order.
         diag_alphas, scales_a, scales_b = (
             dict(sorted(d.items())) for d in (diag_alphas, scales_a, scales_b)

@@ -4,12 +4,14 @@
 :func:`~susim.blocking.apply_blocks`; the refinement tests use it too.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susim.blocking import Partition, apply_blocks, submatrix
+from susim.blocking import Partition, apply_blocks, singleton_cells, submatrix
 from susim.errors import DimensionMismatch
 from susim.instances import random_unitary
 
@@ -64,6 +66,18 @@ class TestSubmatrix:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             submatrix(np.eye(3), Partition((2,)), 0, Partition((3,)), 0)
+        with pytest.raises(DimensionMismatch):
+            singleton_cells(np.eye(3), Partition((1, 1)), Partition((1, 1, 1)))
+
+    def test_singleton_cells_are_the_1x1_submatrices(self):
+        m = np.arange(30, dtype=complex).reshape(5, 6)
+        rows, cols = Partition((1, 2, 1, 1)), Partition((3, 1, 1, 1))
+        ii, jj, cells = singleton_cells(m, rows, cols)
+        assert ii.tolist() == [0, 2, 3] and jj.tolist() == [1, 2, 3]
+        for (k, i), (q, j) in itertools.product(enumerate(ii), enumerate(jj)):
+            assert cells[k, q] == submatrix(m, rows, i, cols, j)[0, 0]
+        ii, jj, cells = singleton_cells(m, Partition((5,)), cols)
+        assert ii.size == 0 and cells.shape == (0, 3)
 
 
 def blockdiag(partition, blocks):

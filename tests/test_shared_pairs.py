@@ -6,6 +6,7 @@ shared matrix once.  Equal inputs give equal arithmetic, so every result
 document must be byte-identical to the one a run without any sharing gives.
 """
 
+import itertools
 import json
 from collections import Counter
 
@@ -142,6 +143,54 @@ def test_sharing_is_decided_per_matrix_and_bit_for_bit(entry):
     assert b3 is not a3 and all(y is x for x, y in zip(a3, b3))
 
 
+def guard_scan_reads(monkeypatch):
+    """Make every scan through ``solver.check_presolution`` assert how it
+    reads cells.  In scan order (matrix, row class, column class), up to the
+    first deviation or all of them when it passes, it calls ``submatrix``
+    once for a cell of a shared matrix and twice for any other cell, but
+    not at all for a shared matrix's 1x1 cells.  Those it reads only once
+    the scan has passed, with one ``singleton_cells`` call per shared
+    matrix, counted per distinct array.  Returns a counter of the scans
+    that read a shared matrix and of the bulk reads."""
+    reads = []  # None for a cell read, the array's id for a bulk read
+    read_cell, read_bulk = structure.submatrix, structure.singleton_cells
+    scan = solver.check_presolution
+
+    def counted_cell(m, *args):
+        reads.append(None)
+        return read_cell(m, *args)
+
+    def counted_bulk(m, *args):
+        reads.append(id(m))
+        return read_bulk(m, *args)
+
+    seen = Counter()
+
+    def guarded_scan(a_mats, b_mats, rows, cols, mode, tol):
+        reads.clear()
+        pre = scan(a_mats, b_mats, rows, cols, mode, tol)
+        passed = isinstance(pre, structure.SolutionForm)
+        shared = [b is a for a, b in zip(a_mats, b_mats)]
+        in_order = 0
+        for at in itertools.product(range(len(a_mats)), range(rows.count), range(cols.count)):
+            l, i, j = at
+            if not (shared[l] and rows.sizes[i] == cols.sizes[j] == 1):
+                in_order += 1 if shared[l] else 2
+            if not passed and at == pre.at:
+                break
+        assert reads.count(None) == in_order
+        bulk = Counter(r for r in reads if r is not None)
+        assert bulk == Counter(id(a) for a, s in zip(a_mats, shared) if s and passed)
+        seen["shared reads"] += any(shared[: len(a_mats) if passed else pre.at[0] + 1])
+        seen["bulk reads"] += bulk.total()
+        return pre
+
+    monkeypatch.setattr(structure, "submatrix", counted_cell)
+    monkeypatch.setattr(structure, "singleton_cells", counted_bulk)
+    monkeypatch.setattr(solver, "check_presolution", guarded_scan)
+    return seen
+
+
 def test_shared_matrices_are_computed_once(monkeypatch):
     """Counted on solves whose B side holds copies of some A-side matrices:
     a scan reads a shared matrix's cells once, a scan violation on a shared
@@ -158,29 +207,14 @@ def test_shared_matrices_are_computed_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("eig_hermitian", "eig_normal", "submatrix"):
-        count(refine if name.startswith("eig") else structure, name)
+    for name in ("eig_hermitian", "eig_normal"):
+        count(refine, name)
 
     def eigs():
         return calls["eig_hermitian"] + calls["eig_normal"]
 
-    seen = Counter()
-    scan, refinement = solver.check_presolution, solver.apply_refinement
-
-    def counted_scan(a_mats, b_mats, rows, cols, mode, tol):
-        before = calls["submatrix"]
-        pre = scan(a_mats, b_mats, rows, cols, mode, tol)
-        # Cells scanned in order (matrix, row class, column class): all of
-        # them when the scan passes, else up to the first deviation.
-        per_matrix = rows.count * cols.count
-        read = len(a_mats) * per_matrix
-        if not isinstance(pre, structure.SolutionForm):
-            l, i, j = pre.at
-            read = (l * rows.count + i) * cols.count + j + 1
-        shared = [b_mats[k // per_matrix] is a_mats[k // per_matrix] for k in range(read)]
-        assert calls["submatrix"] - before == sum(1 if s else 2 for s in shared)
-        seen["shared reads"] += any(shared)
-        return pre
+    seen = guard_scan_reads(monkeypatch)
+    refinement = solver.apply_refinement
 
     def counted_refinement(a_mats, b_mats, rows, cols, mode, violation, tol):
         before = eigs()
@@ -194,7 +228,6 @@ def test_shared_matrices_are_computed_once(monkeypatch):
             seen["sharing kept"] += bool(shared)
         return out
 
-    monkeypatch.setattr(solver, "check_presolution", counted_scan)
     monkeypatch.setattr(solver, "apply_refinement", counted_refinement)
     instances = [commutant(mode, seed) for mode in ("sus", "sueq") for seed in range(5)]
     instances += [generate(GenConfig(kind="pairwise", n=6, seed=seed))[0] for seed in range(5)]

@@ -3,9 +3,11 @@
 A 1x1 cell always passes its form test, and on a matrix that both sides
 hold, every cross-side comparison compares a value with itself, so such a
 cell can never be the first deviation.  ``check_presolution`` reads these
-cells off once the scan has passed.  These tests pin the rule (a finite 1x1
-cell passes both predicates at any context), show that the scan's answer is
-the one an unshared copy gives, and count the Gram tests it saves.
+cells off once the scan has passed, in one array read per shared matrix.
+These tests pin the rule (a finite 1x1 cell passes both predicates at any
+context), show that the read-off returns bit for bit what the predicates
+return and that the scan's answer is the one an unshared copy gives, and
+count the form tests it saves.
 """
 
 import importlib.util
@@ -17,9 +19,15 @@ import pytest
 
 from susim import solver, structure
 from susim.blocking import Partition
-from susim.errors import InternalInconsistency
+from susim.canonical import extract_features
 from susim.instances import random_unitary
-from susim.linalg import DEFAULT_TOLERANCES, close_scalars, identity_multiple, unitary_multiple
+from susim.linalg import (
+    DEFAULT_TOLERANCES,
+    close_scalars,
+    fro,
+    identity_multiple,
+    unitary_multiple,
+)
 from susim.structure import ScalarMismatch, SolutionForm, Violation, check_presolution
 
 TOL = DEFAULT_TOLERANCES
@@ -68,12 +76,22 @@ def block_form(rng, rows, cols, mode, zero_share=0.3):
     return out
 
 
+def bits(found):
+    """A dict of scalars as its keys in order, with each value's type and
+    the exact bits of both parts: ``==`` lets -0.0 pass for 0.0."""
+    return [(k, type(v), complex(v).real.hex(), complex(v).imag.hex()) for k, v in found.items()]
+
+
+def assert_same_form(form, expected):
+    assert bits(form.diag_alphas) == bits(expected.diag_alphas)
+    assert bits(form.cell_scales_a) == bits(expected.cell_scales_a)
+    assert bits(form.cell_scales_b) == bits(expected.cell_scales_b)
+
+
 def assert_same_answer(shared, copied):
     assert type(shared) is type(copied)
     if isinstance(shared, SolutionForm):
-        assert list(shared.diag_alphas.items()) == list(copied.diag_alphas.items())
-        assert list(shared.cell_scales_a.items()) == list(copied.cell_scales_a.items())
-        assert list(shared.cell_scales_b.items()) == list(copied.cell_scales_b.items())
+        assert_same_form(shared, copied)
     elif isinstance(shared, Violation):
         assert (shared.functional, shared.at, shared.touch) == (
             copied.functional, copied.at, copied.touch
@@ -129,21 +147,49 @@ def test_overflowing_shared_matrix_keeps_its_in_order_tests(scale):
     assert_same_answer(shared, copied)
 
 
-def test_failed_read_off_is_an_internal_inconsistency(monkeypatch):
-    rows = Partition((1, 1))
-    a_mats = [np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)]
-    monkeypatch.setattr(structure, "_SQUARE", (lambda c, tol, ctx: None,) + structure._SQUARE[1:])
-    with pytest.raises(InternalInconsistency, match="singleton cell"):
-        check_presolution(a_mats, a_mats, rows, rows, "sus", TOL)
+def predicted_form(mat, mode):
+    """The form of ``mat`` paired with itself under all-singleton partitions,
+    from the per-cell predicates in scan order."""
+    ctx = fro(mat)
+    form = SolutionForm({}, {}, {})
+    for i, j in np.ndindex(*mat.shape):
+        cell = mat[i : i + 1, j : j + 1]
+        if mode == "sus" and i == j:
+            form.diag_alphas[(0, i)] = identity_multiple(cell, TOL, ctx)
+        elif (r := unitary_multiple(cell, TOL, ctx)) > 0.0:
+            form.cell_scales_a[(0, i, j)] = form.cell_scales_b[(0, i, j)] = r
+    return form
 
 
-def pairwise_pool(seed):
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["sus", "sueq"])
+def test_read_off_returns_what_the_predicates_return(mode):
+    """Each value of ``cell_values`` sits, with its conjugate and negative,
+    in a 3x3 matrix whose norm, the context, is set by a ballast entry: none
+    (the context is about |c|), |c| up to 1e5 |c|, 1e150, 1.3e154 (in
+    equivalence mode a cell whose Gram scalar r is finite but 2r is not)
+    and 1e160 (an infinite context)."""
+    rng = np.random.default_rng(11)
+    rows = Partition((1, 1, 1))
+    values = cell_values(rng, 300) + [complex(1.2e154, -0.0), complex(-0.0, 1.3e154)]
+    for c in values:
+        for ballast in (0.0, abs(c) * 10.0 ** rng.uniform(0.0, 5.0), 1e150, 1.3e154, 1e160):
+            mat = np.array(
+                [[c, -c, 0.0], [c.conjugate(), complex(-0.0, c.imag), 0.0], [0.0, -0.0, ballast]]
+            )
+            found = check_presolution([mat], [mat], rows, rows, mode, TOL)
+            assert_same_form(found, predicted_form(mat, mode))
+
+
+def pool(kind, seed):
+    """Every pool entry of ``kind`` (a kind's name in the benchmark's
+    ``workloads`` module, e.g. ``"PAIRWISE"``) at workload seed ``seed``."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     try:
         spec.loader.exec_module(module)
-        kind = module.PAIRWISE
+        kind = getattr(module, kind)
         return [module.make_instance(kind, seed, k, False) for k in range(kind.pool)]
     finally:
         del sys.modules[spec.name]
@@ -172,7 +218,33 @@ def test_pairwise_solve_makes_no_gram_test_on_its_shared_matrix(monkeypatch):
 
     monkeypatch.setattr(solver, "check_presolution", counted_scan)
     monkeypatch.setattr(structure, "_SQUARE", (counted_gram_test,) + structure._SQUARE[1:])
-    for inst in pairwise_pool(101):
+    for inst in pool("PAIRWISE", 101):
         assert solver.solve(inst).status == "not_similar"
     assert passed_shared and all(passed_shared)
     assert gram_tests == 0
+
+
+def test_dense_features_make_no_form_test_on_a_1x1_cell(monkeypatch):
+    """The features of a dense planted collection (n=40, p=3) end on a
+    passing scan of 40 singleton classes.  Its 4800 cells are read off
+    without a form test; tested one by one, they took 4800 form tests and
+    9360 ``identity_multiple`` calls on their 1x1 Gram matrices."""
+    one_by_one = 0
+
+    def counted(test):
+        def wrapper(cell, tol, ctx):
+            nonlocal one_by_one
+            one_by_one += cell.shape == (1, 1)
+            return test(cell, tol, ctx)
+
+        return wrapper
+
+    for rule in ("_DIAGONAL", "_SQUARE"):
+        test, *pair = getattr(structure, rule)
+        monkeypatch.setattr(structure, rule, (counted(test), *pair))
+    monkeypatch.setattr(structure, "identity_multiple", counted(structure.identity_multiple))
+    inst = pool("DENSE", 101)[0]
+    assert inst.a_mats[0].shape == (40, 40) and len(inst.a_mats) == 3
+    features = extract_features(list(inst.a_mats), mode=inst.mode)
+    assert features.rows_sizes == (1,) * 40
+    assert one_by_one == 0
