@@ -10,12 +10,12 @@ machinery give a fingerprint that is invariant under unitary conjugation.
 
 __version__ = "0.1.0"
 
-from .canonical import CanonicalFeatures, compare_features, extract_features
+from .canonical import compare_features, extract_features
 from .certcheck import CheckReport, check_certificate
 from .errors import SusimError
 from .instances import GenConfig, generate
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .model import FAILED, NOT_SIMILAR, SOLVED, Certificate, Instance, SolveResult
+from .model import FAILED, NOT_SIMILAR, SOLVED, CanonicalFeatures, Certificate, Instance, SolveResult
 from .oracles import small_case_decider, trace_word_oracle
 from .solver import solve, solve_sueq, solve_sus, witness_residual
 

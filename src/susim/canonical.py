@@ -7,7 +7,7 @@ unitary change of basis: which cell deviates first, which
 functional resolves it, the grouped spectrum it splits on, the partition
 sizes, and finally the diagonal scalars, cell amplitudes and holonomy
 scalars of the fully refined form.  Collecting that trace gives a
-fingerprint: collections related by a unitary produce equal features, and
+:class:`~susim.model.CanonicalFeatures` fingerprint: collections related by a unitary produce equal features, and
 unequal features certify that no such unitary exists.
 
 Features of two collections are compared entry by entry; discrete data
@@ -18,46 +18,14 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InternalInconsistency, NumericalFailure
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, fro
-from .model import Instance
+from .model import CanonicalFeatures, FeatureStep, Instance
 from .solver import _Solution, _refinements
 
-__all__ = ["FeatureStep", "CanonicalFeatures", "extract_features", "compare_features"]
-
-Groups = tuple[tuple[complex, int], ...]
-
-
-@dataclass(frozen=True)
-class FeatureStep:
-    """One refinement of the self-paired run."""
-
-    functional: str
-    at: tuple[int, int, int]
-    touch: tuple[str, int]
-    rows_sizes: tuple[int, ...]
-    cols_sizes: tuple[int, ...]
-    groups: Groups
-
-
-@dataclass(frozen=True)
-class CanonicalFeatures:
-    """Full invariant trace of a collection."""
-
-    mode: str
-    shape: tuple[int, int]
-    count: int
-    steps: tuple[FeatureStep, ...]
-    rows_sizes: tuple[int, ...]
-    cols_sizes: tuple[int, ...]
-    alphas: tuple[tuple[tuple[int, int], complex], ...]
-    scales: tuple[tuple[tuple[int, int, int], float], ...]
-    betas: tuple[tuple[tuple[int, int, int], complex], ...]
-    components: tuple[tuple[tuple[str, int], ...], ...]
+__all__ = ["extract_features", "compare_features"]
 
 
 def extract_features(

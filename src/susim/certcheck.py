@@ -52,7 +52,7 @@ from .linalg import (
     identity_multiple,
     unitary_multiple,
 )
-from .model import Certificate, Instance
+from .model import GRAM_LEFT, GRAM_RIGHT, HERM_IMAG, HERM_REAL, PR_NORMAL, Certificate, Instance
 
 __all__ = ["CheckReport", "check_certificate"]
 
@@ -76,10 +76,10 @@ class _Confirmed(Exception):
 # Cell functional: (Hermitian matrix read off the cell, power of the matrix
 # norm that is its eigen-context scale, axis of the class it refines).
 _CELL_FUNCTIONALS = {
-    "herm_real": (lambda c: (c + adjoint(c)) / 2.0, 1, "row"),
-    "herm_imag": (lambda c: (c - adjoint(c)) / 2.0j, 1, "row"),
-    "gram_left": (lambda c: c @ adjoint(c), 2, "row"),
-    "gram_right": (lambda c: adjoint(c) @ c, 2, "col"),
+    HERM_REAL: (lambda c: (c + adjoint(c)) / 2.0, 1, "row"),
+    HERM_IMAG: (lambda c: (c - adjoint(c)) / 2.0j, 1, "row"),
+    GRAM_LEFT: (lambda c: c @ adjoint(c), 2, "row"),
+    GRAM_RIGHT: (lambda c: adjoint(c) @ c, 2, "col"),
 }
 
 
@@ -158,7 +158,7 @@ class _Replay:
 
     def functional(self, name: str, at, pr_paths):
         """Recompute one functional: (S, R, eigen contexts, eigensolver, touched class)."""
-        if name == "pr_normal":
+        if name == PR_NORMAL:
             s, rep = self.holonomy(self.a, at, pr_paths)
             r, _ = self.holonomy(self.b, at, pr_paths)
             return s, r, 0.0, 0.0, eig_normal, rep

@@ -8,9 +8,10 @@ and ``j`` in similarity mode, between row class ``i`` and column class
 tolerance is no edge, since a path product through it would divide by a
 zero scale.  Vertices are ``("row", i)`` / ``("col", j)`` pairs in both modes.
 
-Each edge is stored once, as the :class:`EdgeStep` that crosses it from
-either end: its witness cell from the row end, inverted from the column
-end.  For every vertex ``v`` reachable from its component representative
+Each edge is stored once, as the :class:`~susim.model.EdgeStep` that
+crosses it from either end: its witness cell from the row end, inverted
+from the column end; certificates record paths of these steps as their
+:data:`~susim.model.PrPaths`.  For every vertex ``v`` reachable from its component representative
 ``c`` the breadth-first forest yields a path, its parent's path plus the
 step across their tree edge, and a path product, the ordered product of
 edge cells and inverse cells along it.  It maps the space of ``v`` to the
@@ -42,9 +43,10 @@ import numpy as np
 from .blocking import Partition, apply_blocks, submatrix
 from .errors import InternalInconsistency
 from .linalg import Matrix, Tolerances, adjoint
-from .structure import PR_NORMAL, ScalarMismatch, Violation
+from .model import PR_NORMAL, EdgeStep, PrPaths
+from .structure import ScalarMismatch, Violation
 
-__all__ = ["Vertex", "EdgeStep", "PathData", "vertex_key", "endpoints", "build_paths", "check_pr"]
+__all__ = ["Vertex", "PathData", "vertex_key", "endpoints", "build_paths", "check_pr"]
 
 Vertex = tuple[str, int]
 
@@ -64,19 +66,6 @@ def endpoints(mode: str, i: int, j: int) -> tuple[Vertex, Vertex]:
     if mode == "sus":
         return ("row", i), ("row", j)
     return ("row", i), ("col", j)
-
-
-@dataclass(frozen=True)
-class EdgeStep:
-    """One factor of a path product: cell ``(l, i, j)``, possibly inverted."""
-
-    l: int
-    i: int
-    j: int
-    invert: bool
-
-
-PrPaths = tuple[tuple[EdgeStep, ...], tuple[EdgeStep, ...]]
 
 
 @dataclass

@@ -1,11 +1,14 @@
-"""Problem instances, certificates and solver results.
+"""Every type a susim document holds: instances, results, certificates and features.
 
 An :class:`Instance` is two equally shaped tuples of complex matrices plus
 the question being asked about them: ``"sus"`` for one unitary conjugating
 every A matrix to its B partner, ``"sueq"`` for an independent unitary on
 each side.  Solvers consume instances and produce a :class:`SolveResult`
 that either carries the witness unitaries or a :class:`Certificate`, the
-replayable refutation trail.
+replayable refutation trail of :class:`RefinementStep` records.  The
+canonical features of a collection are :class:`CanonicalFeatures`.  This
+module imports only ``errors`` and ``linalg``: the loop, the codec, the
+certificate checker and the oracles all take these types from here.
 """
 
 from __future__ import annotations
@@ -14,13 +17,77 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, SpecInvalid
 from .linalg import Matrix
-from .refine import PrPaths, RefinementStep
 
-__all__ = ["Instance", "Certificate", "SolveResult", "SOLVED", "NOT_SIMILAR", "FAILED"]
+__all__ = [
+    "Instance", "Certificate", "SolveResult", "SOLVED", "NOT_SIMILAR", "FAILED",
+    "HERM_REAL", "HERM_IMAG", "GRAM_LEFT", "GRAM_RIGHT", "PR_NORMAL",
+    "EdgeStep", "PrPaths", "RefinementStep", "FeatureStep", "CanonicalFeatures",
+]
 
 SOLVED = "solved"
 NOT_SIMILAR = "not_similar"
 FAILED = "failed"
+
+HERM_REAL = "herm_real"
+HERM_IMAG = "herm_imag"
+GRAM_LEFT = "gram_left"
+GRAM_RIGHT = "gram_right"
+PR_NORMAL = "pr_normal"
+
+Groups = tuple[tuple[complex, int], ...]
+
+
+@dataclass(frozen=True)
+class EdgeStep:
+    """One factor of a path product: cell ``(l, i, j)``, possibly inverted."""
+
+    l: int
+    i: int
+    j: int
+    invert: bool
+
+
+PrPaths = tuple[tuple[EdgeStep, ...], tuple[EdgeStep, ...]]
+
+
+@dataclass(frozen=True)
+class RefinementStep:
+    """Record of one refinement: the recipe plus both grouped spectra."""
+
+    functional: str
+    at: tuple[int, int, int]
+    touch: tuple[str, int]
+    groups_a: Groups
+    groups_b: Groups
+    pr_paths: PrPaths | None = None
+
+
+@dataclass(frozen=True)
+class FeatureStep:
+    """One refinement of the self-paired run."""
+
+    functional: str
+    at: tuple[int, int, int]
+    touch: tuple[str, int]
+    rows_sizes: tuple[int, ...]
+    cols_sizes: tuple[int, ...]
+    groups: Groups
+
+
+@dataclass(frozen=True)
+class CanonicalFeatures:
+    """Full invariant trace of a collection."""
+
+    mode: str
+    shape: tuple[int, int]
+    count: int
+    steps: tuple[FeatureStep, ...]
+    rows_sizes: tuple[int, ...]
+    cols_sizes: tuple[int, ...]
+    alphas: tuple[tuple[tuple[int, int], complex], ...]
+    scales: tuple[tuple[tuple[int, int, int], float], ...]
+    betas: tuple[tuple[tuple[int, int, int], complex], ...]
+    components: tuple[tuple[tuple[str, int], ...], ...]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ derived from one cell of the A collection together with its B-side
 counterpart, both built where the form scan or the holonomy check found the
 deviation.  Any solution unitary must intertwine the two, so their grouped
 spectra must agree; if they do not, the instance is unsolvable and the two
-signatures are the disproof.  If they agree, conjugating both sides by the
+signatures, recorded in the step's :class:`~susim.model.RefinementStep`,
+are the disproof.  If they agree, conjugating both sides by the
 respective diagonalizers and splitting the touched class by the eigenvalue
 multiplicities strictly refines the partition while preserving solvability
 in both directions.  Only the touched class's rows and columns change.  A
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 from .blocking import Partition, apply_blocks
 from .errors import NumericalFailure
-from .graph import PrPaths
 from .linalg import (
     Matrix,
     Tolerances,
@@ -29,21 +29,10 @@ from .linalg import (
     fro,
     groups_match,
 )
-from .structure import PR_NORMAL, Violation
+from .model import PR_NORMAL, RefinementStep
+from .structure import Violation
 
-__all__ = ["RefinementStep", "RefineOutcome", "apply_refinement"]
-
-
-@dataclass(frozen=True)
-class RefinementStep:
-    """Record of one refinement: the recipe plus both grouped spectra."""
-
-    functional: str
-    at: tuple[int, int, int]
-    touch: tuple[str, int]
-    groups_a: tuple[tuple[complex, int], ...]
-    groups_b: tuple[tuple[complex, int], ...]
-    pr_paths: PrPaths | None = None
+__all__ = ["RefineOutcome", "apply_refinement"]
 
 
 @dataclass

@@ -34,12 +34,11 @@ from typing import Any, Callable, NoReturn
 
 import numpy as np
 
-from .canonical import CanonicalFeatures, FeatureStep
 from .errors import FormatError
-from .graph import EdgeStep
-from .model import FAILED, NOT_SIMILAR, SOLVED, Certificate, Instance, SolveResult
-from .refine import RefinementStep
-from .structure import GRAM_LEFT, GRAM_RIGHT, HERM_IMAG, HERM_REAL, PR_NORMAL
+from .model import (
+    FAILED, GRAM_LEFT, GRAM_RIGHT, HERM_IMAG, HERM_REAL, NOT_SIMILAR, PR_NORMAL, SOLVED,
+    CanonicalFeatures, Certificate, EdgeStep, FeatureStep, Instance, RefinementStep, SolveResult,
+)
 
 __all__ = [
     "INSTANCE_FORMAT",

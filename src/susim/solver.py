@@ -4,7 +4,7 @@ The solver alternates a structural scan with refinements.  Each stage
 returns what it found.  The scan returns the solution form, in which the
 holonomy of every edge cell is then checked, or its first deviation; a
 forced scalar (:class:`~susim.structure.ScalarMismatch`) or spectral
-(:class:`~susim.refine.RefinementStep`) disagreement ends the run with a
+(:class:`~susim.model.RefinementStep`) disagreement ends the run with a
 certificate, and any other deviation conjugates both sides and strictly
 refines the partition.
 Since a partition of ``n`` indices refines at most ``n - 1`` times, the
@@ -28,8 +28,8 @@ from .blocking import Partition, apply_blocks
 from .errors import InternalInconsistency, SusimError
 from .graph import PathData, build_paths, check_pr
 from .linalg import DEFAULT_TOLERANCES, Matrix, Tolerances, adjoint, as_matrix, fro
-from .model import FAILED, NOT_SIMILAR, SOLVED, Certificate, Instance, SolveResult
-from .refine import RefinementStep, RefineOutcome, apply_refinement
+from .model import FAILED, NOT_SIMILAR, SOLVED, Certificate, Instance, RefinementStep, SolveResult
+from .refine import RefineOutcome, apply_refinement
 from .structure import ScalarMismatch, SolutionForm, check_presolution
 
 __all__ = ["solve", "solve_sus", "solve_sueq", "witness_residual"]

@@ -25,7 +25,8 @@ do not, which is already a disproof) or a :class:`Violation` carrying a
 functional of the deviating cell on both sides, whose eigenspaces will
 drive the next refinement: the first of the cell's pair unless that one is
 scalar on the failing side, and ``gram_left`` for unequal amplitudes.  The
-four cell functionals are defined here once.  Sharing is per matrix: a
+four cell functionals are defined here once, under the names that
+:mod:`susim.model` gives every recorded step.  Sharing is per matrix: a
 B-side matrix that is the A-side matrix itself, as in the self-paired run
 behind the canonical features or a pair that the solver found equal bit
 for bit, is read and tested once, and a deviation on it carries one
@@ -40,7 +41,6 @@ and the order :mod:`susim.graph` reads edges in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,27 +55,9 @@ from .linalg import (
     is_zero,
     unitary_multiple,
 )
+from .model import GRAM_LEFT, GRAM_RIGHT, HERM_IMAG, HERM_REAL, PrPaths
 
-if TYPE_CHECKING:
-    from .graph import PrPaths
-
-__all__ = [
-    "Violation",
-    "ScalarMismatch",
-    "SolutionForm",
-    "check_presolution",
-    "HERM_REAL",
-    "HERM_IMAG",
-    "GRAM_LEFT",
-    "GRAM_RIGHT",
-    "PR_NORMAL",
-]
-
-HERM_REAL = "herm_real"
-HERM_IMAG = "herm_imag"
-GRAM_LEFT = "gram_left"
-GRAM_RIGHT = "gram_right"
-PR_NORMAL = "pr_normal"
+__all__ = ["Violation", "ScalarMismatch", "SolutionForm", "check_presolution"]
 
 
 @dataclass(frozen=True, eq=False)

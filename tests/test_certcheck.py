@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susim.certcheck import check_certificate
-from susim.graph import EdgeStep
 from susim.instances import GenConfig, generate, pairwise_trap, perturbed_nonsimilar
 from susim.linalg import DEFAULT_TOLERANCES, adjoint
-from susim.model import NOT_SIMILAR, Certificate, Instance
-from susim.refine import RefinementStep
+from susim.model import NOT_SIMILAR, Certificate, EdgeStep, Instance, RefinementStep
 from susim.solver import solve
 
 TOL = DEFAULT_TOLERANCES

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susim.blocking import Partition, submatrix
-from susim.graph import EdgeStep, build_paths, check_pr, endpoints, vertex_key
+from susim.graph import build_paths, check_pr, endpoints, vertex_key
 from susim.linalg import DEFAULT_TOLERANCES, adjoint, close_scalars, identity_multiple
-from susim.structure import PR_NORMAL, ScalarMismatch, SolutionForm, Violation, check_presolution
+from susim.model import PR_NORMAL, EdgeStep
+from susim.structure import ScalarMismatch, SolutionForm, Violation, check_presolution
 
 TOL = DEFAULT_TOLERANCES
 

@@ -13,16 +13,9 @@ from susim.blocking import Partition, submatrix
 from susim.errors import NumericalFailure
 from susim.graph import build_paths, check_pr
 from susim.linalg import DEFAULT_TOLERANCES, adjoint, fro
+from susim.model import GRAM_LEFT, GRAM_RIGHT, HERM_IMAG, HERM_REAL, PR_NORMAL
 from susim.refine import apply_refinement
-from susim.structure import (
-    GRAM_LEFT,
-    GRAM_RIGHT,
-    HERM_IMAG,
-    HERM_REAL,
-    PR_NORMAL,
-    Violation,
-    check_presolution,
-)
+from susim.structure import Violation, check_presolution
 
 TOL = DEFAULT_TOLERANCES
 

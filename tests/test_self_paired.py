@@ -14,7 +14,7 @@ from test_fuzz import noisy_pr_cycle
 from test_golden import CONFIGS
 from test_shared_pairs import guard_scan_reads
 
-from susim import refine, solver, structure
+from susim import model, refine, solver, structure
 from susim.errors import SusimError
 from susim.instances import GenConfig, generate
 from susim.linalg import DEFAULT_TOLERANCES
@@ -127,4 +127,4 @@ def test_guard_sees_both_eigensolvers():
     inst, _ = generate(GenConfig(seed=0, kind="pr_cycle", n=6))
     mats = list(inst.a_mats)
     functionals = [out.step.functional for out, _, _ in solver._refinements("sus", mats, mats, TOL)]
-    assert structure.PR_NORMAL in functionals
+    assert model.PR_NORMAL in functionals

@@ -13,10 +13,8 @@ from susim.canonical import compare_features, extract_features
 from susim.certcheck import check_certificate
 from susim.cli import main
 from susim.errors import FormatError, SusimError
-from susim.graph import EdgeStep
 from susim.instances import GenConfig, generate, planted_equivalent, planted_similar
-from susim.model import Certificate, Instance, NOT_SIMILAR, SOLVED, SolveResult
-from susim.refine import RefinementStep
+from susim.model import NOT_SIMILAR, SOLVED, Certificate, EdgeStep, Instance, RefinementStep, SolveResult
 from susim.serialize import (
     FEATURES_FORMAT,
     INSTANCE_FORMAT,

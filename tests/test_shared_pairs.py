@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from test_golden import CONFIGS
 
-from susim import refine, solver, structure
+from susim import model, refine, solver, structure
 from susim.instances import GenConfig, generate, ginibre, random_unitary
 from susim.linalg import DEFAULT_TOLERANCES, adjoint, as_matrix
 from susim.model import NOT_SIMILAR, SOLVED, Instance
@@ -220,7 +220,7 @@ def test_shared_matrices_are_computed_once(monkeypatch):
         before = eigs()
         out = refinement(a_mats, b_mats, rows, cols, mode, violation, tol)
         shared = [l for l, (a, b) in enumerate(zip(a_mats, b_mats)) if b is a]
-        if violation.functional != structure.PR_NORMAL and violation.at[0] in shared:
+        if violation.functional != model.PR_NORMAL and violation.at[0] in shared:
             assert violation.r is violation.s and eigs() - before == 1
             seen["shared violations"] += 1
         if out.status == "refined" and out.z is out.y:
