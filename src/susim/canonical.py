@@ -6,9 +6,11 @@ Everything the loop observes on the way is invariant under a simultaneous
 unitary change of basis: which cell deviates first, which
 functional resolves it, the grouped spectrum it splits on, the partition
 sizes, and finally the diagonal scalars, cell amplitudes and holonomy
-scalars of the fully refined form.  Collecting that trace gives a
-:class:`~susim.model.CanonicalFeatures` fingerprint: collections related by a unitary produce equal features, and
-unequal features certify that no such unitary exists.
+scalars of the fully refined form, which the loop hands over in key
+order.  Collecting that trace gives a fingerprint, a
+:class:`~susim.model.CanonicalFeatures`: collections related by a unitary
+produce equal features, and unequal features certify that no such unitary
+exists.
 
 Features of two collections are compared entry by entry; discrete data
 must agree exactly and spectra, scalars and amplitudes within the grouping
@@ -18,6 +20,7 @@ tolerance.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from .errors import InternalInconsistency, NumericalFailure
@@ -75,9 +78,9 @@ def extract_features(
         steps=tuple(steps),
         rows_sizes=end.rows.sizes,
         cols_sizes=end.cols.sizes,
-        alphas=tuple(sorted(end.form.diag_alphas.items())),
-        scales=tuple(sorted(end.form.cell_scales_a.items())),
-        betas=tuple(sorted(end.betas.items())),
+        alphas=tuple(end.form.diag_alphas.items()),
+        scales=tuple(end.form.cell_scales_a.items()),
+        betas=tuple(end.betas.items()),
         components=tuple(end.paths.components),
     )
 

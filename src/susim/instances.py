@@ -8,6 +8,7 @@ trace word for non-similar ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +286,20 @@ class GenConfig:
     gap: float = 1.0
     name: str = ""
 
+    def __post_init__(self) -> None:
+        """Refuse a parameter no generator can honour, as :class:`SpecInvalid`."""
+        least_n = 2 if self.kind == "pairwise" else 1
+        if self.n < least_n:
+            raise SpecInvalid(f"{self.kind} needs n of at least {least_n}, got {self.n}")
+        if self.m is not None and self.m < 1:
+            raise SpecInvalid(f"m must be at least 1, got {self.m}")
+        if self.depth < 0:
+            raise SpecInvalid(f"depth must be at least 0, got {self.depth}")
+        for name in ("eps", "gap"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value == 0.0:
+                raise SpecInvalid(f"{name} must be finite and nonzero, got {value}")
+
     def label(self) -> str:
         if self.name:
             return self.name
@@ -292,33 +307,41 @@ class GenConfig:
 
 
 def generate(config: GenConfig) -> tuple[Instance, dict]:
-    """Build the instance described by ``config`` plus ground-truth metadata."""
+    """Build the instance described by ``config`` plus ground-truth metadata.
+
+    Raises :class:`~susim.errors.SpecInvalid` when a generated matrix has a
+    non-finite entry, as a ``gap`` near the top of the double range makes.
+    """
     rng = np.random.default_rng(config.seed)
     meta: dict = {"kind": config.kind, "seed": config.seed}
-    if config.kind == "planted_similar":
-        inst, u = planted_similar(config.n, config.count, rng, style=config.style)
-        meta["witness_u"] = u
-    elif config.kind == "planted_equivalent":
-        rows = config.m if config.m is not None else config.n
-        inst, (u, v) = planted_equivalent(rows, config.n, config.count, rng)
-        meta["witness_u"] = u
-        meta["witness_v"] = v
-    elif config.kind == "perturbed":
-        inst, word = perturbed_nonsimilar(config.n, config.count, rng, eps=config.eps)
-        meta["certifying_word"] = word
-        meta["word_text"] = word_to_string(word.letters, inst.count)
-    elif config.kind == "deep_split":
-        inst, u = deep_split(config.n, config.count, config.depth, rng, gap=config.gap)
-        meta["witness_u"] = u
-        meta["planned_iterations"] = config.depth + 1
-    elif config.kind == "pairwise":
-        inst, word = pairwise_trap(config.n, rng)
-        meta["certifying_word"] = word
-        meta["word_text"] = word_to_string(word.letters, inst.count)
-    elif config.kind == "pr_cycle":
-        inst, u = pr_cycle(config.n, rng)
-        meta["witness_u"] = u
-    else:
-        raise SpecInvalid(f"unknown instance kind {config.kind!r}")
+    # An overflow shows as a non-finite entry, which is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.kind == "planted_similar":
+            inst, u = planted_similar(config.n, config.count, rng, style=config.style)
+            meta["witness_u"] = u
+        elif config.kind == "planted_equivalent":
+            rows = config.m if config.m is not None else config.n
+            inst, (u, v) = planted_equivalent(rows, config.n, config.count, rng)
+            meta["witness_u"] = u
+            meta["witness_v"] = v
+        elif config.kind == "perturbed":
+            inst, word = perturbed_nonsimilar(config.n, config.count, rng, eps=config.eps)
+            meta["certifying_word"] = word
+            meta["word_text"] = word_to_string(word.letters, inst.count)
+        elif config.kind == "deep_split":
+            inst, u = deep_split(config.n, config.count, config.depth, rng, gap=config.gap)
+            meta["witness_u"] = u
+            meta["planned_iterations"] = config.depth + 1
+        elif config.kind == "pairwise":
+            inst, word = pairwise_trap(config.n, rng)
+            meta["certifying_word"] = word
+            meta["word_text"] = word_to_string(word.letters, inst.count)
+        elif config.kind == "pr_cycle":
+            inst, u = pr_cycle(config.n, rng)
+            meta["witness_u"] = u
+        else:
+            raise SpecInvalid(f"unknown instance kind {config.kind!r}")
+    if not all(np.isfinite(m).all() for m in (*inst.a_mats, *inst.b_mats)):
+        raise SpecInvalid(f"{config.label()}: a generated matrix has non-finite entries")
     named = Instance(inst.mode, inst.a_mats, inst.b_mats, name=config.label())
     return named, meta

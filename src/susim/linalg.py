@@ -138,7 +138,7 @@ def unitary_multiple(
         return None
     if abs(left - right) > tol.cmp * max(abs(left), abs(right), ctx2):
         return None
-    r = (left.real + right.real) / 2.0
+    r = left.real / 2.0 + right.real / 2.0  # halved first: the sum can overflow
     return max(float(r), 0.0)
 
 

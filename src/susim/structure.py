@@ -200,9 +200,9 @@ def check_presolution(
         ii, jj, cells = singleton_cells(a, rows, cols)
         with np.errstate(over="ignore"):
             # What unitary_multiple returns: 0 within tolerance, else the mean
-            # of its two Gram scalars, both r (infinite once 2r overflows).
+            # of its two Gram scalars, both r.
             r = cells.real * cells.real + cells.imag * cells.imag
-            r = np.where(np.sqrt(r) <= tol.cmp * (1.0 + ctx), 0.0, (r + r) / 2.0)
+            r = np.where(np.sqrt(r) <= tol.cmp * (1.0 + ctx), 0.0, r / 2.0 + r / 2.0)
         if mode == "sus":
             # What identity_multiple returns: a trace, whose sum turns -0.0 into 0.0.
             alphas = (np.diagonal(cells) + 0.0).tolist()

@@ -158,6 +158,33 @@ class TestGen:
         assert "outside 0 .. 2**64-1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("planted_similar -n 0", "needs n of at least 1, got 0"),
+            ("planted_similar -n -3", "needs n of at least 1, got -3"),
+            ("planted_equivalent -n 3 -m 0", "m must be at least 1, got 0"),
+            ("planted_equivalent -n 3 -m -1", "m must be at least 1, got -1"),
+            ("pairwise -n 1", "pairwise needs n of at least 2, got 1"),
+            ("deep_split -n 8 --depth -1", "depth must be at least 0, got -1"),
+            ("deep_split -n 8 --gap 0", "gap must be finite and nonzero, got 0.0"),
+            ("deep_split -n 8 --gap inf", "gap must be finite and nonzero, got inf"),
+            ("deep_split -n 8 --gap 1e308", "a generated matrix has non-finite entries"),
+            ("perturbed -n 4 --eps 0", "eps must be finite and nonzero, got 0.0"),
+            ("perturbed -n 4 --eps nan", "eps must be finite and nonzero, got nan"),
+            ("perturbed -n 4 --eps inf", "eps must be finite and nonzero, got inf"),
+        ],
+    )
+    def test_unusable_parameter_is_a_usage_error(self, tmp_path, capsys, params, message):
+        argv = ["gen", "--kind", *params.split(), "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 64
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("params", ["deep_split -n 8 --gap -1", "perturbed -n 4 --eps -0.01"])
+    def test_negative_spacing_is_accepted(self, tmp_path, params):
+        assert main(["gen", "--kind", *params.split(), "--out", str(tmp_path / "g.json")]) == 0
+
     def test_name_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
         # an undecodable byte in argv arrives as a lone surrogate
         argv = ["gen", "--kind", "pr_cycle", "-n", "4", "--name", "x\udcff", "--out", str(tmp_path / "g.json")]
@@ -200,6 +227,28 @@ class TestVerify:
         main(["solve", inst, "--out", str(res)])
         other = write_instance(tmp_path / "j.json", Instance("sus", a, [a[0].copy()]))
         assert main(["verify", other, str(res)]) == 3
+
+    def test_witness_of_another_size_is_an_input_error(self, tmp_path, capsys):
+        small = tmp_path / "small.json"
+        assert main(["gen", "--kind", "planted_similar", "-n", "3", "-p", "2", "--out", str(small)]) == 0
+        res = tmp_path / "r.json"
+        assert main(["solve", str(small), "--out", str(res)]) == 0
+        capsys.readouterr()
+        assert main(["verify", planted_file(tmp_path), str(res)]) == 64
+        assert "key 'u' has shape (3, 3), the instance needs (4, 4)" in capsys.readouterr().err
+
+    def test_swapped_equivalence_witnesses_are_an_input_error(self, tmp_path, capsys):
+        inst = tmp_path / "e.json"
+        argv = ["gen", "--kind", "planted_equivalent", "-n", "5", "-m", "3", "-p", "2", "--out", str(inst)]
+        assert main(argv) == 0
+        res = tmp_path / "r.json"
+        assert main(["solve", str(inst), "--out", str(res)]) == 0
+        doc = json.loads(res.read_text())
+        doc["u"], doc["v"] = doc["v"], doc["u"]
+        res.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(inst), str(res)]) == 64
+        assert "key 'u' has shape (5, 5), the instance needs (3, 3)" in capsys.readouterr().err
 
     def test_failed_result_is_not_verifiable(self, tmp_path, capsys):
         m = [np.diag([1.0, 1.0 + 1e-8]).astype(complex)]
@@ -262,6 +311,19 @@ class TestOverflowingInput:
             assert main(["canon", inst, "--side", side, "--out", str(out)]) == 2
             assert "NumericalFailure: the norm of matrix 1 overflows" in capsys.readouterr().out
             assert not out.exists()
+
+
+    # graph._scalar_cells still squares the holonomy cells' entries, and its
+    # threshold overflows here: a fault of the tolerance model, not of the mean.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_canon_writes_a_finite_gram_scalar_below_the_overflow(self, tmp_path, capsys):
+        # |c|^2 = 1.44e308 is finite, but the sum of two such Gram scalars is not.
+        mats = [np.diag([1.0, 2.0]) + 0j, np.array([[0.0, 1.2e154], [1.2e151, 0.0]]) + 0j]
+        inst = write_instance(tmp_path / "i.json", Instance("sus", mats, mats))
+        out = tmp_path / "f.json"
+        assert main(["canon", inst, "--out", str(out)]) == 0
+        scales = [entry["value"] for entry in json.loads(out.read_text())["scales"]]
+        assert scales == pytest.approx([1.44e302, 1.44e308], rel=1e-12)
 
 
 class TestParser:

@@ -14,7 +14,7 @@ from test_fuzz import noisy_pr_cycle
 from test_golden import CONFIGS
 from test_shared_pairs import guard_scan_reads
 
-from susim import model, refine, solver, structure
+from susim import model, refine, solver
 from susim.errors import SusimError
 from susim.instances import GenConfig, generate
 from susim.linalg import DEFAULT_TOLERANCES

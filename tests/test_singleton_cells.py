@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import corpus as golden_corpus
 
 from susim import solver, structure
 from susim.blocking import Partition
 from susim.canonical import extract_features
-from susim.instances import random_unitary
+from susim.instances import GenConfig, generate, random_unitary
 from susim.linalg import (
     DEFAULT_TOLERANCES,
     close_scalars,
@@ -59,6 +60,29 @@ def test_finite_singleton_passes_both_predicates_at_any_context():
                 r = unitary_multiple(cell, TOL, ctx)
             assert r is not None and r >= 0.0, (c, ctx)
             assert close_scalars(r, r, TOL, context=ctx * ctx), (c, ctx)
+
+
+@pytest.mark.parametrize("mode", ["sus", "sueq"])
+def test_gram_scalar_is_finite_wherever_its_square_is(mode):
+    """Between |c| of about 9.5e153 and 1.34e154, r = |c|^2 is finite but
+    r + r is not: the predicate and the read-off must halve before they add.
+    The Gram test's own threshold overflows here too, a separate fault, so
+    numpy's overflow warnings are silenced and the values checked instead."""
+    rng = np.random.default_rng(29)
+    mags = 10.0 ** rng.uniform(np.log10(9.0e153), np.log10(1.35e154), 400)
+    rows = Partition((1, 1))
+    tested = 0
+    for c in mags * np.exp(2j * np.pi * rng.uniform(size=mags.size)):
+        with np.errstate(over="ignore"):
+            if not np.isfinite(c.real * c.real + c.imag * c.imag):
+                continue
+            r = unitary_multiple(np.array([[c]]), TOL, abs(c))
+            mat = np.array([[0.0, c], [0.0, 0.0]])
+            found = check_presolution([mat], [mat], rows, rows, mode, TOL)
+        assert r is not None and np.isfinite(r), c
+        assert found.cell_scales_a[(0, 0, 1)] == r, c
+        tested += 1
+    assert tested > 100
 
 
 def block_form(rng, rows, cols, mode, zero_share=0.3):
@@ -134,6 +158,18 @@ def test_shared_and_copied_b_give_the_same_answer(mode, singletons):
         kinds.add(type(shared).__name__)
     assert "SolutionForm" in kinds
     assert ("Violation" in kinds) is not singletons
+
+
+@pytest.mark.parametrize("config", list(golden_corpus()), ids=GenConfig.label)
+def test_features_are_in_key_order(config):
+    # extract_features keeps the order the loop hands over, so a change of
+    # that order would change the feature documents.
+    inst, _ = generate(config)
+    for mats in (inst.a_mats, inst.b_mats):
+        features = extract_features(mats, mode=inst.mode)
+        for found in (features.alphas, features.scales, features.betas):
+            keys = [key for key, _ in found]
+            assert keys == sorted(keys)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
