@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import Matrix, adjoint
 
-__all__ = ["Partition", "submatrix", "singleton_cells", "apply_blocks"]
+__all__ = ["Partition", "submatrix", "singleton_cells", "cell_sums", "apply_blocks"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,19 @@ def singleton_cells(
     ii = np.flatnonzero(np.equal(rows.sizes, 1))
     jj = np.flatnonzero(np.equal(cols.sizes, 1))
     return ii, jj, m[np.ix_(np.take(ro, ii), np.take(co, jj))]
+
+
+def cell_sums(x: np.ndarray, rows: Partition, cols: Partition) -> np.ndarray:
+    """The sum over every cell of ``x`` in one pass: a ``(m, n)`` array, or a
+    stack ``(p, m, n)`` of them, gives ``(rows.count, cols.count)``, or
+    ``(p, rows.count, cols.count)``, whose element ``[..., i, j]`` is the sum
+    of cell ``(i, j)``."""
+    ro, co = rows.offsets, cols.offsets
+    if x.shape[-2:] != (ro[-1], co[-1]):
+        raise DimensionMismatch(
+            f"matrix shape {x.shape[-2:]} does not match partitions ({ro[-1]}, {co[-1]})"
+        )
+    return np.add.reduceat(np.add.reduceat(x, ro[:-1], axis=-2), co[:-1], axis=-1)
 
 
 def apply_blocks(

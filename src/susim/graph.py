@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import Partition, apply_blocks, submatrix
+from .blocking import Partition, apply_blocks, cell_sums, submatrix
 from .errors import InternalInconsistency
 from .linalg import Matrix, Tolerances, adjoint
 from .model import PR_NORMAL, EdgeStep, PrPaths
@@ -165,11 +165,6 @@ def build_paths(
     return PathData(components, rep_of, paths_a, paths_b, amps_a, amps_b, steps_to)
 
 
-def _cell_sums(x: np.ndarray, rows: Partition, cols: Partition) -> np.ndarray:
-    """Per-cell sums of a stacked ``(p, m, n)`` array, shape ``(p, rows.count, cols.count)``."""
-    return np.add.reduceat(np.add.reduceat(x, rows.offsets[:-1], axis=1), cols.offsets[:-1], axis=2)
-
-
 def _scalar_cells(x: np.ndarray, rows: Partition, cols: Partition, tol: Tolerances):
     """Trace scalar ``alpha`` of every square cell of a stacked ``(p, m, n)``
     array, and whether the cell is ``alpha * I`` within ``cmp * (1 + own norm)``
@@ -178,10 +173,10 @@ def _scalar_cells(x: np.ndarray, rows: Partition, cols: Partition, tol: Toleranc
     local_r = np.arange(rows.total) - np.repeat(rows.offsets[:-1], rows.sizes)
     local_c = np.arange(cols.total) - np.repeat(cols.offsets[:-1], cols.sizes)
     diag = local_r[:, None] == local_c[None, :]
-    alpha = _cell_sums(x * diag, rows, cols) / np.asarray(rows.sizes)[:, None]
+    alpha = cell_sums(x * diag, rows, cols) / np.asarray(rows.sizes)[:, None]
     diff = x - np.repeat(np.repeat(alpha, rows.sizes, axis=1), cols.sizes, axis=2) * diag
-    residual = np.sqrt(_cell_sums(np.abs(diff) ** 2, rows, cols))
-    return alpha, residual <= tol.cmp * (1.0 + np.sqrt(_cell_sums(np.abs(x) ** 2, rows, cols)))
+    residual = np.sqrt(cell_sums(np.abs(diff) ** 2, rows, cols))
+    return alpha, residual <= tol.cmp * (1.0 + np.sqrt(cell_sums(np.abs(x) ** 2, rows, cols)))
 
 
 def check_pr(

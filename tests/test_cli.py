@@ -181,6 +181,45 @@ class TestGen:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("pairwise -n 4 -p 5", "pairwise builds 2 matrices per side, not -p 5"),
+            ("pr_cycle -n 6 -p 3", "pr_cycle builds 2 matrices per side, not -p 3"),
+            ("pr_cycle -n 6 -p 1", "pr_cycle builds 2 matrices per side, not -p 1"),
+            ("planted_similar -n 4 -m 3", "planted_similar does not read -m"),
+            ("deep_split -n 8 -m 3", "deep_split does not read -m"),
+            ("planted_similar -n 4 --depth 2", "planted_similar does not read --depth"),
+            ("perturbed -n 4 --gap 2", "perturbed does not read --gap"),
+            ("planted_equivalent -n 4 --eps 0.1", "planted_equivalent does not read --eps"),
+            ("deep_split -n 8 --eps 1e-2", "deep_split does not read --eps"),
+            ("pairwise -n 4 --style dense", "pairwise does not read --style"),
+            ("deep_split -n 8 --style structured", "deep_split does not read --style"),
+        ],
+    )
+    def test_flag_the_kind_does_not_read_is_a_usage_error(self, tmp_path, capsys, params, message):
+        # A default value given explicitly is refused as well: the kind would ignore it.
+        argv = ["gen", "--kind", *params.split(), "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 64
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            ("pairwise -n 4 -p 2", "pairwise-n4-p2-seed0"),
+            ("pr_cycle -n 6", "pr_cycle-n6-p1-seed0"),
+            ("planted_similar -n 4 -p 3 --style structured", "planted_similar-n4-p3-seed0"),
+            ("planted_equivalent -n 4 -m 3 -p 2", "planted_equivalent-n4-p2-seed0"),
+            ("perturbed -n 4 -p 2 --eps 0.1", "perturbed-n4-p2-seed0"),
+            ("deep_split -n 8 -p 2 --depth 2 --gap 2", "deep_split-n8-p2-seed0"),
+        ],
+    )
+    def test_flags_the_kind_reads_are_accepted(self, tmp_path, params, name):
+        out = tmp_path / "g.json"
+        assert main(["gen", "--kind", *params.split(), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["name"] == name
+
     @pytest.mark.parametrize("params", ["deep_split -n 8 --gap -1", "perturbed -n 4 --eps -0.01"])
     def test_negative_spacing_is_accepted(self, tmp_path, params):
         assert main(["gen", "--kind", *params.split(), "--out", str(tmp_path / "g.json")]) == 0

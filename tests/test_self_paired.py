@@ -4,7 +4,8 @@
 reuses its A-side result when the B side is the same object, so the run
 must take the same steps, partitions and ending as a run against a copy,
 while calling the eigensolver once per step and reading each scanned cell
-once (the 1x1 cells only once the final scan has passed).
+once (the 1x1 cells only once the final scan has passed, and the cells one
+kernel pass proves zero not at all).
 """
 
 from collections import Counter
@@ -118,6 +119,9 @@ def test_self_paired_run_computes_each_side_once(cfg, monkeypatch):
     assert isinstance(end, solver._Solution)
     assert calls["eig_hermitian"] + calls["eig_normal"] == steps
     assert seen["bulk reads"] >= len(mats)
+    # Collections that keep classes larger than 1x1 skip their zero cells.
+    blocky = cfg["kind"] in ("planted_equivalent", "deep_split", "pr_cycle")
+    assert bool(seen["kernel reads"]) is bool(seen["zero cells skipped"]) is blocky
     assert end.paths.paths_b is end.paths.paths_a
 
 

@@ -6,6 +6,7 @@ shared matrix once.  Equal inputs give equal arithmetic, so every result
 document must be byte-identical to the one a run without any sharing gives.
 """
 
+import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -13,8 +14,9 @@ from collections import Counter
 import numpy as np
 import pytest
 from test_golden import CONFIGS
+from test_singleton_cells import assert_same_answer
 
-from susim import model, refine, solver, structure
+from susim import blocking, linalg, model, refine, solver, structure
 from susim.instances import GenConfig, generate, ginibre, random_unitary
 from susim.linalg import DEFAULT_TOLERANCES, adjoint, as_matrix
 from susim.model import NOT_SIMILAR, SOLVED, Instance
@@ -116,6 +118,73 @@ def test_commutant_families(mode):
     assert statuses == {(0.0, SOLVED): 10, (1e-2, NOT_SIMILAR): 10}
 
 
+def at_threshold(rest, direction, factor):
+    """``rest + t * direction``, ``direction`` of unit norm and zero wherever
+    ``rest`` is not, with ``t`` ``factor`` times the ``is_zero`` threshold
+    ``cmp * (1 + ‖rest + t * direction‖)`` of the sum."""
+    t = 0.0
+    for _ in range(5):
+        t = factor * TOL.cmp * (1.0 + linalg.fro(rest + t * direction))
+    return rest + t * direction
+
+
+@pytest.mark.parametrize(
+    "mode, row_sizes, col_sizes, scalars, cell",
+    [
+        ("sus", (2, 3), (2, 3), (3.0, 5.0), np.arange(1.0, 7.0).reshape(2, 3) - 2.5j),
+        ("sus", (2, 2), (2, 2), (3.0, 5.0), np.diag([1.0, 3.0])),
+        ("sueq", (2, 3), (2, 1), (3.0, 0.0), np.array([[1.0], [2.0j]])),
+        ("sueq", (2, 2), (2, 2), (3.0, 5.0), np.diag([1.0, 3.0])),
+    ],
+    ids=["sus-non_square", "sus-square", "sueq-non_square", "sueq-square"],
+)
+def test_cells_at_the_zero_threshold(mode, row_sizes, col_sizes, scalars, cell):
+    """A matrix whose off-diagonal cell ``(0, 1)`` has a norm just below, at
+    and just above the ``is_zero`` threshold, alone under fixed partitions and
+    behind a diagonal matrix that makes the solver find them: a shared run
+    returns the answer and the document of a run on an unshared copy.  The
+    kernel leaves the cell to the predicate within its margin of the
+    threshold and skips it below."""
+    rows, cols = blocking.Partition(row_sizes), blocking.Partition(col_sizes)
+    shape = (rows.total, cols.total)
+    rest, guide, direction = (np.zeros(shape, dtype=np.complex128) for _ in range(3))
+    for i, scalar in enumerate(scalars):
+        block = (rows.slice_of(i), cols.slice_of(i))
+        rest[block] = scalar * np.eye(rows.sizes[i], cols.sizes[i])
+        guide[block] = (2.0 - i) * np.eye(rows.sizes[i], cols.sizes[i])
+    direction[rows.slice_of(0), cols.slice_of(1)] = cell / linalg.fro(cell)
+    documents, answers = {}, {}
+    for factor in (1.0 - 2.0 * structure._ZERO_MARGIN, 1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        m = at_threshold(rest, direction, factor)
+        tested = structure._tested_cells(m, rows, cols, mode, TOL, linalg.fro(m))
+        assert ([0, 1] not in tested) == (factor < 1.0 - structure._ZERO_MARGIN)
+        shared = structure.check_presolution([m], [m], rows, cols, mode, TOL)
+        copied = structure.check_presolution([m], [m.copy()], rows, cols, mode, TOL)
+        assert_same_answer(shared, copied)
+        answers[factor] = type(shared), getattr(shared, "cell_scales_a", None)
+        inst = Instance(mode, [guide, m], [guide.copy(), m.copy()])
+        assert_sharing_changes_nothing(inst)
+        documents[factor] = unshared_document(inst)
+    # The cell is zero below the threshold and not above it, in the scan
+    # and in the solve; at the threshold itself rounding decides.
+    assert answers[1.0 - 1e-12] != answers[1.0 + 1e-12]
+    assert documents[1.0 - 1e-12] != documents[1.0 + 1e-12]
+
+
+def test_no_cell_is_skipped_as_zero_below_the_least_threshold():
+    # With a threshold under about 1e-150, squares of entries near it are
+    # subnormal, and the kernel's sum no longer bounds fro's rounding.
+    tol = linalg.Tolerances(cmp=1e-170, group=1e-7, verify=1e-6)
+    rows = blocking.Partition((2, 1, 2))
+    m = np.zeros((5, 5), dtype=np.complex128)
+    m[0, 3] = m[1, 4] = 1e-171
+    m[2, 2] = 1.0
+    tested = structure._tested_cells(m, rows, rows, "sus", tol, linalg.fro(m))
+    assert tested == [[i, j] for i in range(3) for j in range(3) if (i, j) != (1, 1)]
+    found = structure.check_presolution([m], [m], rows, rows, "sus", tol)
+    assert_same_answer(found, structure.check_presolution([m], [m.copy()], rows, rows, "sus", tol))
+
+
 @pytest.fixture
 def entry(monkeypatch):
     """The lists ``solve`` hands to the loop."""
@@ -143,17 +212,40 @@ def test_sharing_is_decided_per_matrix_and_bit_for_bit(entry):
     assert b3 is not a3 and all(y is x for x, y in zip(a3, b3))
 
 
+def skipped_cells(a, rows, cols, mode, tol):
+    """The cells of shared matrix ``a`` that a scan does not read one by one:
+    its 1x1 cells, and every cell off the similarity diagonal that ``is_zero``
+    calls zero with the threshold lowered by the scan's margin."""
+    at_margin = dataclasses.replace(tol, cmp=tol.cmp * (1.0 - structure._ZERO_MARGIN))
+    ctx = linalg.fro(a)
+    skipped = set()
+    for i, j in itertools.product(range(rows.count), range(cols.count)):
+        cell = blocking.submatrix(a, rows, i, cols, j)
+        if rows.sizes[i] == cols.sizes[j] == 1:
+            skipped.add((i, j))
+        elif not (mode == "sus" and i == j) and linalg.is_zero(cell, at_margin, ctx):
+            skipped.add((i, j))
+    return skipped
+
+
 def guard_scan_reads(monkeypatch):
     """Make every scan through ``solver.check_presolution`` assert how it
     reads cells.  In scan order (matrix, row class, column class), up to the
     first deviation or all of them when it passes, it calls ``submatrix``
     once for a cell of a shared matrix and twice for any other cell, but
-    not at all for a shared matrix's 1x1 cells.  Those it reads only once
-    the scan has passed, with one ``singleton_cells`` call per shared
-    matrix, counted per distinct array.  Returns a counter of the scans
-    that read a shared matrix and of the bulk reads."""
+    not at all for the ``skipped_cells`` of a shared matrix.  Unless the
+    partitions leave no candidate for the kernel (a cell larger than 1x1
+    off the similarity diagonal), it reads each shared matrix it reaches
+    in one ``cell_sums`` call on the matrix's squared moduli, in scan
+    order.  Once the scan has passed, it reads the 1x1 cells of each
+    shared matrix in one ``singleton_cells`` call, counted per distinct
+    array.  Returns a counter of the scans that read a shared
+    matrix, of the kernel reads, of the skipped cells larger than 1x1 and
+    of the bulk reads."""
     reads = []  # None for a cell read, the array's id for a bulk read
+    sums = []  # the arrays the kernel sums
     read_cell, read_bulk = structure.submatrix, structure.singleton_cells
+    read_sums = structure.cell_sums
     scan = solver.check_presolution
 
     def counted_cell(m, *args):
@@ -164,29 +256,50 @@ def guard_scan_reads(monkeypatch):
         reads.append(id(m))
         return read_bulk(m, *args)
 
+    def counted_sums(x, *args):
+        sums.append(x)
+        return read_sums(x, *args)
+
     seen = Counter()
 
     def guarded_scan(a_mats, b_mats, rows, cols, mode, tol):
         reads.clear()
+        sums.clear()
         pre = scan(a_mats, b_mats, rows, cols, mode, tol)
         passed = isinstance(pre, structure.SolutionForm)
-        shared = [b is a for a, b in zip(a_mats, b_mats)]
+        reached = a_mats if passed else a_mats[: pre.at[0] + 1]
+        shared = [b is a for a, b in zip(reached, b_mats)]
+        skipped = [
+            skipped_cells(a, rows, cols, mode, tol) if s else () for a, s in zip(reached, shared)
+        ]
         in_order = 0
-        for at in itertools.product(range(len(a_mats)), range(rows.count), range(cols.count)):
+        for at in itertools.product(range(len(reached)), range(rows.count), range(cols.count)):
             l, i, j = at
-            if not (shared[l] and rows.sizes[i] == cols.sizes[j] == 1):
+            if (i, j) not in skipped[l]:
                 in_order += 1 if shared[l] else 2
+            elif rows.sizes[i] != 1 or cols.sizes[j] != 1:
+                seen["zero cells skipped"] += 1
             if not passed and at == pre.at:
                 break
         assert reads.count(None) == in_order
+        candidates = [
+            (i, j)
+            for i, j in itertools.product(range(rows.count), range(cols.count))
+            if not rows.sizes[i] == cols.sizes[j] == 1 and not (mode == "sus" and i == j)
+        ]
+        kernel = [a for a, s in zip(reached, shared) if s and candidates]
+        assert len(sums) == len(kernel)
+        assert all(np.array_equal(x, a.real * a.real + a.imag * a.imag) for x, a in zip(sums, kernel))
         bulk = Counter(r for r in reads if r is not None)
-        assert bulk == Counter(id(a) for a, s in zip(a_mats, shared) if s and passed)
-        seen["shared reads"] += any(shared[: len(a_mats) if passed else pre.at[0] + 1])
+        assert bulk == Counter(id(a) for a, s in zip(reached, shared) if s and passed)
+        seen["shared reads"] += any(shared)
+        seen["kernel reads"] += len(sums)
         seen["bulk reads"] += bulk.total()
         return pre
 
     monkeypatch.setattr(structure, "submatrix", counted_cell)
     monkeypatch.setattr(structure, "singleton_cells", counted_bulk)
+    monkeypatch.setattr(structure, "cell_sums", counted_sums)
     monkeypatch.setattr(solver, "check_presolution", guarded_scan)
     return seen
 

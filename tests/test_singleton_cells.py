@@ -7,9 +7,12 @@ cells off once the scan has passed, in one array read per shared matrix.
 These tests pin the rule (a finite 1x1 cell passes both predicates at any
 context), show that the read-off returns bit for bit what the predicates
 return and that the scan's answer is the one an unshared copy gives, and
-count the form tests it saves.
+count the form tests it saves.  Off-diagonal cells of a shared matrix that
+one ``cell_sums`` pass proves zero are skipped too; the last test counts
+the form tests that saves.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 from test_golden import corpus as golden_corpus
 
-from susim import solver, structure
+from susim import linalg, solver, structure
 from susim.blocking import Partition
 from susim.canonical import extract_features
 from susim.instances import GenConfig, generate, random_unitary
@@ -284,3 +287,43 @@ def test_dense_features_make_no_form_test_on_a_1x1_cell(monkeypatch):
     features = extract_features(list(inst.a_mats), mode=inst.mode)
     assert features.rows_sizes == (1,) * 40
     assert one_by_one == 0
+
+
+def test_deep_split_features_make_no_form_test_on_a_proven_zero_cell(monkeypatch):
+    """The features of a deep_split collection (n=128, p=2) take 33 scans of
+    ever finer classes, most of whose cells are zero.  One ``cell_sums``
+    pass per matrix proves them zero, so no ``is_zero`` or
+    ``unitary_multiple`` call sees one of them; tested one by one, they took
+    28094 form tests."""
+    at_margin = dataclasses.replace(TOL, cmp=TOL.cmp * (1.0 - structure._ZERO_MARGIN))
+    on_zero_cells = 0
+    proven = 0
+
+    def counted(test):
+        def wrapper(cell, tol, ctx):
+            nonlocal on_zero_cells
+            on_zero_cells += linalg.is_zero(cell, at_margin, ctx)
+            return test(cell, tol, ctx)
+
+        return wrapper
+
+    def counted_tested_cells(a, rows, cols, mode, tol, ctx):
+        # The scan is in similarity mode, where the diagonal is always tested.
+        nonlocal proven
+        tested = tested_cells(a, rows, cols, mode, tol, ctx)
+        sizes = np.array(rows.sizes)
+        larger = np.sum(np.maximum.outer(sizes, sizes) > 1) - np.sum(sizes > 1)
+        proven += int(larger) - sum(i != j for i, j in tested)
+        return tested
+
+    tested_cells = structure._tested_cells
+    test, *pair = structure._SQUARE
+    monkeypatch.setattr(structure, "_SQUARE", (counted(test), *pair))
+    monkeypatch.setattr(structure, "is_zero", counted(structure.is_zero))
+    monkeypatch.setattr(structure, "_tested_cells", counted_tested_cells)
+    inst = pool("DEEP", 101)[0]
+    assert inst.a_mats[0].shape == (128, 128) and len(inst.a_mats) == 2
+    features = extract_features(list(inst.a_mats), mode=inst.mode)
+    assert len(features.steps) == 32
+    assert proven > 10_000
+    assert on_zero_cells == 0
