@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import Matrix, adjoint
 
-__all__ = ["Partition", "submatrix", "singleton_cells", "cell_sums", "apply_blocks"]
+__all__ = ["Partition", "submatrix", "cell_sums", "apply_blocks"]
 
 
 @dataclass(frozen=True)
@@ -74,22 +74,6 @@ def submatrix(m: Matrix, rows: Partition, i: int, cols: Partition, j: int) -> Ma
             f"matrix shape {m.shape} does not match partitions ({ro[-1]}, {co[-1]})"
         )
     return m[ro[i] : ro[i + 1], co[j] : co[j + 1]]
-
-
-def singleton_cells(
-    m: Matrix, rows: Partition, cols: Partition
-) -> tuple[np.ndarray, np.ndarray, Matrix]:
-    """Every 1x1 cell of ``m`` in one fancy index: the row classes ``ii`` and
-    column classes ``jj`` of size one, and the grid of their entries, whose
-    element ``[k, q]`` is cell ``(ii[k], jj[q])``."""
-    ro, co = rows.offsets, cols.offsets
-    if m.shape != (ro[-1], co[-1]):
-        raise DimensionMismatch(
-            f"matrix shape {m.shape} does not match partitions ({ro[-1]}, {co[-1]})"
-        )
-    ii = np.flatnonzero(np.equal(rows.sizes, 1))
-    jj = np.flatnonzero(np.equal(cols.sizes, 1))
-    return ii, jj, m[np.ix_(np.take(ro, ii), np.take(co, jj))]
 
 
 def cell_sums(x: np.ndarray, rows: Partition, cols: Partition) -> np.ndarray:

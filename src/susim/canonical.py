@@ -39,7 +39,7 @@ def extract_features(
     Reads the features off the decision loop run on the collection paired
     with itself.  Before the loop starts, invalid input raises as the
     :class:`~susim.model.Instance` of that pair would (an empty collection
-    :class:`~susim.errors.SpecInvalid`, unequal shapes
+    :class:`~susim.errors.SpecInvalid`, unequal shapes or a zero-size matrix
     :class:`~susim.errors.DimensionMismatch`).
     Raises a :class:`~susim.errors.SusimError` when the loop
     meets a numerical boundary, e.g. :class:`~susim.errors.NumericalFailure`

@@ -293,6 +293,8 @@ class GenConfig:
             raise SpecInvalid(f"{self.kind} needs n of at least {least_n}, got {self.n}")
         if self.m is not None and self.m < 1:
             raise SpecInvalid(f"m must be at least 1, got {self.m}")
+        if self.count < 1:
+            raise SpecInvalid(f"count (-p) must be at least 1, got {self.count}")
         if self.depth < 0:
             raise SpecInvalid(f"depth must be at least 0, got {self.depth}")
         for name in ("eps", "gap"):

@@ -112,6 +112,8 @@ class Instance:
         for m in (*self.a_mats, *self.b_mats):
             if m.ndim != 2 or m.shape != shape:
                 raise DimensionMismatch(f"matrix of shape {m.shape}, expected {shape}")
+        if 0 in shape:
+            raise DimensionMismatch(f"matrices of shape {shape} hold no entry")
         if self.mode == "sus" and shape[0] != shape[1]:
             raise DimensionMismatch(
                 f"similarity requires square matrices, got shape {shape}"

@@ -30,15 +30,16 @@ four cell functionals are defined here once, under the names that
 B-side matrix that is the A-side matrix itself, as in the self-paired run
 behind the canonical features or a pair that the solver found equal bit
 for bit, is read and tested once, and a deviation on it carries one
-functional matrix for both sides.  Two kinds of its cells cannot deviate,
-and the scan skips both.  A finite 1x1 cell passes its test at any
+functional matrix for both sides.  Each shared matrix the scan reaches
+gets one :func:`~susim.blocking.cell_sums` pass over its squared moduli,
+which gives every cell's squared norm, and two kinds of its cells, which
+cannot deviate, are skipped.  A finite 1x1 cell passes its test at any
 context, and its scalar equals itself; once the scan has passed, these
-cells are read off in one array read per shared matrix, whose values are,
-bit for bit, those the two predicates return.  A cell off the similarity
-diagonal whose norm is below the ``is_zero`` threshold ``cmp * (1 +
-‖A_l‖)`` by a relative margin of 1e-9 is zero and records nothing; one
-:func:`~susim.blocking.cell_sums` pass per shared matrix finds all such
-cells.  The margin covers the rounding between that sum and
+cells are read off that pass, where a one-entry cell's sum is its ``|c|²``
+bit for bit, so the values are those the two predicates return.  A cell
+off the similarity diagonal whose norm is below the ``is_zero`` threshold
+``cmp * (1 + ‖A_l‖)`` by a relative margin of 1e-9 is zero and records
+nothing.  The margin covers the rounding between the pass's sum and
 :func:`~susim.linalg.fro`, so the scan's answer stays, bit for bit, the
 one a cell-by-cell scan gives.  An unshared pair is still tested cell by
 cell.  The form's dicts are in key order, which is scan order and the
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import Partition, cell_sums, singleton_cells, submatrix
+from .blocking import Partition, cell_sums, submatrix
 from .linalg import (
     Matrix,
     Tolerances,
@@ -163,26 +164,23 @@ _LEAST_THRESHOLD = 1e-150
 
 def _tested_cells(
     a: Matrix, rows: Partition, cols: Partition, mode: str, tol: Tolerances, ctx: float
-) -> list[list[int]]:
+) -> tuple[list[list[int]], np.ndarray]:
     """The cells ``[i, j]`` of a shared matrix that the scan tests, in scan
-    order.  It skips the 1x1 cells, and every other cell off the similarity
-    diagonal whose norm, from one :func:`~susim.blocking.cell_sums` pass, is
-    proven below the ``is_zero`` threshold: such a cell passes its test and
-    records nothing.  Partitions without such candidates, all singletons or
-    one similarity class, make no pass."""
-    if max(rows.sizes) == 1 and max(cols.sizes) == 1:
-        return []
-    if mode == "sus" and rows.count == 1:
-        return [[0, 0]]
+    order, and every cell's squared norm, from one
+    :func:`~susim.blocking.cell_sums` pass.  It skips the 1x1 cells, and
+    every other cell off the similarity diagonal whose norm is proven below
+    the ``is_zero`` threshold: such a cell passes its test and records
+    nothing."""
     threshold = tol.cmp * (1.0 + ctx)
     bound = threshold * (1.0 - _ZERO_MARGIN) if threshold > _LEAST_THRESHOLD else 0.0
     with np.errstate(over="ignore"):
         # An overflowing cell reads inf: not proven zero, so it is tested.
-        zero = np.sqrt(cell_sums(a.real * a.real + a.imag * a.imag, rows, cols)) < bound
+        sq = cell_sums(a.real * a.real + a.imag * a.imag, rows, cols)
+    zero = np.sqrt(sq) < bound
     if mode == "sus":
         np.fill_diagonal(zero, False)
     zero |= np.equal(rows.sizes, 1)[:, None] & np.equal(cols.sizes, 1)
-    return np.argwhere(~zero).tolist()
+    return np.argwhere(~zero).tolist(), sq
 
 
 def check_presolution(
@@ -204,16 +202,16 @@ def check_presolution(
     diag_alphas: dict[tuple[int, int], complex] = {}
     scales_a: dict[tuple[int, int, int], float] = {}
     scales_b: dict[tuple[int, int, int], float] = {}
-    # Shared matrices, whose 1x1 cells are read off once the scan has passed.
-    shared: list[tuple[int, Matrix, float]] = []
+    # Shared matrices and their cells' squared norms, read off after a pass.
+    shared: list[tuple[int, Matrix, np.ndarray, float]] = []
     for l, (a, b) in enumerate(zip(a_mats, b_mats)):
         same = b is a
         ctx_a = fro(a)
         ctx_b = ctx_a if same else fro(b)
         ctx = max(ctx_a, ctx_b)
         if same:
-            shared.append((l, a, ctx_a))
-            visit = _tested_cells(a, rows, cols, mode, tol, ctx_a)
+            visit, sq = _tested_cells(a, rows, cols, mode, tol, ctx_a)
+            shared.append((l, a, sq, ctx_a))
         else:
             # An unshared pair is still tested cell by cell.  On the kernel,
             # dense and equivalence solves run several times faster, and the
@@ -244,24 +242,26 @@ def check_presolution(
                 if va > 0.0 and vb > 0.0:
                     scales_a[at] = va
                     scales_b[at] = vb
-    for l, a, ctx in shared:
-        ii, jj, cells = singleton_cells(a, rows, cols)
-        with np.errstate(over="ignore"):
-            # What unitary_multiple returns: 0 within tolerance, else the mean
-            # of its two Gram scalars, both r.
-            r = cells.real * cells.real + cells.imag * cells.imag
-            r = np.where(np.sqrt(r) <= tol.cmp * (1.0 + ctx), 0.0, r / 2.0 + r / 2.0)
-        if mode == "sus":
-            # What identity_multiple returns: a trace, whose sum turns -0.0 into 0.0.
-            alphas = (np.diagonal(cells) + 0.0).tolist()
-            diag_alphas.update(zip(((l, i) for i in ii.tolist()), alphas))
-            np.fill_diagonal(r, 0.0)
-        ki, kj = np.nonzero(r > 0.0)
-        keys = ((l, i, j) for i, j in zip(ii[ki].tolist(), jj[kj].tolist()))
-        edges = dict(zip(keys, r[ki, kj].tolist()))
-        scales_a.update(edges)
-        scales_b.update(edges)
     if shared:
+        singletons = np.equal(rows.sizes, 1)
+        single = singletons[:, None] & np.equal(cols.sizes, 1)
+        ii = np.flatnonzero(singletons)
+        entry = np.take(rows.offsets, ii)
+        for l, a, sq, ctx in shared:
+            with np.errstate(over="ignore"):
+                # What unitary_multiple returns on a 1x1 cell, whose sum is |c|^2:
+                # 0 within tolerance, else the mean of its two Gram scalars, both r.
+                r = np.where(np.sqrt(sq) <= tol.cmp * (1.0 + ctx), 0.0, sq / 2.0 + sq / 2.0)
+            if mode == "sus":
+                # What identity_multiple returns: a trace, whose sum turns -0.0 into 0.0.
+                alphas = (a[entry, entry] + 0.0).tolist()
+                diag_alphas.update(zip(((l, i) for i in ii.tolist()), alphas))
+                np.fill_diagonal(r, 0.0)
+            ki, kj = np.nonzero(single & (r > 0.0))
+            keys = ((l, i, j) for i, j in zip(ki.tolist(), kj.tolist()))
+            edges = dict(zip(keys, r[ki, kj].tolist()))
+            scales_a.update(edges)
+            scales_b.update(edges)
         # Key order (l, i, j) is scan order.
         diag_alphas, scales_a, scales_b = (
             dict(sorted(d.items())) for d in (diag_alphas, scales_a, scales_b)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susim.blocking import Partition, apply_blocks, cell_sums, singleton_cells, submatrix
+from susim.blocking import Partition, apply_blocks, cell_sums, submatrix
 from susim.errors import DimensionMismatch
 from susim.instances import random_unitary
 
@@ -67,19 +67,7 @@ class TestSubmatrix:
         with pytest.raises(DimensionMismatch):
             submatrix(np.eye(3), Partition((2,)), 0, Partition((3,)), 0)
         with pytest.raises(DimensionMismatch):
-            singleton_cells(np.eye(3), Partition((1, 1)), Partition((1, 1, 1)))
-        with pytest.raises(DimensionMismatch):
             cell_sums(np.ones((2, 3, 3)), Partition((3,)), Partition((1, 1)))
-
-    def test_singleton_cells_are_the_1x1_submatrices(self):
-        m = np.arange(30, dtype=complex).reshape(5, 6)
-        rows, cols = Partition((1, 2, 1, 1)), Partition((3, 1, 1, 1))
-        ii, jj, cells = singleton_cells(m, rows, cols)
-        assert ii.tolist() == [0, 2, 3] and jj.tolist() == [1, 2, 3]
-        for (k, i), (q, j) in itertools.product(enumerate(ii), enumerate(jj)):
-            assert cells[k, q] == submatrix(m, rows, i, cols, j)[0, 0]
-        ii, jj, cells = singleton_cells(m, Partition((5,)), cols)
-        assert ii.size == 0 and cells.shape == (0, 3)
 
     def test_cell_sums_are_the_sums_of_the_submatrices(self):
         stack = np.arange(60, dtype=complex).reshape(2, 5, 6) * (1 - 2j)

@@ -78,8 +78,10 @@ class TestExtraction:
             ([np.diag([1.0, 2.0]), np.eye(3)], "sus", DimensionMismatch),
             ([np.ones((2, 3)), np.ones((2, 3))], "sus", DimensionMismatch),
             ([np.diag([1.0, 2.0])], "bogus", SpecInvalid),
+            ([np.zeros((0, 0))], "sus", DimensionMismatch),
+            ([np.zeros((2, 0))], "sueq", DimensionMismatch),
         ],
-        ids=["unequal_shapes", "rectangular_sus", "unknown_mode"],
+        ids=["unequal_shapes", "rectangular_sus", "unknown_mode", "empty_sus", "empty_sueq"],
     )
     def test_invalid_collection_is_refused_before_the_loop(self, mats, mode, error, monkeypatch):
         def loop(*args):

@@ -166,6 +166,9 @@ class TestGen:
             ("planted_equivalent -n 3 -m 0", "m must be at least 1, got 0"),
             ("planted_equivalent -n 3 -m -1", "m must be at least 1, got -1"),
             ("pairwise -n 1", "pairwise needs n of at least 2, got 1"),
+            ("perturbed -n 4 -p 0", "count (-p) must be at least 1, got 0"),
+            ("perturbed -n 4 -p -2", "count (-p) must be at least 1, got -2"),
+            ("planted_equivalent -n 3 -p 0", "count (-p) must be at least 1, got 0"),
             ("deep_split -n 8 --depth -1", "depth must be at least 0, got -1"),
             ("deep_split -n 8 --gap 0", "gap must be finite and nonzero, got 0.0"),
             ("deep_split -n 8 --gap inf", "gap must be finite and nonzero, got inf"),

@@ -244,6 +244,12 @@ def test_generate_dispatch_and_labels():
         generate(GenConfig(kind="mystery", n=4))
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_config_without_a_matrix_is_refused(count):
+    with pytest.raises(SpecInvalid, match="count"):
+        GenConfig(kind="perturbed", n=4, count=count)
+
+
 def test_generate_is_reproducible():
     cfg = GenConfig(kind="planted_similar", n=5, count=2, seed=99)
     first, _ = generate(cfg)

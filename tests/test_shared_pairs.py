@@ -156,7 +156,7 @@ def test_cells_at_the_zero_threshold(mode, row_sizes, col_sizes, scalars, cell):
     documents, answers = {}, {}
     for factor in (1.0 - 2.0 * structure._ZERO_MARGIN, 1.0 - 1e-12, 1.0, 1.0 + 1e-12):
         m = at_threshold(rest, direction, factor)
-        tested = structure._tested_cells(m, rows, cols, mode, TOL, linalg.fro(m))
+        tested, _ = structure._tested_cells(m, rows, cols, mode, TOL, linalg.fro(m))
         assert ([0, 1] not in tested) == (factor < 1.0 - structure._ZERO_MARGIN)
         shared = structure.check_presolution([m], [m], rows, cols, mode, TOL)
         copied = structure.check_presolution([m], [m.copy()], rows, cols, mode, TOL)
@@ -179,7 +179,7 @@ def test_no_cell_is_skipped_as_zero_below_the_least_threshold():
     m = np.zeros((5, 5), dtype=np.complex128)
     m[0, 3] = m[1, 4] = 1e-171
     m[2, 2] = 1.0
-    tested = structure._tested_cells(m, rows, rows, "sus", tol, linalg.fro(m))
+    tested, _ = structure._tested_cells(m, rows, rows, "sus", tol, linalg.fro(m))
     assert tested == [[i, j] for i in range(3) for j in range(3) if (i, j) != (1, 1)]
     found = structure.check_presolution([m], [m], rows, rows, "sus", tol)
     assert_same_answer(found, structure.check_presolution([m], [m.copy()], rows, rows, "sus", tol))
@@ -233,28 +233,24 @@ def guard_scan_reads(monkeypatch):
     reads cells.  In scan order (matrix, row class, column class), up to the
     first deviation or all of them when it passes, it calls ``submatrix``
     once for a cell of a shared matrix and twice for any other cell, but
-    not at all for the ``skipped_cells`` of a shared matrix.  Unless the
-    partitions leave no candidate for the kernel (a cell larger than 1x1
-    off the similarity diagonal), it reads each shared matrix it reaches
-    in one ``cell_sums`` call on the matrix's squared moduli, in scan
-    order.  Once the scan has passed, it reads the 1x1 cells of each
-    shared matrix in one ``singleton_cells`` call, counted per distinct
-    array.  Returns a counter of the scans that read a shared
-    matrix, of the kernel reads, of the skipped cells larger than 1x1 and
-    of the bulk reads."""
-    reads = []  # None for a cell read, the array's id for a bulk read
+    not at all for the ``skipped_cells`` of a shared matrix.  On every
+    partition, it reads each shared matrix it reaches in exactly one
+    ``cell_sums`` call on the matrix's squared moduli, in scan order, and
+    holds no other reader of ``blocking``: a passing scan reads the 1x1
+    cells off those sums.  Returns a counter of the scans that read a
+    shared matrix, of the kernel reads and of the skipped cells larger
+    than 1x1."""
+    module = blocking.__name__
+    readers = {n for n, f in vars(structure).items() if getattr(f, "__module__", "") == module}
+    assert readers == {"Partition", "submatrix", "cell_sums"}
+    reads = []  # one entry per cell read
     sums = []  # the arrays the kernel sums
-    read_cell, read_bulk = structure.submatrix, structure.singleton_cells
-    read_sums = structure.cell_sums
+    read_cell, read_sums = structure.submatrix, structure.cell_sums
     scan = solver.check_presolution
 
     def counted_cell(m, *args):
         reads.append(None)
         return read_cell(m, *args)
-
-    def counted_bulk(m, *args):
-        reads.append(id(m))
-        return read_bulk(m, *args)
 
     def counted_sums(x, *args):
         sums.append(x)
@@ -281,24 +277,15 @@ def guard_scan_reads(monkeypatch):
                 seen["zero cells skipped"] += 1
             if not passed and at == pre.at:
                 break
-        assert reads.count(None) == in_order
-        candidates = [
-            (i, j)
-            for i, j in itertools.product(range(rows.count), range(cols.count))
-            if not rows.sizes[i] == cols.sizes[j] == 1 and not (mode == "sus" and i == j)
-        ]
-        kernel = [a for a, s in zip(reached, shared) if s and candidates]
+        assert len(reads) == in_order
+        kernel = [a for a, s in zip(reached, shared) if s]
         assert len(sums) == len(kernel)
         assert all(np.array_equal(x, a.real * a.real + a.imag * a.imag) for x, a in zip(sums, kernel))
-        bulk = Counter(r for r in reads if r is not None)
-        assert bulk == Counter(id(a) for a, s in zip(reached, shared) if s and passed)
         seen["shared reads"] += any(shared)
         seen["kernel reads"] += len(sums)
-        seen["bulk reads"] += bulk.total()
         return pre
 
     monkeypatch.setattr(structure, "submatrix", counted_cell)
-    monkeypatch.setattr(structure, "singleton_cells", counted_bulk)
     monkeypatch.setattr(structure, "cell_sums", counted_sums)
     monkeypatch.setattr(solver, "check_presolution", guarded_scan)
     return seen

@@ -2,14 +2,14 @@
 
 A 1x1 cell always passes its form test, and on a matrix that both sides
 hold, every cross-side comparison compares a value with itself, so such a
-cell can never be the first deviation.  ``check_presolution`` reads these
-cells off once the scan has passed, in one array read per shared matrix.
-These tests pin the rule (a finite 1x1 cell passes both predicates at any
-context), show that the read-off returns bit for bit what the predicates
-return and that the scan's answer is the one an unshared copy gives, and
-count the form tests it saves.  Off-diagonal cells of a shared matrix that
-one ``cell_sums`` pass proves zero are skipped too; the last test counts
-the form tests that saves.
+cell can never be the first deviation.  ``check_presolution`` makes one
+``cell_sums`` pass over each shared matrix's squared moduli, and once the
+scan has passed, it reads these cells off that pass.  These tests pin the
+rule (a finite 1x1 cell passes both predicates at any context), show that
+the read-off returns bit for bit what the predicates return and that the
+scan's answer is the one an unshared copy gives, and count the form tests
+it saves.  Off-diagonal cells of a shared matrix that the same pass proves
+zero are skipped too; the last test counts the form tests that saves.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ import pytest
 from test_golden import corpus as golden_corpus
 
 from susim import linalg, solver, structure
-from susim.blocking import Partition
+from susim.blocking import Partition, submatrix
 from susim.canonical import extract_features
 from susim.instances import GenConfig, generate, random_unitary
 from susim.linalg import (
@@ -186,15 +186,19 @@ def test_overflowing_shared_matrix_keeps_its_in_order_tests(scale):
     assert_same_answer(shared, copied)
 
 
-def predicted_form(mat, mode):
-    """The form of ``mat`` paired with itself under all-singleton partitions,
-    from the per-cell predicates in scan order."""
+def predicted_form(mat, mode, rows=None):
+    """The form of the square ``mat`` paired with itself, with ``rows`` (all
+    singletons by default) partitioning both axes, from the per-cell
+    predicates in scan order."""
+    rows = rows or Partition((1,) * mat.shape[0])
     ctx = fro(mat)
     form = SolutionForm({}, {}, {})
-    for i, j in np.ndindex(*mat.shape):
-        cell = mat[i : i + 1, j : j + 1]
+    for i, j in np.ndindex(rows.count, rows.count):
+        cell = submatrix(mat, rows, i, rows, j)
         if mode == "sus" and i == j:
             form.diag_alphas[(0, i)] = identity_multiple(cell, TOL, ctx)
+        elif cell.shape[0] != cell.shape[1]:
+            assert linalg.is_zero(cell, TOL, ctx)
         elif (r := unitary_multiple(cell, TOL, ctx)) > 0.0:
             form.cell_scales_a[(0, i, j)] = form.cell_scales_b[(0, i, j)] = r
     return form
@@ -218,6 +222,28 @@ def test_read_off_returns_what_the_predicates_return(mode):
             )
             found = check_presolution([mat], [mat], rows, rows, mode, TOL)
             assert_same_form(found, predicted_form(mat, mode))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["sus", "sueq"])
+def test_read_off_on_a_mixed_partition_returns_what_the_predicates_return(mode):
+    """The matrices of the test above on the singleton classes 0, 2 and 3 of
+    the partition (1, 2, 1, 1), whose class 1 holds ``c / 2`` times the
+    identity.  The 1x1 cells come out of the same ``cell_sums`` pass that
+    sums the 2x2 cell and the zero 1x2 and 2x1 cells, at offsets that
+    differ from their class indices."""
+    rng = np.random.default_rng(13)
+    rows = Partition((1, 2, 1, 1))
+    values = cell_values(rng, 300) + [complex(1.2e154, -0.0), complex(-0.0, 1.3e154)]
+    for c in values:
+        for ballast in (0.0, abs(c) * 10.0 ** rng.uniform(0.0, 5.0), 1e150, 1.3e154, 1e160):
+            mat = np.zeros((5, 5), dtype=np.complex128)
+            mat[np.ix_([0, 3, 4], [0, 3, 4])] = [
+                [c, -c, 0.0], [c.conjugate(), complex(-0.0, c.imag), 0.0], [0.0, -0.0, ballast]
+            ]
+            mat[1:3, 1:3] = c / 2.0 * np.eye(2)
+            found = check_presolution([mat], [mat], rows, rows, mode, TOL)
+            assert_same_form(found, predicted_form(mat, mode, rows))
 
 
 def pool(kind, seed):
@@ -310,11 +336,11 @@ def test_deep_split_features_make_no_form_test_on_a_proven_zero_cell(monkeypatch
     def counted_tested_cells(a, rows, cols, mode, tol, ctx):
         # The scan is in similarity mode, where the diagonal is always tested.
         nonlocal proven
-        tested = tested_cells(a, rows, cols, mode, tol, ctx)
+        tested, sq = tested_cells(a, rows, cols, mode, tol, ctx)
         sizes = np.array(rows.sizes)
         larger = np.sum(np.maximum.outer(sizes, sizes) > 1) - np.sum(sizes > 1)
         proven += int(larger) - sum(i != j for i, j in tested)
-        return tested
+        return tested, sq
 
     tested_cells = structure._tested_cells
     test, *pair = structure._SQUARE

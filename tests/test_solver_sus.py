@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susim.errors import DimensionMismatch
 from susim.linalg import DEFAULT_TOLERANCES, adjoint
 from susim.model import FAILED, NOT_SIMILAR, SOLVED
-from susim.solver import solve_sus, witness_residual
+from susim.solver import solve_sueq, solve_sus, witness_residual
 
 TOL = DEFAULT_TOLERANCES
 
@@ -200,6 +201,14 @@ class TestHolonomyRefinement:
         assert res.status == SOLVED
         assert witness_residual(mats, b, "sus", res.u) <= TOL.verify
         assert res.iterations <= 4
+
+
+@pytest.mark.parametrize(
+    "solve, shape", [(solve_sus, (0, 0)), (solve_sueq, (2, 0)), (solve_sueq, (0, 3))]
+)
+def test_zero_size_matrix_is_a_dimension_mismatch(solve, shape):
+    with pytest.raises(DimensionMismatch, match="hold no entry"):
+        solve([np.zeros(shape)], [np.zeros(shape)])
 
 
 class TestFailureHonesty:
