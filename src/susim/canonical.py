@@ -6,8 +6,8 @@ Everything the loop observes on the way is invariant under a simultaneous
 unitary change of basis: which cell deviates first, which
 functional resolves it, the grouped spectrum it splits on, the partition
 sizes, and finally the diagonal scalars, cell amplitudes and holonomy
-scalars of the fully refined form, which the loop hands over in key
-order.  Collecting that trace gives a fingerprint, a
+scalars of the fully refined form, read off its arrays in array order,
+which is scan order.  Collecting that trace gives a fingerprint, a
 :class:`~susim.model.CanonicalFeatures`: collections related by a unitary
 produce equal features, and unequal features certify that no such unitary
 exists.
@@ -71,6 +71,9 @@ def extract_features(
         steps.append(FeatureStep(s.functional, s.at, s.touch, rows.sizes, cols.sizes, s.groups_a))
     if not isinstance(end, _Solution):
         raise InternalInconsistency("a self-paired run cannot mismatch")
+    alphas, scales = end.form.diag_alphas, end.form.cell_scales_a
+    at = np.nonzero(scales)
+    edges = list(zip(*(x.tolist() for x in at)))
     return CanonicalFeatures(
         mode=mode,
         shape=mats[0].shape,
@@ -78,9 +81,9 @@ def extract_features(
         steps=tuple(steps),
         rows_sizes=end.rows.sizes,
         cols_sizes=end.cols.sizes,
-        alphas=tuple(end.form.diag_alphas.items()),
-        scales=tuple(end.form.cell_scales_a.items()),
-        betas=tuple(end.betas.items()),
+        alphas=tuple(zip(np.ndindex(alphas.shape), alphas.ravel().tolist())),
+        scales=tuple(zip(edges, scales[at].tolist())),
+        betas=tuple(zip(edges, end.betas.tolist())),
         components=tuple(end.paths.components),
     )
 

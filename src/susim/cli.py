@@ -30,8 +30,8 @@ import orjson
 from . import __version__
 from .canonical import compare_features, extract_features
 from .certcheck import check_certificate
-from .errors import FormatError, InternalInconsistency, SpecInvalid, SusimError
-from .instances import GenConfig, generate
+from .errors import FormatError, InternalInconsistency, SusimError
+from .instances import GEN_KINDS, GEN_PARAMETERS, GenConfig, generate
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .model import FAILED, NOT_SIMILAR, SOLVED, Instance, SolveResult
 from .serialize import (
@@ -208,47 +208,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return _STATUS_EXIT[result.status]
 
 
-# The generator flags each kind reads, beyond -n, --seed and --name, and
-# each flag's value when it is not given.  pairwise and pr_cycle always
-# build 2 matrices per side, so they take -p only as 2.
-_GEN_FLAGS = {
-    "planted_similar": ("p", "style"),
-    "planted_equivalent": ("p", "m"),
-    "perturbed": ("p", "eps"),
-    "deep_split": ("p", "depth", "gap"),
-    "pairwise": (),
-    "pr_cycle": (),
-}
-_GEN_DEFAULTS = {"p": 1, "m": None, "style": "dense", "eps": 1e-2, "depth": 3, "gap": 1.0}
-_FIXED_COUNT = {"pairwise": 2, "pr_cycle": 2}
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    values = {}
-    for flag, default in _GEN_DEFAULTS.items():
-        value = getattr(args, flag)
-        count = _FIXED_COUNT.get(args.kind)
-        if value is None:
-            value = default
-        elif flag == "p" and count is not None:
-            if value != count:
-                raise SpecInvalid(f"{args.kind} builds {count} matrices per side, not -p {value}")
-        elif flag not in _GEN_FLAGS[args.kind]:
-            dashes = "-" if len(flag) == 1 else "--"
-            raise SpecInvalid(f"{args.kind} does not read {dashes}{flag}")
-        values[flag] = value
-    config = GenConfig(
-        kind=args.kind,
-        n=args.n,
-        m=values["m"],
-        count=values["p"],
-        seed=args.seed,
-        style=values["style"],
-        eps=values["eps"],
-        depth=values["depth"],
-        gap=values["gap"],
-        name=args.name,
-    )
+    # A flag not given is None, which GenConfig reads as not given.
+    given = {name: getattr(args, name) for name in GEN_PARAMETERS}
+    config = GenConfig(kind=args.kind, n=args.n, seed=args.seed, name=args.name, **given)
     inst, meta = generate(config)
     _emit(args.out, instance_to_json, inst)
     if args.out != "-":
@@ -349,21 +312,10 @@ def _solve_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _gen_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kind",
-        required=True,
-        choices=(
-            "planted_similar",
-            "planted_equivalent",
-            "perturbed",
-            "deep_split",
-            "pairwise",
-            "pr_cycle",
-        ),
-    )
+    parser.add_argument("--kind", required=True, choices=tuple(GEN_KINDS))
     parser.add_argument("-n", type=int, required=True, help="matrix size (columns for sueq)")
     parser.add_argument("-m", type=int, help="row count for planted_equivalent (default n)")
-    parser.add_argument("-p", type=int, help="matrices per side (default 1)")
+    parser.add_argument("-p", dest="count", type=int, help="matrices per side (default 1)")
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument(
         "--style", choices=("dense", "structured"), help="planted_similar form (default dense)"

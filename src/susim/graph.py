@@ -27,9 +27,10 @@ both sides, and the check returns these holonomy scalars by edge; otherwise
 it returns the first failing edge, a non-scalar one as the
 :class:`~susim.structure.Violation` that drives the next refinement and a
 scalar disagreement as the :class:`~susim.structure.ScalarMismatch` that
-disproves the instance.  Both read edges in the form's key order, which
-is scan order.  When every B-side matrix is its A-side matrix itself, the
-B side's path products and holonomies are the A side's, computed once.
+disproves the instance.  Both read edges, the nonzero cells of the form's
+scale array, in array order, which is scan order.  When every B-side matrix
+is its A-side matrix itself, the B side's path products and holonomies are
+the A side's, computed once.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def build_paths(
     rows: Partition,
     cols: Partition,
     mode: str,
-    scales_a: dict[tuple[int, int, int], float],
-    scales_b: dict[tuple[int, int, int], float],
+    scales_a: np.ndarray,
+    scales_b: np.ndarray,
 ) -> PathData:
     """Breadth-first forest over the class graph with path products.
 
@@ -109,7 +110,7 @@ def build_paths(
     # adjacency[q][v]: the fields (l, i, j, invert) of the step that crosses
     # edge {q, v} from q; only the forest's steps become EdgeStep objects.
     adjacency: dict[Vertex, dict[Vertex, tuple[int, int, int, bool]]] = {v: {} for v in vertices}
-    for (l, i, j) in scales_a:
+    for l, i, j in np.argwhere(scales_a).tolist():
         u, w = endpoints(mode, i, j)
         if w not in adjacency[u]:
             adjacency[u][w] = (l, i, j, False)
@@ -139,7 +140,7 @@ def build_paths(
                 queue.append(v)
         components.append(tuple(sorted(comp, key=vertex_key)))
 
-    def products(mats: list[Matrix], scales: dict[tuple[int, int, int], float]):
+    def products(mats: list[Matrix], scales: np.ndarray):
         """Path products and amplitudes of one side, in breadth-first order."""
         prods: dict[Vertex, Matrix] = {}
         amps: dict[Vertex, float] = {}
@@ -150,7 +151,7 @@ def build_paths(
                 amps[v] = 1.0
                 continue
             q, e = parent[v], steps[-1]
-            cell, r = submatrix(mats[e.l], rows, e.i, cols, e.j), scales[(e.l, e.i, e.j)]
+            cell, r = submatrix(mats[e.l], rows, e.i, cols, e.j), scales[e.l, e.i, e.j]
             if e.invert:
                 prods[v] = prods[q] @ adjoint(cell) / r
                 amps[v] = amps[q] / np.sqrt(r)
@@ -185,10 +186,10 @@ def check_pr(
     rows: Partition,
     cols: Partition,
     mode: str,
-    scales_a: dict[tuple[int, int, int], float],
+    scales_a: np.ndarray,
     paths: PathData,
     tol: Tolerances,
-) -> dict[tuple[int, int, int], complex] | Violation | ScalarMismatch:
+) -> np.ndarray | Violation | ScalarMismatch:
     """Test every edge cell conjugated to its representative space.
 
     Each cell must become a scalar multiple of the identity with matching
@@ -196,18 +197,18 @@ def check_pr(
     row classes by their path products and the column classes by their
     inverses, so that cell ``(i, j)`` of the result is the holonomy of edge
     ``(l, i, j)``; all edge cells are then tested together.  Returns the
-    A-side holonomy scalar of every edge when all pass.  Otherwise the first
+    A-side holonomy scalars of the edges, the nonzero cells of
+    ``scales_a`` in array order, when all pass.  Otherwise the first
     failing cell in scan order is returned, either a refinement driver
     (non-scalar, a normal matrix on the representative space, carried with
     its B-side partner) or a scalar disproof; both carry the edge steps of
     the cell's two path products.
     """
-    if not scales_a:
-        return {}
+    at = np.nonzero(scales_a)
+    if not at[0].size:  # transporting every matrix would test nothing
+        return np.zeros(0, dtype=np.complex128)
     row_vs = [("row", i) for i in range(rows.count)]
     col_vs = row_vs if mode == "sus" else [("col", j) for j in range(cols.count)]
-    edges = list(scales_a)
-    at = tuple(np.array(edges, dtype=np.intp).T)
     comp = {v: k for k, c in enumerate(paths.components) for v in c}
     row_comp, col_comp = np.array([comp[v] for v in row_vs]), np.array([comp[v] for v in col_vs])
     if np.any(row_comp[at[1]] != col_comp[at[2]]):
@@ -231,9 +232,9 @@ def check_pr(
     close = np.abs(beta_a - beta_b) <= tol.cmp * np.maximum(np.abs(beta_a), np.abs(beta_b))
     failing = ~(scalar & close)
     if not failing.any():
-        return dict(zip(edges, beta_a.tolist()))
+        return beta_a
     k = int(np.argmax(failing))
-    l, i, j = edges[k]
+    l, i, j = (int(x[k]) for x in at)
     pr_paths = paths.cell_paths(mode, i, j)
     if not scalar[k]:
         # Copies: a view would keep both stacked arrays alive with the violation.

@@ -19,6 +19,8 @@ from .model import Instance
 from .oracles import TraceWord, trace_word_oracle, word_to_string
 
 __all__ = [
+    "GEN_KINDS",
+    "GEN_PARAMETERS",
     "GenConfig",
     "random_unitary",
     "ginibre",
@@ -271,41 +273,83 @@ def pr_cycle(n: int, rng: np.random.Generator) -> tuple[Instance, Matrix]:
     return Instance("sus", a_mats, b_mats), u
 
 
+# Per kind, the parameters its generator reads beyond n and seed, each with
+# its value when not given.  pairwise and pr_cycle always build
+# _FIXED_COUNT matrices per side, so they take count only as that.
+GEN_KINDS: dict[str, dict[str, object]] = {
+    "planted_similar": {"count": 1, "style": "dense"},
+    "planted_equivalent": {"count": 1, "m": None},
+    "perturbed": {"count": 1, "eps": 1e-2},
+    "deep_split": {"count": 1, "depth": 3, "gap": 1.0},
+    "pairwise": {},
+    "pr_cycle": {},
+}
+_FIXED_COUNT = 2
+# The parameters of GEN_KINDS, in the order GenConfig checks them.
+GEN_PARAMETERS = ("count", "m", "style", "eps", "depth", "gap")
+
+
+def _flag(parameter: str) -> str:
+    """The ``susim gen`` flag that sets ``parameter``."""
+    name = "p" if parameter == "count" else parameter
+    return f"-{name}" if len(name) == 1 else f"--{name}"
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Declarative description of one generated instance."""
+    """Declarative description of one generated instance.
+
+    A parameter left as None is not given: it takes its kind's value from
+    :data:`GEN_KINDS`, and stays None where the kind does not read it.
+    """
 
     kind: str
     n: int
     m: int | None = None
-    count: int = 1
+    count: int | None = None
     seed: int = 0
-    style: str = "dense"
-    eps: float = 1e-2
-    depth: int = 3
-    gap: float = 1.0
+    style: str | None = None
+    eps: float | None = None
+    depth: int | None = None
+    gap: float | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
-        """Refuse a parameter no generator can honour, as :class:`SpecInvalid`."""
+        """Refuse a parameter no generator can honour, or one the kind does
+        not read, as :class:`SpecInvalid`."""
+        if self.kind not in GEN_KINDS:
+            raise SpecInvalid(f"unknown instance kind {self.kind!r}")
+        reads = GEN_KINDS[self.kind]
+        for parameter in GEN_PARAMETERS:
+            value = getattr(self, parameter)
+            if value is None:
+                object.__setattr__(self, parameter, reads.get(parameter))
+            elif parameter == "count" and parameter not in reads:
+                if value != _FIXED_COUNT:
+                    raise SpecInvalid(
+                        f"{self.kind} builds {_FIXED_COUNT} matrices per side, not -p {value}"
+                    )
+            elif parameter not in reads:
+                raise SpecInvalid(f"{self.kind} does not read {_flag(parameter)}")
         least_n = 2 if self.kind == "pairwise" else 1
         if self.n < least_n:
             raise SpecInvalid(f"{self.kind} needs n of at least {least_n}, got {self.n}")
         if self.m is not None and self.m < 1:
             raise SpecInvalid(f"m must be at least 1, got {self.m}")
-        if self.count < 1:
+        if self.count is not None and self.count < 1:
             raise SpecInvalid(f"count (-p) must be at least 1, got {self.count}")
-        if self.depth < 0:
+        if self.depth is not None and self.depth < 0:
             raise SpecInvalid(f"depth must be at least 0, got {self.depth}")
         for name in ("eps", "gap"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value == 0.0:
+            if value is not None and (not math.isfinite(value) or value == 0.0):
                 raise SpecInvalid(f"{name} must be finite and nonzero, got {value}")
 
     def label(self) -> str:
         if self.name:
             return self.name
-        return f"{self.kind}-n{self.n}-p{self.count}-seed{self.seed}"
+        # pairwise and pr_cycle not given a count are labelled p1.
+        return f"{self.kind}-n{self.n}-p{self.count or 1}-seed{self.seed}"
 
 
 def generate(config: GenConfig) -> tuple[Instance, dict]:
@@ -338,11 +382,9 @@ def generate(config: GenConfig) -> tuple[Instance, dict]:
             inst, word = pairwise_trap(config.n, rng)
             meta["certifying_word"] = word
             meta["word_text"] = word_to_string(word.letters, inst.count)
-        elif config.kind == "pr_cycle":
+        else:  # pr_cycle, the last of GEN_KINDS
             inst, u = pr_cycle(config.n, rng)
             meta["witness_u"] = u
-        else:
-            raise SpecInvalid(f"unknown instance kind {config.kind!r}")
     if not all(np.isfinite(m).all() for m in (*inst.a_mats, *inst.b_mats)):
         raise SpecInvalid(f"{config.label()}: a generated matrix has non-finite entries")
     named = Instance(inst.mode, inst.a_mats, inst.b_mats, name=config.label())

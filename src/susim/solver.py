@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import Partition, apply_blocks
-from .errors import InternalInconsistency, SusimError
+from .errors import DimensionMismatch, InternalInconsistency, SusimError
 from .graph import PathData, build_paths, check_pr
 from .linalg import DEFAULT_TOLERANCES, Matrix, Tolerances, adjoint, as_matrix, fro
 from .model import FAILED, NOT_SIMILAR, SOLVED, Certificate, Instance, RefinementStep, SolveResult
@@ -47,9 +47,15 @@ def witness_residual(
     Covers unitarity of both factors and the mapping property for every
     matrix pair, each relative to ``1 + ||A_l||``.  A term that is not
     finite, as when ``||A_l||`` overflows, makes the residual infinite.
+    Raises :class:`~susim.errors.DimensionMismatch` unless ``u`` is
+    ``m x m`` and, in equivalence mode, ``v`` is ``n x n``.
     """
     m, n = a_mats[0].shape
     right = u if mode == "sus" else v
+    for name, x, k in (("u", u, m),) if mode == "sus" else (("u", u, m), ("v", v, n)):
+        if np.shape(x) != (k, k):
+            got = "missing" if x is None else f"of shape {np.shape(x)}"
+            raise DimensionMismatch(f"witness {name} is {got}, the collections need {k} x {k}")
     terms = [fro(u @ adjoint(u) - np.eye(m)) / np.sqrt(m)]
     terms.append(fro(right @ adjoint(right) - np.eye(n)) / np.sqrt(n))
     terms.extend(fro(u @ a @ adjoint(right) - b) / (1.0 + fro(a)) for a, b in zip(a_mats, b_mats))
@@ -76,13 +82,13 @@ def _assemble_solution(
 @dataclass(frozen=True)
 class _Solution:
     """The final form of a run: its partitions, the passing scan, the path
-    data and the holonomy scalar of every edge."""
+    data and the holonomy scalar of every edge, in the form's array order."""
 
     rows: Partition
     cols: Partition
     form: SolutionForm
     paths: PathData
-    betas: dict[tuple[int, int, int], complex]
+    betas: np.ndarray
 
 
 def _refinements(
@@ -113,7 +119,7 @@ def _refinements(
             scales_a, scales_b = found.cell_scales_a, found.cell_scales_b
             paths = build_paths(a_mats, b_mats, rows, cols, mode, scales_a, scales_b)
             holonomy = check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol)
-            if isinstance(holonomy, dict):
+            if isinstance(holonomy, np.ndarray):
                 return _Solution(rows, cols, found, paths, holonomy)
             found = holonomy
         if isinstance(found, ScalarMismatch):

@@ -42,8 +42,8 @@ off the similarity diagonal whose norm is below the ``is_zero`` threshold
 nothing.  The margin covers the rounding between the pass's sum and
 :func:`~susim.linalg.fro`, so the scan's answer stays, bit for bit, the
 one a cell-by-cell scan gives.  An unshared pair is still tested cell by
-cell.  The form's dicts are in key order, which is scan order and the
-order :mod:`susim.graph` reads edges in.
+cell.  The form holds arrays indexed by matrix and class, so array order
+is scan order and the order :mod:`susim.graph` reads edges in.
 """
 
 from __future__ import annotations
@@ -103,14 +103,17 @@ class ScalarMismatch:
     pr_paths: PrPaths | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionForm:
-    """What a passing scan reads off: the diagonal scalars by matrix and
-    class, and the squared amplitudes of the edge cells on each side."""
+    """What a passing scan reads off, as arrays indexed by matrix ``l`` and
+    class: ``diag_alphas[l, i]``, the diagonal scalar of class ``i`` (no
+    column in equivalence mode), and ``cell_scales_a[l, i, j]`` and
+    ``cell_scales_b[l, i, j]``, the squared amplitudes of the edge cells on
+    each side, zero on every other cell."""
 
-    diag_alphas: dict[tuple[int, int], complex]
-    cell_scales_a: dict[tuple[int, int, int], float]
-    cell_scales_b: dict[tuple[int, int, int], float]
+    diag_alphas: np.ndarray
+    cell_scales_a: np.ndarray
+    cell_scales_b: np.ndarray
 
 
 # Cell functional: (Hermitian matrix read off the cell, power of ``||A_l||``
@@ -199,9 +202,10 @@ def check_presolution(
     """
     if mode not in ("sus", "sueq"):
         raise ValueError(f"unknown mode {mode!r}")
-    diag_alphas: dict[tuple[int, int], complex] = {}
-    scales_a: dict[tuple[int, int, int], float] = {}
-    scales_b: dict[tuple[int, int, int], float] = {}
+    p = len(a_mats)
+    diag_alphas = np.zeros((p, rows.count if mode == "sus" else 0), dtype=np.complex128)
+    scales_a = np.zeros((p, rows.count, cols.count))
+    scales_b = np.zeros((p, rows.count, cols.count))
     # Shared matrices and their cells' squared norms, read off after a pass.
     shared: list[tuple[int, Matrix, np.ndarray, float]] = []
     for l, (a, b) in enumerate(zip(a_mats, b_mats)):
@@ -242,28 +246,18 @@ def check_presolution(
                 if va > 0.0 and vb > 0.0:
                     scales_a[at] = va
                     scales_b[at] = vb
-    if shared:
-        singletons = np.equal(rows.sizes, 1)
-        single = singletons[:, None] & np.equal(cols.sizes, 1)
-        ii = np.flatnonzero(singletons)
-        entry = np.take(rows.offsets, ii)
-        for l, a, sq, ctx in shared:
-            with np.errstate(over="ignore"):
-                # What unitary_multiple returns on a 1x1 cell, whose sum is |c|^2:
-                # 0 within tolerance, else the mean of its two Gram scalars, both r.
-                r = np.where(np.sqrt(sq) <= tol.cmp * (1.0 + ctx), 0.0, sq / 2.0 + sq / 2.0)
-            if mode == "sus":
-                # What identity_multiple returns: a trace, whose sum turns -0.0 into 0.0.
-                alphas = (a[entry, entry] + 0.0).tolist()
-                diag_alphas.update(zip(((l, i) for i in ii.tolist()), alphas))
-                np.fill_diagonal(r, 0.0)
-            ki, kj = np.nonzero(single & (r > 0.0))
-            keys = ((l, i, j) for i, j in zip(ki.tolist(), kj.tolist()))
-            edges = dict(zip(keys, r[ki, kj].tolist()))
-            scales_a.update(edges)
-            scales_b.update(edges)
-        # Key order (l, i, j) is scan order.
-        diag_alphas, scales_a, scales_b = (
-            dict(sorted(d.items())) for d in (diag_alphas, scales_a, scales_b)
-        )
+    singletons = np.equal(rows.sizes, 1)
+    single = singletons[:, None] & np.equal(cols.sizes, 1)
+    entry = np.take(rows.offsets, np.flatnonzero(singletons))
+    for l, a, sq, ctx in shared:
+        with np.errstate(over="ignore"):
+            # What unitary_multiple returns on a 1x1 cell, whose sum is |c|^2:
+            # 0 within tolerance, else the mean of its two Gram scalars, both r.
+            r = np.where(np.sqrt(sq) <= tol.cmp * (1.0 + ctx), 0.0, sq / 2.0 + sq / 2.0)
+        if mode == "sus":
+            # What identity_multiple returns: a trace, whose sum turns -0.0 into 0.0.
+            diag_alphas[l, singletons] = a[entry, entry] + 0.0
+            np.fill_diagonal(r, 0.0)
+        np.copyto(scales_a[l], r, where=single)
+        np.copyto(scales_b[l], r, where=single)
     return SolutionForm(diag_alphas, scales_a, scales_b)

@@ -28,9 +28,9 @@ def naive_path_product(mats, rows, cols, steps):
 
 def reference_check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol):
     """Per-edge reference for :func:`check_pr`: conjugate each edge cell on its
-    own and stop at the first failure in scan order."""
-    betas = {}
-    for (l, i, j) in scales_a:
+    own and stop at the first failure in scan order, which is array order."""
+    betas = []
+    for l, i, j in np.argwhere(scales_a).tolist():
         row_end, col_end = endpoints(mode, i, j)
         prs = []
         for mats, prods, amps in ((a_mats, paths.paths_a, paths.amps_a), (b_mats, paths.paths_b, paths.amps_b)):
@@ -44,8 +44,8 @@ def reference_check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol):
             return Violation(PR_NORMAL, (l, i, j), paths.rep_of[row_end], pr_a, pr_b, pr_paths=pr_paths)
         if not close_scalars(beta_a, beta_b, tol):
             return ScalarMismatch("pr_beta", (l, i, j), beta_a, beta_b, pr_paths)
-        betas[(l, i, j)] = beta_a
-    return betas
+        betas.append(beta_a)
+    return np.array(betas, dtype=np.complex128)
 
 
 def random_unitary(n, rng):
@@ -161,10 +161,9 @@ class TestPrCheck:
         a[1, 0], a[1, 2], a[3, 2] = 2.0, 3.0, 4.0
         rep, paths = sus_paths([a], [a.copy()], p)
         out = check_pr([a], [a.copy()], p, p, "sus", rep.cell_scales_a, paths, TOL)
-        assert isinstance(out, dict)
-        assert set(out) == {(0, 1, 0), (0, 1, 2), (0, 3, 2)}
-        for beta in out.values():
-            assert beta == pytest.approx(1.0)
+        assert isinstance(out, np.ndarray)
+        assert np.argwhere(rep.cell_scales_a).tolist() == [[0, 1, 0], [0, 1, 2], [0, 3, 2]]
+        assert out.tolist() == [pytest.approx(1.0)] * 3
 
     def test_nonscalar_holonomy_is_violation(self):
         p = Partition((2, 2))
@@ -209,7 +208,7 @@ class TestPrCheck:
         for (bi, bj) in [(0, 1), (1, 2), (0, 2)]:
             a[p.slice_of(bi), p.slice_of(bj)] = (0.5 + rng.random()) * random_unitary(2, rng)
         rep, paths = sus_paths([a], [a.copy()], p)
-        for (l, i, j) in rep.cell_scales_a:
+        for l, i, j in np.argwhere(rep.cell_scales_a).tolist():
             pa = paths.paths_a[("row", i)]
             pc = paths.paths_a[("row", j)]
             cell = submatrix(a, p, i, p, j)
@@ -279,7 +278,7 @@ class TestPrCheckAgainstReference:
         want = reference_check_pr(a, b, rows, cols, mode, pre.cell_scales_a, paths, TOL)
         assert type(got) is type(want)
         if not plant:
-            assert isinstance(got, dict)
+            assert isinstance(got, np.ndarray)
         if isinstance(want, Violation):
             gv, wv = got, want
             assert (gv.functional, gv.at, gv.touch, gv.pr_paths) == (wv.functional, wv.at, wv.touch, wv.pr_paths)
@@ -291,6 +290,5 @@ class TestPrCheckAgainstReference:
             assert gm.a_value == pytest.approx(wm.a_value, rel=1e-12)
             assert gm.b_value == pytest.approx(wm.b_value, rel=1e-12)
         else:
-            assert list(got) == list(want)
-            for key, beta in want.items():
-                assert got[key] == pytest.approx(beta, rel=1e-12)
+            assert got.shape == want.shape == (np.count_nonzero(pre.cell_scales_a),)
+            assert got.tolist() == pytest.approx(want.tolist(), rel=1e-12)

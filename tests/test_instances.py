@@ -9,6 +9,8 @@ from susim.canonical import extract_features
 from susim.certcheck import check_certificate
 from susim.errors import OutOfScope, SpecInvalid
 from susim.instances import (
+    GEN_KINDS,
+    GEN_PARAMETERS,
     GenConfig,
     deep_split,
     generate,
@@ -248,6 +250,40 @@ def test_generate_dispatch_and_labels():
 def test_config_without_a_matrix_is_refused(count):
     with pytest.raises(SpecInvalid, match="count"):
         GenConfig(kind="perturbed", n=4, count=count)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (dict(kind="pairwise", n=4, count=5), "pairwise builds 2 matrices per side, not -p 5"),
+        (dict(kind="pr_cycle", n=6, count=1), "pr_cycle builds 2 matrices per side, not -p 1"),
+        (dict(kind="deep_split", n=8, count=2, m=3, eps=0.5), "deep_split does not read -m"),
+        (dict(kind="deep_split", n=8, eps=1e-2), "deep_split does not read --eps"),
+        (dict(kind="pairwise", n=4, style="dense"), "pairwise does not read --style"),
+        (dict(kind="planted_equivalent", n=4, gap=1.0), "planted_equivalent does not read --gap"),
+        (dict(kind="mystery", n=4), "unknown instance kind 'mystery'"),
+    ],
+)
+def test_config_refuses_a_parameter_its_kind_does_not_read(params, message):
+    # Given as its default value, too: the kind would ignore it.
+    with pytest.raises(SpecInvalid) as caught:
+        GenConfig(**params)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("kind", list(GEN_KINDS))
+def test_parameters_not_given_take_their_kind_values(kind):
+    n = 6
+    bare = GenConfig(kind=kind, n=n, seed=3)
+    assert {p: getattr(bare, p) for p in GEN_PARAMETERS} == {
+        p: GEN_KINDS[kind].get(p) for p in GEN_PARAMETERS
+    }
+    assert bare == GenConfig(kind=kind, n=n, seed=3, **GEN_KINDS[kind])
+    assert bare.label() == f"{kind}-n{n}-p1-seed3"
+    first, _ = generate(bare)
+    second, _ = generate(GenConfig(kind=kind, n=n, seed=3, **GEN_KINDS[kind]))
+    for x, y in zip(first.a_mats + first.b_mats, second.a_mats + second.b_mats):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_generate_is_reproducible():

@@ -23,6 +23,11 @@ from susim.linalg import DEFAULT_TOLERANCES
 TOL = DEFAULT_TOLERANCES
 
 
+def array_bits(x):
+    """An array's shape, dtype and bytes: equal only if equal bit for bit."""
+    return x.shape, x.dtype, x.tobytes()
+
+
 def run_record(mode, a_mats, b_mats):
     """Everything the loop yields and returns, or the error it raises."""
     record = []
@@ -53,16 +58,16 @@ def run_record(mode, a_mats, b_mats):
             type(end),
             end.rows.sizes,
             end.cols.sizes,
-            end.form.diag_alphas,
-            end.form.cell_scales_a,
-            end.form.cell_scales_b,
+            array_bits(end.form.diag_alphas),
+            array_bits(end.form.cell_scales_a),
+            array_bits(end.form.cell_scales_b),
             paths.components,
             paths.steps_to,
             paths.amps_a,
             paths.amps_b,
             {v: p.tobytes() for v, p in paths.paths_a.items()},
             {v: p.tobytes() for v, p in paths.paths_b.items()},
-            end.betas,
+            array_bits(end.betas),
         )
     )
     return record, None

@@ -14,6 +14,7 @@ zero are skipped too; the last test counts the form tests that saves.
 
 import dataclasses
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -104,15 +105,34 @@ def block_form(rng, rows, cols, mode, zero_share=0.3):
 
 
 def bits(found):
-    """A dict of scalars as its keys in order, with each value's type and
-    the exact bits of both parts: ``==`` lets -0.0 pass for 0.0."""
-    return [(k, type(v), complex(v).real.hex(), complex(v).imag.hex()) for k, v in found.items()]
+    """An array of scalars as its shape and dtype, with the exact bits of
+    both parts of every entry: ``==`` lets -0.0 pass for 0.0."""
+    values = [complex(v) for v in found.ravel().tolist()]
+    return found.shape, found.dtype, [(v.real.hex(), v.imag.hex()) for v in values]
 
 
 def assert_same_form(form, expected):
     assert bits(form.diag_alphas) == bits(expected.diag_alphas)
     assert bits(form.cell_scales_a) == bits(expected.cell_scales_a)
     assert bits(form.cell_scales_b) == bits(expected.cell_scales_b)
+
+
+def assert_form_layout(form, rows, cols, mode):
+    """The layout graph and canonical read a form by: one diagonal scalar per
+    matrix and class (none in equivalence mode), and two scale arrays whose
+    nonzero cells, the edges, are the same, all square and all off the
+    similarity diagonal."""
+    p = form.cell_scales_a.shape[0]
+    assert form.diag_alphas.shape == (p, rows.count if mode == "sus" else 0)
+    assert form.diag_alphas.dtype == np.complex128
+    square = np.equal.outer(rows.sizes, cols.sizes)
+    for scales in (form.cell_scales_a, form.cell_scales_b):
+        assert scales.shape == (p, rows.count, cols.count) and scales.dtype == np.float64
+        assert not scales[:, ~square].any()
+        if mode == "sus":
+            assert not np.diagonal(scales, axis1=1, axis2=2).any()
+    edges_a, edges_b = np.nonzero(form.cell_scales_a), np.nonzero(form.cell_scales_b)
+    assert all(map(np.array_equal, edges_a, edges_b))
 
 
 def assert_same_answer(shared, copied):
@@ -155,9 +175,8 @@ def test_shared_and_copied_b_give_the_same_answer(mode, singletons):
         copied = check_presolution(a_mats, [m.copy() for m in a_mats], rows, cols, mode, TOL)
         assert_same_answer(shared, copied)
         if isinstance(shared, SolutionForm):
-            # graph reads edge witnesses and the first failing edge in key order.
-            for found in (shared.diag_alphas, shared.cell_scales_a, shared.cell_scales_b):
-                assert list(found) == sorted(found)
+            # graph reads edge witnesses and the first failing edge in array order.
+            assert_form_layout(shared, rows, cols, mode)
         kinds.add(type(shared).__name__)
     assert "SolutionForm" in kinds
     assert ("Violation" in kinds) is not singletons
@@ -173,6 +192,32 @@ def test_features_are_in_key_order(config):
         for found in (features.alphas, features.scales, features.betas):
             keys = [key for key, _ in found]
             assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("config", list(golden_corpus()), ids=GenConfig.label)
+def test_final_forms_keep_the_layout_their_readers_rely_on(config):
+    """Each side of a golden instance, run paired with itself to its final
+    partitions, in similarity mode where it is square and in equivalence
+    mode: the passing scan there, with B shared and with B copied, returns
+    the same form, and that form keeps ``assert_form_layout``."""
+    inst, _ = generate(config)
+    modes = ("sus", "sueq") if inst.shape[0] == inst.shape[1] else ("sueq",)
+    for mats, mode in itertools.product((inst.a_mats, inst.b_mats), modes):
+        final = list(mats)
+        loop = solver._refinements(mode, final, final, TOL)
+        while True:
+            try:
+                final = next(loop)[0].a_mats
+            except StopIteration as stop:
+                end = stop.value
+                break
+        shared = check_presolution(final, final, end.rows, end.cols, mode, TOL)
+        copied = check_presolution(final, [m.copy() for m in final], end.rows, end.cols, mode, TOL)
+        assert isinstance(shared, SolutionForm), (mode, shared)
+        assert_same_answer(shared, copied)
+        assert_same_form(shared, end.form)
+        assert_form_layout(shared, end.rows, end.cols, mode)
+        assert_form_layout(copied, end.rows, end.cols, mode)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -192,16 +237,18 @@ def predicted_form(mat, mode, rows=None):
     predicates in scan order."""
     rows = rows or Partition((1,) * mat.shape[0])
     ctx = fro(mat)
-    form = SolutionForm({}, {}, {})
-    for i, j in np.ndindex(rows.count, rows.count):
+    d = rows.count
+    alphas = np.zeros((1, d if mode == "sus" else 0), dtype=np.complex128)
+    scales = np.zeros((1, d, d))
+    for i, j in np.ndindex(d, d):
         cell = submatrix(mat, rows, i, rows, j)
         if mode == "sus" and i == j:
-            form.diag_alphas[(0, i)] = identity_multiple(cell, TOL, ctx)
+            alphas[0, i] = identity_multiple(cell, TOL, ctx)
         elif cell.shape[0] != cell.shape[1]:
             assert linalg.is_zero(cell, TOL, ctx)
         elif (r := unitary_multiple(cell, TOL, ctx)) > 0.0:
-            form.cell_scales_a[(0, i, j)] = form.cell_scales_b[(0, i, j)] = r
-    return form
+            scales[0, i, j] = r
+    return SolutionForm(alphas, scales, scales.copy())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

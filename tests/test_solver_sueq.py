@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susim.errors import DimensionMismatch
 from susim.linalg import DEFAULT_TOLERANCES, adjoint
 from susim.model import FAILED, NOT_SIMILAR, SOLVED
 from susim.solver import solve_sueq, witness_residual
@@ -130,3 +131,23 @@ class TestProperties:
             expected = SOLVED if np.allclose(sa, sb, atol=1e-9) else NOT_SIMILAR
         res = solve_sueq([a], [b])
         assert res.status == expected
+
+
+@pytest.mark.parametrize(
+    "mode, shapes, message",
+    [
+        ("sueq", ((3, 3), None), "witness v is missing, the collections need 4 x 4"),
+        ("sueq", ((4, 4), (4, 4)), "witness u is of shape (4, 4), the collections need 3 x 3"),
+        ("sueq", ((3, 3), (3, 3)), "witness v is of shape (3, 3), the collections need 4 x 4"),
+        ("sueq", ((3,), (4, 4)), "witness u is of shape (3,), the collections need 3 x 3"),
+        ("sus", ((4, 4), None), "witness u is of shape (4, 4), the collections need 3 x 3"),
+        ("sus", ((3, 3, 1), None), "witness u is of shape (3, 3, 1), the collections need 3 x 3"),
+    ],
+)
+def test_witness_of_the_wrong_shape_is_a_dimension_mismatch(mode, shapes, message):
+    rng = np.random.default_rng(5)
+    a, b, _ = planted_pair(3, 3 if mode == "sus" else 4, 2, rng)
+    u, v = (None if s is None else np.ones(s, dtype=complex) for s in shapes)
+    with pytest.raises(DimensionMismatch) as caught:
+        witness_residual(a, b, mode, u, v)
+    assert str(caught.value) == message

@@ -31,7 +31,8 @@ class TestDiagonalCells:
     def test_matching_scalar_passes(self):
         rep = run_sus([2.0 * np.eye(3)], [2.0 * np.eye(3)], Partition.whole(3))
         assert isinstance(rep, SolutionForm)
-        assert rep.diag_alphas == {(0, 0): pytest.approx(2.0 + 0j)}
+        assert rep.diag_alphas.dtype == np.complex128
+        assert rep.diag_alphas.tolist() == [[pytest.approx(2.0 + 0j)]]
 
     def test_scalar_mismatch_certified(self):
         rep = run_sus([2.0 * np.eye(2)], [3.0 * np.eye(2)], Partition.whole(2))
@@ -81,14 +82,16 @@ class TestSquareOffDiagonalCells:
         a = cplx([[1.0, 3.0], [0.0, 1.0]])
         rep = run_sus([a], [a.copy()], p)
         assert isinstance(rep, SolutionForm)
-        assert rep.cell_scales_a == {(0, 0, 1): pytest.approx(9.0)}
-        assert rep.cell_scales_b == {(0, 0, 1): pytest.approx(9.0)}
+        for scales in (rep.cell_scales_a, rep.cell_scales_b):
+            assert scales.dtype == np.float64
+            assert scales.tolist() == [[[0.0, pytest.approx(9.0)], [0.0, 0.0]]]
 
     def test_zero_cells_not_recorded(self):
         p = Partition((1, 1))
         rep = run_sus([np.eye(2)], [np.eye(2)], p)
         assert isinstance(rep, SolutionForm)
-        assert rep.cell_scales_a == {}
+        assert not rep.cell_scales_a.any()
+        assert rep.cell_scales_a.shape == (1, 2, 2)
 
     def test_cell_zero_on_one_side_not_recorded(self):
         # Both scales pass as equal within the context, but a zero scale on
@@ -99,7 +102,7 @@ class TestSquareOffDiagonalCells:
         for x, y in ((a, b), (b, a)):
             rep = run_sus([x], [y], p)
             assert isinstance(rep, SolutionForm)
-            assert rep.cell_scales_a == rep.cell_scales_b == {}
+            assert not rep.cell_scales_a.any() and not rep.cell_scales_b.any()
 
     def test_scale_mismatch_becomes_gram_violation(self):
         p = Partition((1, 1))
@@ -234,8 +237,8 @@ class TestEquivalenceMode:
         a = cplx([[1.0, 3.0], [-3.0, 1.0]])
         rep = check_presolution([a], [a.copy()], rows, cols, "sueq", TOL)
         assert isinstance(rep, SolutionForm)
-        assert rep.cell_scales_a == {(0, 0, 0): pytest.approx(10.0)}
-        assert rep.diag_alphas == {}
+        assert rep.cell_scales_a.tolist() == [[[pytest.approx(10.0)]]]
+        assert rep.diag_alphas.shape == (1, 0)
 
     def test_rectangular_instance(self):
         rows, cols = Partition.whole(2), Partition.whole(3)
