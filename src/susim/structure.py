@@ -30,25 +30,27 @@ four cell functionals are defined here once, under the names that
 B-side matrix that is the A-side matrix itself, as in the self-paired run
 behind the canonical features or a pair that the solver found equal bit
 for bit, is read and tested once, and a deviation on it carries one
-functional matrix for both sides.  Each shared matrix the scan reaches
-gets one :func:`~susim.blocking.cell_sums` pass over its squared moduli,
-which gives every cell's squared norm, and two kinds of its cells, which
-cannot deviate, are skipped.  A finite 1x1 cell passes its test at any
-context, and its scalar equals itself; once the scan has passed, these
-cells are read off that pass, where a one-entry cell's sum is its ``|c|²``
-bit for bit, so the values are those the two predicates return.  A cell
-off the similarity diagonal whose norm is below the ``is_zero`` threshold
-``cmp * (1 + ‖A_l‖)`` by a relative margin of 1e-9 is zero and records
-nothing.  The margin covers the rounding between the pass's sum and
-:func:`~susim.linalg.fro`, so the scan's answer stays, bit for bit, the
-one a cell-by-cell scan gives.  An unshared pair is still tested cell by
-cell.  The form holds arrays indexed by matrix and class, so array order
-is scan order and the order :mod:`susim.graph` reads edges in.
+functional matrix for both sides.  Each pair the scan reaches gets one
+:func:`~susim.blocking.cell_sums` pass over each side's squared moduli
+(one in all for a shared matrix), which gives every cell's squared norm,
+and the cells that cannot deviate are skipped.  A cell off the similarity
+diagonal whose norm is below the ``is_zero`` threshold of each side,
+``cmp * (1 + ‖A_l‖)`` and ``cmp * (1 + ‖B_l‖)``, by a relative margin of
+1e-9 is zero on both and records nothing.  The margin covers the
+rounding between the pass's sum and :func:`~susim.linalg.fro`, so the
+scan's answer stays, bit for bit, the one a cell-by-cell scan gives.  A
+finite 1x1 cell passes its test at any context, and its scalar equals
+itself; a shared matrix skips these cells too, and once the scan has
+passed, reads them off its pass, where a one-entry cell's sum is its
+``|c|²`` bit for bit, so the values are those the two predicates return.
+An unshared pair still tests its 1x1 cells, and under a single
+similarity class, with no cell off the diagonal, it gets no pass.  The
+form holds arrays indexed by matrix and class, so array order is scan
+order and the order :mod:`susim.graph` reads edges in.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,35 +156,62 @@ def _choice(first: str, second: str, cell: Matrix, ctx: float, tol: Tolerances) 
     return second
 
 
-# An off-diagonal cell of a shared matrix whose kernel norm is below the
-# ``is_zero`` threshold by this relative margin is zero to ``is_zero`` too,
-# so the scan skips it.  The kernel adds the cell's k squares in another
-# order than ``fro``, which moves the norm by at most about k machine
-# epsilons relative: 1e-9 is ample for cells of up to millions of entries.
-# Below a threshold of about 1e-150 the squares of entries near it are
-# subnormal and that bound is lost, so no cell is skipped there.
+# A cell whose kernel norm is below the ``is_zero`` threshold by this
+# relative margin is zero to ``is_zero`` too.  The kernel adds the cell's k
+# squares in another order than ``fro``, which moves the norm by at most
+# about k machine epsilons relative: 1e-9 is ample for cells of up to
+# millions of entries.  Below a threshold of about 1e-150 the squares of
+# entries near it are subnormal and that bound is lost, so no cell is
+# skipped there.
 _ZERO_MARGIN = 1e-9
 _LEAST_THRESHOLD = 1e-150
 
 
-def _tested_cells(
-    a: Matrix, rows: Partition, cols: Partition, mode: str, tol: Tolerances, ctx: float
-) -> tuple[list[list[int]], np.ndarray]:
-    """The cells ``[i, j]`` of a shared matrix that the scan tests, in scan
-    order, and every cell's squared norm, from one
-    :func:`~susim.blocking.cell_sums` pass.  It skips the 1x1 cells, and
-    every other cell off the similarity diagonal whose norm is proven below
-    the ``is_zero`` threshold: such a cell passes its test and records
-    nothing."""
+def _proven_zero(
+    m: Matrix, rows: Partition, cols: Partition, tol: Tolerances, ctx: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's squared norm, from one :func:`~susim.blocking.cell_sums`
+    pass over ``m``'s squared moduli, and which cells it proves zero: those
+    whose norm is below the ``is_zero`` threshold at context ``ctx`` by the
+    margin."""
     threshold = tol.cmp * (1.0 + ctx)
     bound = threshold * (1.0 - _ZERO_MARGIN) if threshold > _LEAST_THRESHOLD else 0.0
     with np.errstate(over="ignore"):
         # An overflowing cell reads inf: not proven zero, so it is tested.
-        sq = cell_sums(a.real * a.real + a.imag * a.imag, rows, cols)
-    zero = np.sqrt(sq) < bound
+        sq = cell_sums(m.real * m.real + m.imag * m.imag, rows, cols)
+    return sq, np.sqrt(sq) < bound
+
+
+def _tested_cells(
+    a: Matrix,
+    b: Matrix,
+    rows: Partition,
+    cols: Partition,
+    mode: str,
+    tol: Tolerances,
+    ctx_a: float,
+    ctx_b: float,
+) -> tuple[list[list[int]], np.ndarray | None]:
+    """The cells ``[i, j]`` of the pair ``(a, b)`` that the scan tests, in
+    scan order, and every cell's squared norm on the A side, from one
+    :func:`~susim.blocking.cell_sums` pass per side (one for a shared
+    matrix).  A cell off the similarity diagonal that each side proves zero
+    at its own norm passes its test and records nothing, so it is skipped,
+    as are the 1x1 cells of a shared matrix.  An unshared pair with one
+    similarity class has no cell to skip and gets no pass."""
+    if b is not a and mode == "sus" and rows.count == 1:
+        return [[0, 0]], None
+    sq, zero = _proven_zero(a, rows, cols, tol, ctx_a)
+    if b is not a:
+        zero &= _proven_zero(b, rows, cols, tol, ctx_b)[1]
     if mode == "sus":
         np.fill_diagonal(zero, False)
-    zero |= np.equal(rows.sizes, 1)[:, None] & np.equal(cols.sizes, 1)
+    if b is a:
+        # An unshared pair still tests its 1x1 cells.  Read off, they make a
+        # dense solve several times faster, and the benchmark's gate, which
+        # caches every document it reads, reports the extra rounds as memory
+        # growth; this waits on that fix (ROADMAP items 1 and 2).
+        zero |= np.equal(rows.sizes, 1)[:, None] & np.equal(cols.sizes, 1)
     return np.argwhere(~zero).tolist(), sq
 
 
@@ -213,16 +242,9 @@ def check_presolution(
         ctx_a = fro(a)
         ctx_b = ctx_a if same else fro(b)
         ctx = max(ctx_a, ctx_b)
+        visit, sq = _tested_cells(a, b, rows, cols, mode, tol, ctx_a, ctx_b)
         if same:
-            visit, sq = _tested_cells(a, rows, cols, mode, tol, ctx_a)
             shared.append((l, a, sq, ctx_a))
-        else:
-            # An unshared pair is still tested cell by cell.  On the kernel,
-            # dense and equivalence solves run several times faster, and the
-            # benchmark's gate, which caches every document it reads, then
-            # reports the extra rounds as memory growth; this waits on that
-            # fix (ROADMAP items 1 and 2).
-            visit = itertools.product(range(rows.count), range(cols.count))
         for i, j in visit:
             square = rows.sizes[i] == cols.sizes[j]
             ca = submatrix(a, rows, i, cols, j)

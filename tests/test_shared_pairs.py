@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from test_golden import CONFIGS
-from test_singleton_cells import assert_same_answer
+from test_singleton_cells import assert_same_answer, predicate_scan, predicates_only
 
 from susim import blocking, linalg, model, refine, solver, structure
 from susim.instances import GenConfig, generate, ginibre, random_unitary
@@ -68,15 +68,18 @@ def document(result):
 
 
 def unshared_document(inst):
-    """The result of the loop run on two lists that share no matrix."""
+    """The result of the loop run on two lists that share no matrix, with
+    every cell tested by the form predicates."""
     a = [as_matrix(m) for m in inst.a_mats]
     b = [as_matrix(m).copy() for m in inst.b_mats]
-    return document(solver._run(inst.mode, a, b, TOL))
+    with predicates_only():
+        return document(solver._run(inst.mode, a, b, TOL))
 
 
 def assert_sharing_changes_nothing(inst):
     """``inst`` with its equal B-side matrices as copies, and with them as the
-    A-side objects, solves to the document of a run that shares nothing."""
+    A-side objects, solves to the document of a run that shares nothing and
+    tests every cell."""
     a = [as_matrix(m) for m in inst.a_mats]
     copies = [as_matrix(m).copy() for m in inst.b_mats]
     same = [x if x.tobytes() == y.tobytes() else y for x, y in zip(a, copies)]
@@ -141,10 +144,14 @@ def at_threshold(rest, direction, factor):
 def test_cells_at_the_zero_threshold(mode, row_sizes, col_sizes, scalars, cell):
     """A matrix whose off-diagonal cell ``(0, 1)`` has a norm just below, at
     and just above the ``is_zero`` threshold, alone under fixed partitions and
-    behind a diagonal matrix that makes the solver find them: a shared run
-    returns the answer and the document of a run on an unshared copy.  The
-    kernel leaves the cell to the predicate within its margin of the
-    threshold and skips it below."""
+    behind a diagonal matrix that makes the solver find them: a shared run,
+    and a run on an unshared copy, return the answer and the document of a
+    run that tests every cell.  The kernel leaves the cell to the predicate
+    within its margin of the threshold and skips it below.  Then unshared
+    pairs whose cells sit at different factors of their own thresholds: the
+    kernel skips the cell only where both sides are below, so a cell below
+    on one side only is tested and deviates as before, and it does so with
+    one side's norm, and so its threshold, about five times the other's."""
     rows, cols = blocking.Partition(row_sizes), blocking.Partition(col_sizes)
     shape = (rows.total, cols.total)
     rest, guide, direction = (np.zeros(shape, dtype=np.complex128) for _ in range(3))
@@ -153,14 +160,21 @@ def test_cells_at_the_zero_threshold(mode, row_sizes, col_sizes, scalars, cell):
         rest[block] = scalar * np.eye(rows.sizes[i], cols.sizes[i])
         guide[block] = (2.0 - i) * np.eye(rows.sizes[i], cols.sizes[i])
     direction[rows.slice_of(0), cols.slice_of(1)] = cell / linalg.fro(cell)
+    below = 1.0 - structure._ZERO_MARGIN
+    factors = (1.0 - 2.0 * structure._ZERO_MARGIN, 1.0 - 1e-12, 1.0, 1.0 + 1e-12)
     documents, answers = {}, {}
-    for factor in (1.0 - 2.0 * structure._ZERO_MARGIN, 1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+    for factor in factors:
         m = at_threshold(rest, direction, factor)
-        tested, _ = structure._tested_cells(m, rows, cols, mode, TOL, linalg.fro(m))
-        assert ([0, 1] not in tested) == (factor < 1.0 - structure._ZERO_MARGIN)
+        ctx = linalg.fro(m)
+        tested, _ = structure._tested_cells(m, m, rows, cols, mode, TOL, ctx, ctx)
+        assert ([0, 1] not in tested) == (factor < below)
+        tested, _ = structure._tested_cells(m, m.copy(), rows, cols, mode, TOL, ctx, ctx)
+        assert ([0, 1] not in tested) == (factor < below)
         shared = structure.check_presolution([m], [m], rows, cols, mode, TOL)
         copied = structure.check_presolution([m], [m.copy()], rows, cols, mode, TOL)
-        assert_same_answer(shared, copied)
+        predicted = predicate_scan([m], [m.copy()], rows, cols, mode)
+        assert_same_answer(shared, predicted)
+        assert_same_answer(copied, predicted)
         scales = getattr(shared, "cell_scales_a", None)
         answers[factor] = type(shared), None if scales is None else scales.tolist()
         inst = Instance(mode, [guide, m], [guide.copy(), m.copy()])
@@ -170,6 +184,22 @@ def test_cells_at_the_zero_threshold(mode, row_sizes, col_sizes, scalars, cell):
     # and in the solve; at the threshold itself rounding decides.
     assert answers[1.0 - 1e-12] != answers[1.0 + 1e-12]
     assert documents[1.0 - 1e-12] != documents[1.0 + 1e-12]
+    heavy = rest.copy()
+    heavy[-1, -1] += 40.0
+    assert linalg.fro(heavy) > 4.0 * linalg.fro(rest)
+    pairs = ((rest, rest), (rest, heavy), (heavy, rest))
+    for (a_rest, b_rest), fa, fb in itertools.product(pairs, factors, factors):
+        a, b = at_threshold(a_rest, direction, fa), at_threshold(b_rest, direction, fb)
+        ctx_a, ctx_b = linalg.fro(a), linalg.fro(b)
+        tested, _ = structure._tested_cells(a, b, rows, cols, mode, TOL, ctx_a, ctx_b)
+        assert ([0, 1] not in tested) == (max(fa, fb) < below)
+        found = structure.check_presolution([a], [b], rows, cols, mode, TOL)
+        assert_same_answer(found, predicate_scan([a], [b], rows, cols, mode))
+        if min(fa, fb) < below and max(fa, fb) > 1.0 and row_sizes[0] != col_sizes[1]:
+            # Zero on one side only: the non-square cell is the deviation.
+            assert isinstance(found, structure.Violation) and found.at == (0, 0, 1)
+        inst = Instance(mode, [guide, a], [guide.copy(), b])
+        assert document(solver.solve(inst, TOL)) == unshared_document(inst)
 
 
 def test_no_cell_is_skipped_as_zero_below_the_least_threshold():
@@ -180,10 +210,14 @@ def test_no_cell_is_skipped_as_zero_below_the_least_threshold():
     m = np.zeros((5, 5), dtype=np.complex128)
     m[0, 3] = m[1, 4] = 1e-171
     m[2, 2] = 1.0
-    tested, _ = structure._tested_cells(m, rows, rows, "sus", tol, linalg.fro(m))
+    ctx = linalg.fro(m)
+    tested, _ = structure._tested_cells(m, m, rows, rows, "sus", tol, ctx, ctx)
     assert tested == [[i, j] for i in range(3) for j in range(3) if (i, j) != (1, 1)]
-    found = structure.check_presolution([m], [m], rows, rows, "sus", tol)
-    assert_same_answer(found, structure.check_presolution([m], [m.copy()], rows, rows, "sus", tol))
+    tested, _ = structure._tested_cells(m, m.copy(), rows, rows, "sus", tol, ctx, ctx)
+    assert tested == [[i, j] for i in range(3) for j in range(3)]
+    predicted = predicate_scan([m], [m.copy()], rows, rows, "sus", tol)
+    assert_same_answer(structure.check_presolution([m], [m], rows, rows, "sus", tol), predicted)
+    assert_same_answer(structure.check_presolution([m], [m.copy()], rows, rows, "sus", tol), predicted)
 
 
 @pytest.fixture
@@ -213,34 +247,42 @@ def test_sharing_is_decided_per_matrix_and_bit_for_bit(entry):
     assert b3 is not a3 and all(y is x for x, y in zip(a3, b3))
 
 
-def skipped_cells(a, rows, cols, mode, tol):
-    """The cells of shared matrix ``a`` that a scan does not read one by one:
-    its 1x1 cells, and every cell off the similarity diagonal that ``is_zero``
-    calls zero with the threshold lowered by the scan's margin."""
+def skipped_cells(a, b, rows, cols, mode, tol):
+    """The cells of the pair ``(a, b)`` that a scan does not read one by one:
+    every cell off the similarity diagonal that ``is_zero``, with the
+    threshold lowered by the scan's margin, calls zero on both sides, each
+    at its own norm, and the 1x1 cells of a shared matrix."""
     at_margin = dataclasses.replace(tol, cmp=tol.cmp * (1.0 - structure._ZERO_MARGIN))
-    ctx = linalg.fro(a)
+    sides = [(a, linalg.fro(a)), (b, linalg.fro(b))]
     skipped = set()
     for i, j in itertools.product(range(rows.count), range(cols.count)):
-        cell = blocking.submatrix(a, rows, i, cols, j)
-        if rows.sizes[i] == cols.sizes[j] == 1:
+        if b is a and rows.sizes[i] == cols.sizes[j] == 1:
             skipped.add((i, j))
-        elif not (mode == "sus" and i == j) and linalg.is_zero(cell, at_margin, ctx):
+        elif not (mode == "sus" and i == j) and all(
+            linalg.is_zero(blocking.submatrix(m, rows, i, cols, j), at_margin, ctx)
+            for m, ctx in sides
+        ):
             skipped.add((i, j))
     return skipped
+
+
+def squared_moduli(m):
+    return m.real * m.real + m.imag * m.imag
 
 
 def guard_scan_reads(monkeypatch):
     """Make every scan through ``solver.check_presolution`` assert how it
     reads cells.  In scan order (matrix, row class, column class), up to the
     first deviation or all of them when it passes, it calls ``submatrix``
-    once for a cell of a shared matrix and twice for any other cell, but
-    not at all for the ``skipped_cells`` of a shared matrix.  On every
-    partition, it reads each shared matrix it reaches in exactly one
-    ``cell_sums`` call on the matrix's squared moduli, in scan order, and
-    holds no other reader of ``blocking``: a passing scan reads the 1x1
-    cells off those sums.  Returns a counter of the scans that read a
-    shared matrix, of the kernel reads and of the skipped cells larger
-    than 1x1."""
+    once for a cell of a shared matrix and twice for a cell of an unshared
+    pair, but not at all for the ``skipped_cells`` of either.  On every
+    partition, for each matrix it reaches, in scan order, it makes one
+    ``cell_sums`` call on a shared matrix's squared moduli, and one on each
+    side's of an unshared pair, A before B, unless one similarity class
+    leaves no cell to skip; it holds no other reader of ``blocking``: a
+    passing scan reads a shared matrix's 1x1 cells off its sums.  Returns a
+    counter of the scans that read a shared matrix, of the kernel reads and
+    of the skipped cells larger than 1x1, and of those of unshared pairs."""
     module = blocking.__name__
     readers = {n for n, f in vars(structure).items() if getattr(f, "__module__", "") == module}
     assert readers == {"Partition", "submatrix", "cell_sums"}
@@ -264,24 +306,29 @@ def guard_scan_reads(monkeypatch):
         sums.clear()
         pre = scan(a_mats, b_mats, rows, cols, mode, tol)
         passed = isinstance(pre, structure.SolutionForm)
-        reached = a_mats if passed else a_mats[: pre.at[0] + 1]
-        shared = [b is a for a, b in zip(reached, b_mats)]
-        skipped = [
-            skipped_cells(a, rows, cols, mode, tol) if s else () for a, s in zip(reached, shared)
-        ]
+        reached = list(zip(a_mats, b_mats))[: None if passed else pre.at[0] + 1]
+        shared = [b is a for a, b in reached]
+        skipped = [skipped_cells(a, b, rows, cols, mode, tol) for a, b in reached]
         in_order = 0
         for at in itertools.product(range(len(reached)), range(rows.count), range(cols.count)):
             l, i, j = at
             if (i, j) not in skipped[l]:
                 in_order += 1 if shared[l] else 2
+            elif not shared[l]:
+                seen["unshared cells skipped"] += 1
             elif rows.sizes[i] != 1 or cols.sizes[j] != 1:
                 seen["zero cells skipped"] += 1
             if not passed and at == pre.at:
                 break
         assert len(reads) == in_order
-        kernel = [a for a, s in zip(reached, shared) if s]
+        kernel = []
+        for a, b in reached:
+            if b is a:
+                kernel.append(a)
+            elif mode == "sueq" or rows.count > 1:
+                kernel += [a, b]
         assert len(sums) == len(kernel)
-        assert all(np.array_equal(x, a.real * a.real + a.imag * a.imag) for x, a in zip(sums, kernel))
+        assert all(np.array_equal(x, squared_moduli(m)) for x, m in zip(sums, kernel))
         seen["shared reads"] += any(shared)
         seen["kernel reads"] += len(sums)
         return pre
@@ -294,9 +341,10 @@ def guard_scan_reads(monkeypatch):
 
 def test_shared_matrices_are_computed_once(monkeypatch):
     """Counted on solves whose B side holds copies of some A-side matrices:
-    a scan reads a shared matrix's cells once, a scan violation on a shared
-    matrix is eigensolved once, and a refinement that diagonalizes both
-    sides alike keeps every shared matrix shared."""
+    a scan reads a shared matrix's cells once and skips the zero cells of
+    unshared pairs, a scan violation on a shared matrix is eigensolved once,
+    and a refinement that diagonalizes both sides alike keeps every shared
+    matrix shared."""
     calls = Counter()
 
     def count(module, name):
@@ -332,10 +380,12 @@ def test_shared_matrices_are_computed_once(monkeypatch):
     monkeypatch.setattr(solver, "apply_refinement", counted_refinement)
     instances = [commutant(mode, seed) for mode in ("sus", "sueq") for seed in range(5)]
     instances += [generate(GenConfig(kind="pairwise", n=6, seed=seed))[0] for seed in range(5)]
+    instances += [generate(GenConfig(seed=0, **cfg))[0] for cfg in CONFIGS]
     for inst in instances:
         b = [m.copy() for m in inst.b_mats]
         solver.solve(Instance(inst.mode, inst.a_mats, b), TOL)
     assert seen["shared reads"] and seen["shared violations"] and seen["sharing kept"]
+    assert seen["unshared cells skipped"]
 
 
 def test_all_shared_b_side_is_computed_once(monkeypatch):

@@ -8,14 +8,19 @@ scan has passed, it reads these cells off that pass.  These tests pin the
 rule (a finite 1x1 cell passes both predicates at any context), show that
 the read-off returns bit for bit what the predicates return and that the
 scan's answer is the one an unshared copy gives, and count the form tests
-it saves.  Off-diagonal cells of a shared matrix that the same pass proves
-zero are skipped too; the last test counts the form tests that saves.
+it saves.  Off-diagonal cells that the same pass proves zero are skipped
+too, and so are those of an unshared pair that one pass per side proves
+zero on both sides: ``predicate_scan``, which tests every cell of an
+unshared pair, is the reference for both, and the last two tests count
+the form tests the skip saves.
 """
 
+import contextlib
 import dataclasses
 import importlib.util
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +155,30 @@ def assert_same_answer(shared, copied):
         assert isinstance(shared, ScalarMismatch) and shared == copied
 
 
+kernel_cells = structure._tested_cells
+
+
+def every_cell(a, b, rows, cols, mode, tol, ctx_a, ctx_b):
+    """The scan's choice of cells, except that an unshared pair has every
+    cell tested by the form predicates, none proven zero by the kernel."""
+    if b is a:
+        return kernel_cells(a, b, rows, cols, mode, tol, ctx_a, ctx_b)
+    return [[i, j] for i in range(rows.count) for j in range(cols.count)], None
+
+
+@contextlib.contextmanager
+def predicates_only():
+    """Scans within test every cell of an unshared pair one by one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structure, "_tested_cells", every_cell)
+        yield
+
+
+def predicate_scan(a_mats, b_mats, rows, cols, mode, tol=TOL):
+    with predicates_only():
+        return check_presolution(a_mats, b_mats, rows, cols, mode, tol)
+
+
 def partitions(rng, mode, singletons):
     if singletons:
         rows = Partition((1,) * int(rng.integers(1, 7)))
@@ -171,15 +200,47 @@ def test_shared_and_copied_b_give_the_same_answer(mode, singletons):
         if rng.uniform() < 0.5:
             # A dense matrix deviates at its first cell larger than 1x1.
             a_mats[rng.integers(3)] = rng.standard_normal((rows.total, cols.total)) + 0j
+        copies = [m.copy() for m in a_mats]
         shared = check_presolution(a_mats, a_mats, rows, cols, mode, TOL)
-        copied = check_presolution(a_mats, [m.copy() for m in a_mats], rows, cols, mode, TOL)
+        copied = check_presolution(a_mats, copies, rows, cols, mode, TOL)
         assert_same_answer(shared, copied)
+        assert_same_answer(copied, predicate_scan(a_mats, copies, rows, cols, mode))
         if isinstance(shared, SolutionForm):
             # graph reads edge witnesses and the first failing edge in array order.
             assert_form_layout(shared, rows, cols, mode)
         kinds.add(type(shared).__name__)
     assert "SolutionForm" in kinds
     assert ("Violation" in kinds) is not singletons
+
+
+@pytest.mark.parametrize("mode", ["sus", "sueq"])
+def test_unshared_pairs_give_the_answer_of_the_predicates(mode):
+    """Pairs of block forms whose sides differ: B as a copy of A, with one
+    matrix scaled, which moves its norm and so its zero threshold, or
+    replaced by another draw, and with one cell of one side raised by a
+    bump from far below to far above the threshold.  The scan that skips
+    the cells both sides prove zero returns the answer of the scan that
+    tests every cell."""
+    rng = np.random.default_rng([5, mode == "sus"])
+    kinds = Counter()
+    for _ in range(200):
+        rows, cols = partitions(rng, mode, singletons=False)
+        a_mats = [block_form(rng, rows, cols, mode) for _ in range(3)]
+        b_mats = [m.copy() for m in a_mats]
+        l = rng.integers(3)
+        change = rng.integers(3)
+        if change == 1:
+            b_mats[l] *= 10.0 ** rng.uniform(-2.0, 2.0)
+        elif change == 2:
+            b_mats[l] = block_form(rng, rows, cols, mode)
+        if rng.uniform() < 0.5:
+            side = (a_mats, b_mats)[rng.integers(2)]
+            i, j = rng.integers(rows.count), rng.integers(cols.count)
+            side[l][rows.slice_of(i), cols.slice_of(j)] += 10.0 ** rng.uniform(-18.0, -6.0)
+        found = check_presolution(a_mats, b_mats, rows, cols, mode, TOL)
+        assert_same_answer(found, predicate_scan(a_mats, b_mats, rows, cols, mode))
+        kinds[type(found).__name__] += 1
+    assert kinds["SolutionForm"] > 20 and kinds["Violation"] > 5
 
 
 @pytest.mark.parametrize("config", list(golden_corpus()), ids=GenConfig.label)
@@ -211,10 +272,12 @@ def test_final_forms_keep_the_layout_their_readers_rely_on(config):
             except StopIteration as stop:
                 end = stop.value
                 break
+        copies = [m.copy() for m in final]
         shared = check_presolution(final, final, end.rows, end.cols, mode, TOL)
-        copied = check_presolution(final, [m.copy() for m in final], end.rows, end.cols, mode, TOL)
+        copied = check_presolution(final, copies, end.rows, end.cols, mode, TOL)
         assert isinstance(shared, SolutionForm), (mode, shared)
         assert_same_answer(shared, copied)
+        assert_same_answer(copied, predicate_scan(final, copies, end.rows, end.cols, mode))
         assert_same_form(shared, end.form)
         assert_form_layout(shared, end.rows, end.cols, mode)
         assert_form_layout(copied, end.rows, end.cols, mode)
@@ -226,9 +289,11 @@ def test_overflowing_shared_matrix_keeps_its_in_order_tests(scale):
     rng = np.random.default_rng(1)
     rows = Partition((1,) * 4)
     a_mats = [scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))]
+    copies = [a_mats[0].copy()]
     shared = check_presolution(a_mats, a_mats, rows, rows, "sus", TOL)
-    copied = check_presolution(a_mats, [a_mats[0].copy()], rows, rows, "sus", TOL)
+    copied = check_presolution(a_mats, copies, rows, rows, "sus", TOL)
     assert_same_answer(shared, copied)
+    assert_same_answer(copied, predicate_scan(a_mats, copies, rows, rows, "sus"))
 
 
 def predicted_form(mat, mode, rows=None):
@@ -380,10 +445,10 @@ def test_deep_split_features_make_no_form_test_on_a_proven_zero_cell(monkeypatch
 
         return wrapper
 
-    def counted_tested_cells(a, rows, cols, mode, tol, ctx):
+    def counted_tested_cells(a, b, rows, cols, mode, tol, ctx_a, ctx_b):
         # The scan is in similarity mode, where the diagonal is always tested.
         nonlocal proven
-        tested, sq = tested_cells(a, rows, cols, mode, tol, ctx)
+        tested, sq = tested_cells(a, b, rows, cols, mode, tol, ctx_a, ctx_b)
         sizes = np.array(rows.sizes)
         larger = np.sum(np.maximum.outer(sizes, sizes) > 1) - np.sum(sizes > 1)
         proven += int(larger) - sum(i != j for i, j in tested)
@@ -399,4 +464,46 @@ def test_deep_split_features_make_no_form_test_on_a_proven_zero_cell(monkeypatch
     features = extract_features(list(inst.a_mats), mode=inst.mode)
     assert len(features.steps) == 32
     assert proven > 10_000
+    assert on_zero_cells == 0
+
+
+def test_deep_split_solve_makes_no_form_test_on_a_cell_both_sides_prove_zero(monkeypatch):
+    """An unshared deep_split solve (n=32, p=2, depth 8) takes 9 scans of
+    ever finer classes, whose off-diagonal cells are zero on both sides.
+    One ``cell_sums`` pass per side proves them zero, so no ``is_zero`` or
+    ``unitary_multiple`` call sees one of them; tested one by one, they took
+    838 form tests."""
+    at_margin = dataclasses.replace(TOL, cmp=TOL.cmp * (1.0 - structure._ZERO_MARGIN))
+    reads = []  # (cell, matrix, i, j) of the scan's two latest cell reads
+    on_zero_cells = 0
+    form_tests = 0
+
+    def counted_read(m, rows, i, cols, j):
+        cell = read(m, rows, i, cols, j)
+        reads[:] = [*reads[-1:], (cell, m, i, j)]
+        return cell
+
+    def counted(test):
+        def wrapper(cell, tol, ctx):
+            nonlocal on_zero_cells, form_tests
+            (_, a, i, j), (_, b, *at) = reads
+            assert b is not a and at == [i, j] and any(cell is c for c, *_ in reads)
+            both_zero = all(linalg.is_zero(c, at_margin, fro(m)) for c, m, *_ in reads)
+            on_zero_cells += both_zero and i != j
+            form_tests += 1
+            return test(cell, tol, ctx)
+
+        return wrapper
+
+    read = structure.submatrix
+    monkeypatch.setattr(structure, "submatrix", counted_read)
+    for rule in ("_DIAGONAL", "_SQUARE"):
+        test, *pair = getattr(structure, rule)
+        monkeypatch.setattr(structure, rule, (counted(test), *pair))
+    monkeypatch.setattr(structure, "is_zero", counted(structure.is_zero))
+    inst, _ = generate(GenConfig(kind="deep_split", n=32, count=2, depth=8, seed=0))
+    result = solver.solve(inst, TOL)
+    assert result.status == "solved" and result.iterations == 9
+    # The diagonal cells are tested, as before.
+    assert form_tests > 0
     assert on_zero_cells == 0
