@@ -84,7 +84,7 @@ def extract_features(
         alphas=tuple(zip(np.ndindex(alphas.shape), alphas.ravel().tolist())),
         scales=tuple(zip(edges, scales[at].tolist())),
         betas=tuple(zip(edges, end.betas.tolist())),
-        components=tuple(end.paths.components),
+        components=tuple(tuple(map(end.paths.vertex, c)) for c in end.paths.components),
     )
 
 

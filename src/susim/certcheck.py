@@ -96,7 +96,8 @@ class _Replay:
         self.tol = tol
 
     def _col_vertex(self, j: int) -> tuple[str, int]:
-        # Same rule as graph.endpoints, kept separate so the checker stays independent.
+        # Column class j is row class j in similarity mode, where one partition
+        # serves both axes; the checker keeps its own copy of the rule.
         return ("row", j) if self.mode == "sus" else ("col", j)
 
     def _part(self, axis: str) -> Partition:

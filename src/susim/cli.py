@@ -230,14 +230,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     tol = _tolerances(args)
     if result.status == SOLVED:
-        if result.u is None or (inst.mode == "sueq" and result.v is None):
-            raise FormatError("solved result is missing its witness")
-        m, n = inst.shape
-        needed = {"u": (m, m), "v": (n, n)} if inst.mode == "sueq" else {"u": (m, m)}
-        for key, shape in needed.items():
-            got = getattr(result, key).shape
-            if got != shape:
-                raise FormatError(f"result key {key!r} has shape {got}, the instance needs {shape}")
         residual = witness_residual(inst.a_mats, inst.b_mats, inst.mode, result.u, result.v)
         if residual <= tol.verify:
             _say(args, f"witness confirmed, residual {residual:.3e}")

@@ -6,7 +6,12 @@ defines an edge between two partition classes: between row classes ``i``
 and ``j`` in similarity mode, between row class ``i`` and column class
 ``j`` in equivalence mode.  A cell that is zero on one side within
 tolerance is no edge, since a path product through it would divide by a
-zero scale.  Vertices are ``("row", i)`` / ``("col", j)`` pairs in both modes.
+zero scale.  Vertices are numbered by class: row class ``i`` is vertex
+``i`` and column class ``j`` is vertex ``col0 + j``, where ``col0`` is 0 in
+similarity mode (one partition serves both axes) and the row class count
+in equivalence mode, so rows come first in ascending vertex order.  Only
+documents and touches name a vertex by its ``("row", i)`` / ``("col", j)``
+pair (:meth:`PathData.vertex`).
 
 Each edge is stored once, as the :class:`~susim.model.EdgeStep` that
 crosses it from either end: its witness cell from the row end, inverted
@@ -36,7 +41,6 @@ the A side's, computed once.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,44 +51,33 @@ from .linalg import Matrix, Tolerances, adjoint
 from .model import PR_NORMAL, EdgeStep, PrPaths
 from .structure import ScalarMismatch, Violation
 
-__all__ = ["Vertex", "PathData", "vertex_key", "endpoints", "build_paths", "check_pr"]
-
-Vertex = tuple[str, int]
-
-
-def vertex_key(v: Vertex) -> tuple[int, int]:
-    """Total order on vertices: row classes first, then column classes."""
-    axis, idx = v
-    return (0 if axis == "row" else 1, idx)
-
-
-def endpoints(mode: str, i: int, j: int) -> tuple[Vertex, Vertex]:
-    """Vertices joined by cell (i, j): (row endpoint, column endpoint).
-
-    The column endpoint is row class ``j`` in similarity mode, where one
-    partition serves both axes, and column class ``j`` in equivalence mode.
-    """
-    if mode == "sus":
-        return ("row", i), ("row", j)
-    return ("row", i), ("col", j)
+__all__ = ["PathData", "build_paths", "check_pr"]
 
 
 @dataclass
 class PathData:
-    """Spanning forest with per-vertex path products on both sides."""
+    """Spanning forest with per-vertex path products on both sides.
 
-    components: list[tuple[Vertex, ...]]
-    rep_of: dict[Vertex, Vertex]
-    paths_a: dict[Vertex, Matrix]
-    paths_b: dict[Vertex, Matrix]
-    amps_a: dict[Vertex, float]
-    amps_b: dict[Vertex, float]
-    steps_to: dict[Vertex, tuple[EdgeStep, ...]]
+    Vertex ``i`` is row class ``i`` and vertex ``col0 + j`` is column class
+    ``j``; every list is indexed by vertex.
+    """
 
-    def cell_paths(self, mode: str, i: int, j: int) -> PrPaths:
+    col0: int
+    components: list[tuple[int, ...]]
+    rep: list[int]
+    paths_a: list[Matrix]
+    paths_b: list[Matrix]
+    amps_a: list[float]
+    amps_b: list[float]
+    steps_to: list[tuple[EdgeStep, ...]]
+
+    def vertex(self, v: int) -> tuple[str, int]:
+        """Vertex ``v`` as documents name it: ``("row", i)`` or ``("col", j)``."""
+        return ("col", v - self.col0) if 0 < self.col0 <= v else ("row", v)
+
+    def cell_paths(self, i: int, j: int) -> PrPaths:
         """Edge steps from the row and the column endpoint of cell (i, j)."""
-        row_end, col_end = endpoints(mode, i, j)
-        return self.steps_to[row_end], self.steps_to[col_end]
+        return self.steps_to[i], self.steps_to[self.col0 + j]
 
 
 def build_paths(
@@ -103,54 +96,48 @@ def build_paths(
     its smallest vertex and the whole construction is deterministic.  The
     witness of an edge is its first nonzero cell in scan order.
     """
-    vertices: list[Vertex] = [("row", i) for i in range(rows.count)]
-    if mode == "sueq":
-        vertices.extend(("col", j) for j in range(cols.count))
+    col0 = 0 if mode == "sus" else rows.count
+    sizes = rows.sizes[:col0] + cols.sizes
+    count = len(sizes)
 
     # adjacency[q][v]: the fields (l, i, j, invert) of the step that crosses
     # edge {q, v} from q; only the forest's steps become EdgeStep objects.
-    adjacency: dict[Vertex, dict[Vertex, tuple[int, int, int, bool]]] = {v: {} for v in vertices}
+    adjacency: list[dict[int, tuple[int, int, int, bool]]] = [{} for _ in range(count)]
     for l, i, j in np.argwhere(scales_a).tolist():
-        u, w = endpoints(mode, i, j)
-        if w not in adjacency[u]:
-            adjacency[u][w] = (l, i, j, False)
-            adjacency[w][u] = (l, i, j, True)
+        if col0 + j not in adjacency[i]:
+            adjacency[i][col0 + j] = (l, i, j, False)
+            adjacency[col0 + j][i] = (l, i, j, True)
 
-    components: list[tuple[Vertex, ...]] = []
-    rep_of: dict[Vertex, Vertex] = {}
-    steps_to: dict[Vertex, tuple[EdgeStep, ...]] = {}
-    parent: dict[Vertex, Vertex] = {}
-
-    for start in sorted(vertices, key=vertex_key):
-        if start in rep_of:
+    components: list[tuple[int, ...]] = []
+    rep = [-1] * count
+    parent = [-1] * count
+    steps_to: list[tuple[EdgeStep, ...]] = [()] * count
+    order: list[int] = []  # breadth-first: every parent before its children
+    for start in range(count):
+        if rep[start] >= 0:
             continue
-        rep_of[start] = start
-        steps_to[start] = ()
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            q = queue.popleft()
-            for v in sorted(adjacency[q], key=vertex_key):
-                if v in rep_of:
-                    continue
-                rep_of[v] = start
-                parent[v] = q
-                steps_to[v] = steps_to[q] + (EdgeStep(*adjacency[q][v]),)
-                comp.append(v)
-                queue.append(v)
-        components.append(tuple(sorted(comp, key=vertex_key)))
+        rep[start] = start
+        first = k = len(order)
+        order.append(start)
+        while k < len(order):  # order[k:] is the queue
+            q, k = order[k], k + 1
+            for v in sorted(adjacency[q]):
+                if rep[v] < 0:
+                    rep[v], parent[v] = start, q
+                    steps_to[v] = steps_to[q] + (EdgeStep(*adjacency[q][v]),)
+                    order.append(v)
+        components.append(tuple(sorted(order[first:])))
 
     def products(mats: list[Matrix], scales: np.ndarray):
         """Path products and amplitudes of one side, in breadth-first order."""
-        prods: dict[Vertex, Matrix] = {}
-        amps: dict[Vertex, float] = {}
-        for v, steps in steps_to.items():
-            if not steps:
-                size = (rows if v[0] == "row" else cols).sizes[v[1]]
-                prods[v] = np.eye(size, dtype=np.complex128)
-                amps[v] = 1.0
+        prods: list[Matrix] = [None] * count
+        amps = [1.0] * count
+        for v in order:
+            q = parent[v]
+            if q < 0:
+                prods[v] = np.eye(sizes[v], dtype=np.complex128)
                 continue
-            q, e = parent[v], steps[-1]
+            e = steps_to[v][-1]
             cell, r = submatrix(mats[e.l], rows, e.i, cols, e.j), scales[e.l, e.i, e.j]
             if e.invert:
                 prods[v] = prods[q] @ adjoint(cell) / r
@@ -163,7 +150,7 @@ def build_paths(
     paths_a, amps_a = products(a_mats, scales_a)
     shared = all(map(operator.is_, b_mats, a_mats))
     paths_b, amps_b = (paths_a, amps_a) if shared else products(b_mats, scales_b)
-    return PathData(components, rep_of, paths_a, paths_b, amps_a, amps_b, steps_to)
+    return PathData(col0, components, rep, paths_a, paths_b, amps_a, amps_b, steps_to)
 
 
 def _scalar_cells(x: np.ndarray, rows: Partition, cols: Partition, tol: Tolerances):
@@ -185,7 +172,6 @@ def check_pr(
     b_mats: list[Matrix],
     rows: Partition,
     cols: Partition,
-    mode: str,
     scales_a: np.ndarray,
     paths: PathData,
     tol: Tolerances,
@@ -207,16 +193,13 @@ def check_pr(
     at = np.nonzero(scales_a)
     if not at[0].size:  # transporting every matrix would test nothing
         return np.zeros(0, dtype=np.complex128)
-    row_vs = [("row", i) for i in range(rows.count)]
-    col_vs = row_vs if mode == "sus" else [("col", j) for j in range(cols.count)]
-    comp = {v: k for k, c in enumerate(paths.components) for v in c}
-    row_comp, col_comp = np.array([comp[v] for v in row_vs]), np.array([comp[v] for v in col_vs])
-    if np.any(row_comp[at[1]] != col_comp[at[2]]):
+    col0, rep = paths.col0, np.asarray(paths.rep)
+    if np.any(rep[at[1]] != rep[col0 + at[2]]):
         raise InternalInconsistency("edge spans two components")
 
-    def holonomies(mats: list[Matrix], prods: dict[Vertex, Matrix], amps: dict[Vertex, float]):
-        left = {i: prods[v] for i, v in enumerate(row_vs)}
-        right = {j: prods[v] / amps[v] ** 2 for j, v in enumerate(col_vs)}
+    def holonomies(mats: list[Matrix], prods: list[Matrix], amps: list[float]):
+        left = dict(enumerate(prods[: rows.count]))
+        right = {j: p / a ** 2 for j, (p, a) in enumerate(zip(prods[col0:], amps[col0:]))}
         carried = [apply_blocks(m, rows, left, left=True, right=False) for m in mats]
         return np.stack([apply_blocks(m, cols, right, left=False, right=True) for m in carried])
 
@@ -235,11 +218,11 @@ def check_pr(
         return beta_a
     k = int(np.argmax(failing))
     l, i, j = (int(x[k]) for x in at)
-    pr_paths = paths.cell_paths(mode, i, j)
+    pr_paths = paths.cell_paths(i, j)
     if not scalar[k]:
         # Copies: a view would keep both stacked arrays alive with the violation.
         pr_a = submatrix(x_a[l], rows, i, cols, j).copy()
         pr_b = pr_a if x_b is x_a else submatrix(x_b[l], rows, i, cols, j).copy()
-        touch = paths.rep_of[("row", i)]
+        touch = paths.vertex(paths.rep[i])
         return Violation(PR_NORMAL, (l, i, j), touch, pr_a, pr_b, pr_paths=pr_paths)
     return ScalarMismatch("pr_beta", (l, i, j), complex(beta_a[k]), complex(beta_b[k]), pr_paths)

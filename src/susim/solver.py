@@ -52,12 +52,12 @@ def witness_residual(
     """
     m, n = a_mats[0].shape
     right = u if mode == "sus" else v
+    terms = []
     for name, x, k in (("u", u, m),) if mode == "sus" else (("u", u, m), ("v", v, n)):
         if np.shape(x) != (k, k):
             got = "missing" if x is None else f"of shape {np.shape(x)}"
             raise DimensionMismatch(f"witness {name} is {got}, the collections need {k} x {k}")
-    terms = [fro(u @ adjoint(u) - np.eye(m)) / np.sqrt(m)]
-    terms.append(fro(right @ adjoint(right) - np.eye(n)) / np.sqrt(n))
+        terms.append(fro(x @ adjoint(x) - np.eye(k)) / np.sqrt(k))
     terms.extend(fro(u @ a @ adjoint(right) - b) / (1.0 + fro(a)) for a, b in zip(a_mats, b_mats))
     return max(terms) if all(map(math.isfinite, terms)) else math.inf
 
@@ -67,12 +67,12 @@ def _assemble_solution(
 ) -> dict[str, Matrix]:
     """Each axis's witness: the blockwise ratio of the path products, applied
     to the axis's A-side basis and taken back through its B-side basis."""
-    blocks: dict[str, dict[int, Matrix]] = {axis: {} for axis in bases}
-    for vert in paths.rep_of:
-        pa, pb = paths.paths_a[vert], paths.paths_b[vert]
-        amp_b = paths.amps_b[vert]
-        axis, t = vert
-        blocks[axis][t] = (adjoint(pb) / (amp_b * amp_b)) @ pa
+    ratios = [
+        (adjoint(pb) / (amp * amp)) @ pa
+        for pa, pb, amp in zip(paths.paths_a, paths.paths_b, paths.amps_b)
+    ]
+    k = parts["row"].count  # the row classes are the first vertices
+    blocks = {"row": dict(enumerate(ratios[:k])), "col": dict(enumerate(ratios[k:]))}
     return {
         axis: adjoint(z) @ apply_blocks(y, parts[axis], blocks[axis], left=True, right=False)
         for axis, (y, z) in bases.items()
@@ -118,7 +118,7 @@ def _refinements(
         if isinstance(found, SolutionForm):
             scales_a, scales_b = found.cell_scales_a, found.cell_scales_b
             paths = build_paths(a_mats, b_mats, rows, cols, mode, scales_a, scales_b)
-            holonomy = check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol)
+            holonomy = check_pr(a_mats, b_mats, rows, cols, scales_a, paths, tol)
             if isinstance(holonomy, np.ndarray):
                 return _Solution(rows, cols, found, paths, holonomy)
             found = holonomy

@@ -61,6 +61,12 @@ class TestExtraction:
         assert dict(f.betas)[(1, 0, 1)] == pytest.approx(1.0 + 0j)
         assert f.components == (((("row", 0)), ("row", 1)),)
 
+    def test_components_list_rows_before_columns(self):
+        # Row class 0 and column class 0 share the edge; the other classes
+        # are isolated, and row vertices come before column vertices.
+        f = extract_features([np.diag([1.0, 0.0])], mode="sueq")
+        assert f.components == ((("row", 0), ("col", 0)), (("row", 1),), (("col", 1),))
+
     def test_equivalence_mode(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))

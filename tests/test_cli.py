@@ -277,7 +277,7 @@ class TestVerify:
         assert main(["solve", str(small), "--out", str(res)]) == 0
         capsys.readouterr()
         assert main(["verify", planted_file(tmp_path), str(res)]) == 64
-        assert "key 'u' has shape (3, 3), the instance needs (4, 4)" in capsys.readouterr().err
+        assert "witness u is of shape (3, 3), the collections need 4 x 4" in capsys.readouterr().err
 
     def test_swapped_equivalence_witnesses_are_an_input_error(self, tmp_path, capsys):
         inst = tmp_path / "e.json"
@@ -290,7 +290,7 @@ class TestVerify:
         res.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", str(inst), str(res)]) == 64
-        assert "key 'u' has shape (5, 5), the instance needs (3, 3)" in capsys.readouterr().err
+        assert "witness u is of shape (5, 5), the collections need 3 x 3" in capsys.readouterr().err
 
     def test_failed_result_is_not_verifiable(self, tmp_path, capsys):
         m = [np.diag([1.0, 1.0 + 1e-8]).astype(complex)]

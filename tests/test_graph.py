@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susim.blocking import Partition, submatrix
-from susim.graph import build_paths, check_pr, endpoints, vertex_key
+from susim.graph import build_paths, check_pr
 from susim.linalg import DEFAULT_TOLERANCES, adjoint, close_scalars, identity_multiple
 from susim.model import PR_NORMAL, EdgeStep
 from susim.structure import ScalarMismatch, SolutionForm, Violation, check_presolution
@@ -30,8 +30,9 @@ def reference_check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol):
     """Per-edge reference for :func:`check_pr`: conjugate each edge cell on its
     own and stop at the first failure in scan order, which is array order."""
     betas = []
+    col0 = 0 if mode == "sus" else rows.count
     for l, i, j in np.argwhere(scales_a).tolist():
-        row_end, col_end = endpoints(mode, i, j)
+        row_end, col_end = i, col0 + j
         prs = []
         for mats, prods, amps in ((a_mats, paths.paths_a, paths.amps_a), (b_mats, paths.paths_b, paths.amps_b)):
             cell = submatrix(mats[l], rows, i, cols, j)
@@ -39,9 +40,12 @@ def reference_check_pr(a_mats, b_mats, rows, cols, mode, scales_a, paths, tol):
         pr_a, pr_b = prs
         beta_a = identity_multiple(pr_a, tol)
         beta_b = None if beta_a is None else identity_multiple(pr_b, tol)
-        pr_paths = paths.cell_paths(mode, i, j)
+        pr_paths = paths.steps_to[row_end], paths.steps_to[col_end]
         if beta_a is None or beta_b is None:
-            return Violation(PR_NORMAL, (l, i, j), paths.rep_of[row_end], pr_a, pr_b, pr_paths=pr_paths)
+            # Every row class precedes every column class, so a row class's
+            # representative is a row class.
+            touch = ("row", paths.rep[row_end])
+            return Violation(PR_NORMAL, (l, i, j), touch, pr_a, pr_b, pr_paths=pr_paths)
         if not close_scalars(beta_a, beta_b, tol):
             return ScalarMismatch("pr_beta", (l, i, j), beta_a, beta_b, pr_paths)
         betas.append(beta_a)
@@ -61,12 +65,6 @@ def sus_paths(a, b, partition, mode="sus"):
     return rep, paths
 
 
-class TestVertexKey:
-    def test_rows_before_cols(self):
-        assert vertex_key(("row", 3)) < vertex_key(("col", 0))
-        assert vertex_key(("row", 1)) < vertex_key(("row", 2))
-
-
 class TestChainPaths:
     def test_scalar_chain_matches_hand_computation(self):
         # Classes 0..3 of size 1, nonzero cells (1,0)=2, (1,2)=3, (3,2)=4.
@@ -74,12 +72,12 @@ class TestChainPaths:
         a = np.zeros((4, 4), dtype=complex)
         a[1, 0], a[1, 2], a[3, 2] = 2.0, 3.0, 4.0
         _, paths = sus_paths([a], [a.copy()], p)
-        assert paths.rep_of[("row", 3)] == ("row", 0)
-        assert paths.paths_a[("row", 1)][0, 0] == pytest.approx(0.5)
-        assert paths.paths_a[("row", 2)][0, 0] == pytest.approx(1.5)
-        assert paths.paths_a[("row", 3)][0, 0] == pytest.approx(3.0 / 8.0)
-        assert paths.amps_a[("row", 3)] == pytest.approx(3.0 / 8.0)
-        assert paths.steps_to[("row", 3)] == (
+        assert paths.rep[3] == 0
+        assert paths.paths_a[1][0, 0] == pytest.approx(0.5)
+        assert paths.paths_a[2][0, 0] == pytest.approx(1.5)
+        assert paths.paths_a[3][0, 0] == pytest.approx(3.0 / 8.0)
+        assert paths.amps_a[3] == pytest.approx(3.0 / 8.0)
+        assert paths.steps_to[3] == (
             EdgeStep(0, 1, 0, invert=True),
             EdgeStep(0, 1, 2, invert=False),
             EdgeStep(0, 3, 2, invert=True),
@@ -92,7 +90,7 @@ class TestChainPaths:
         a[0:2, 2:4] = 1.5 * random_unitary(2, rng)
         a[4:6, 2:4] = 0.5 * random_unitary(2, rng)
         _, paths = sus_paths([a], [a.copy()], p)
-        for v in [("row", 1), ("row", 2)]:
+        for v in [1, 2]:
             oracle = naive_path_product([a], p, p, paths.steps_to[v])
             assert np.allclose(paths.paths_a[v], oracle)
 
@@ -104,8 +102,8 @@ class TestChainPaths:
         a1[1, 0] = 5.0
         _, paths = sus_paths([a0, a1], [a0.copy(), a1.copy()], p)
         # The edge {0, 1} is witnessed by the l=0 cell (0, 1), scanned first.
-        assert paths.steps_to[("row", 1)] == (EdgeStep(0, 0, 1, invert=False),)
-        assert paths.paths_a[("row", 1)][0, 0] == pytest.approx(2.0)
+        assert paths.steps_to[1] == (EdgeStep(0, 0, 1, invert=False),)
+        assert paths.paths_a[1][0, 0] == pytest.approx(2.0)
 
 
 class TestComponents:
@@ -115,9 +113,8 @@ class TestComponents:
         b = a.copy()
         _, paths = sus_paths([a], [b], p)
         assert len(paths.components) == 3
-        for i in range(3):
-            v = ("row", i)
-            assert paths.rep_of[v] == v
+        for v in range(3):
+            assert paths.rep[v] == v
             assert np.allclose(paths.paths_a[v], np.eye(1))
             assert paths.steps_to[v] == ()
 
@@ -128,11 +125,8 @@ class TestComponents:
         a[2, 3] = 1.0
         _, paths = sus_paths([a], [a.copy()], p)
         comps = paths.components
-        assert comps == [
-            (("row", 0), ("row", 1)),
-            (("row", 2), ("row", 3)),
-        ]
-        assert paths.rep_of[("row", 3)] == ("row", 2)
+        assert comps == [(0, 1), (2, 3)]
+        assert paths.rep[3] == 2
 
 
 class TestEquivalenceModeGraph:
@@ -141,17 +135,20 @@ class TestEquivalenceModeGraph:
         a = [1.5 * np.eye(2, dtype=complex)]
         rep = check_presolution(a, a, rows, cols, "sueq", TOL)
         paths = build_paths(a, a, rows, cols, "sueq", rep.cell_scales_a, rep.cell_scales_b)
-        assert paths.rep_of[("col", 0)] == ("row", 0)
-        assert np.allclose(paths.paths_a[("col", 0)], 1.5 * np.eye(2))
-        assert paths.amps_a[("col", 0)] == pytest.approx(1.5)
+        # Column class 0 is vertex 1, after the one row class.
+        assert paths.col0 == 1
+        assert paths.rep[1] == 0
+        assert np.allclose(paths.paths_a[1], 1.5 * np.eye(2))
+        assert paths.amps_a[1] == pytest.approx(1.5)
 
     def test_rectangular_all_zero_has_isolated_vertices(self):
         rows, cols = Partition.whole(2), Partition.whole(3)
         a = [np.zeros((2, 3), dtype=complex)]
         rep = check_presolution(a, a, rows, cols, "sueq", TOL)
         paths = build_paths(a, a, rows, cols, "sueq", rep.cell_scales_a, rep.cell_scales_b)
-        assert len(paths.components) == 2
-        assert paths.rep_of[("col", 0)] == ("col", 0)
+        assert paths.components == [(0,), (1,)]
+        assert paths.rep[1] == 1
+        assert paths.vertex(1) == ("col", 0)
 
 
 class TestPrCheck:
@@ -160,7 +157,7 @@ class TestPrCheck:
         a = np.zeros((4, 4), dtype=complex)
         a[1, 0], a[1, 2], a[3, 2] = 2.0, 3.0, 4.0
         rep, paths = sus_paths([a], [a.copy()], p)
-        out = check_pr([a], [a.copy()], p, p, "sus", rep.cell_scales_a, paths, TOL)
+        out = check_pr([a], [a.copy()], p, p, rep.cell_scales_a, paths, TOL)
         assert isinstance(out, np.ndarray)
         assert np.argwhere(rep.cell_scales_a).tolist() == [[0, 1, 0], [0, 1, 2], [0, 3, 2]]
         assert out.tolist() == [pytest.approx(1.0)] * 3
@@ -173,14 +170,14 @@ class TestPrCheck:
         a1[0:2, 2:4] = np.diag([1.0, -1.0])
         mats = [a0, a1]
         rep, paths = sus_paths(mats, [m.copy() for m in mats], p)
-        out = check_pr(mats, [m.copy() for m in mats], p, p, "sus", rep.cell_scales_a, paths, TOL)
+        out = check_pr(mats, [m.copy() for m in mats], p, p, rep.cell_scales_a, paths, TOL)
         assert isinstance(out, Violation)
         assert out.functional == PR_NORMAL
         assert out.at == (1, 0, 1)
         assert out.touch == ("row", 0)
         assert np.allclose(out.s, np.diag([1.0, -1.0]))
         assert np.allclose(out.r, out.s)
-        assert out.pr_paths == paths.cell_paths("sus", 0, 1)
+        assert out.pr_paths == paths.cell_paths(0, 1)
 
     def test_scalar_holonomy_disagreement_is_mismatch(self):
         p = Partition((2, 2))
@@ -191,13 +188,13 @@ class TestPrCheck:
         b1 = np.zeros((4, 4), dtype=complex)
         b1[0:2, 2:4] = -2.0 * np.eye(2)
         rep, paths = sus_paths([a0, a1], [a0.copy(), b1], p)
-        out = check_pr([a0, a1], [a0.copy(), b1], p, p, "sus", rep.cell_scales_a, paths, TOL)
+        out = check_pr([a0, a1], [a0.copy(), b1], p, p, rep.cell_scales_a, paths, TOL)
         assert isinstance(out, ScalarMismatch)
         assert out.target == "pr_beta"
         assert out.at == (1, 0, 1)
         assert out.a_value == pytest.approx(2.0 + 0j)
         assert out.b_value == pytest.approx(-2.0 + 0j)
-        assert out.pr_paths == paths.cell_paths("sus", 0, 1)
+        assert out.pr_paths == paths.cell_paths(0, 1)
 
     def test_pr_matrices_against_naive_oracle(self):
         # A dense one-component instance: pr of each cell must equal the
@@ -209,11 +206,11 @@ class TestPrCheck:
             a[p.slice_of(bi), p.slice_of(bj)] = (0.5 + rng.random()) * random_unitary(2, rng)
         rep, paths = sus_paths([a], [a.copy()], p)
         for l, i, j in np.argwhere(rep.cell_scales_a).tolist():
-            pa = paths.paths_a[("row", i)]
-            pc = paths.paths_a[("row", j)]
+            pa = paths.paths_a[i]
+            pc = paths.paths_a[j]
             cell = submatrix(a, p, i, p, j)
             oracle = pa @ cell @ np.linalg.inv(pc)
-            mine = pa @ cell @ (adjoint(pc) / paths.amps_a[("row", j)] ** 2)
+            mine = pa @ cell @ (adjoint(pc) / paths.amps_a[j] ** 2)
             assert np.allclose(mine, oracle)
 
 
@@ -274,7 +271,7 @@ class TestPrCheckAgainstReference:
         pre = check_presolution(a, b, rows, cols, mode, TOL)
         assert isinstance(pre, SolutionForm), pre
         paths = build_paths(a, b, rows, cols, mode, pre.cell_scales_a, pre.cell_scales_b)
-        got = check_pr(a, b, rows, cols, mode, pre.cell_scales_a, paths, TOL)
+        got = check_pr(a, b, rows, cols, pre.cell_scales_a, paths, TOL)
         want = reference_check_pr(a, b, rows, cols, mode, pre.cell_scales_a, paths, TOL)
         assert type(got) is type(want)
         if not plant:

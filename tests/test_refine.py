@@ -192,7 +192,7 @@ class TestPrRefinement:
         b = [m.copy() for m in mats]
         rep = check_presolution(mats, b, p, p, "sus", TOL)
         paths = build_paths(mats, b, p, p, "sus", rep.cell_scales_a, rep.cell_scales_b)
-        v = check_pr(mats, b, p, p, "sus", rep.cell_scales_a, paths, TOL)
+        v = check_pr(mats, b, p, p, rep.cell_scales_a, paths, TOL)
         assert isinstance(v, Violation)
         assert (v.functional, v.at, v.touch) == (PR_NORMAL, (1, 0, 1), ("row", 0))
         # The holonomy matrix on the representative space, on both sides.

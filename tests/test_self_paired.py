@@ -65,8 +65,8 @@ def run_record(mode, a_mats, b_mats):
             paths.steps_to,
             paths.amps_a,
             paths.amps_b,
-            {v: p.tobytes() for v, p in paths.paths_a.items()},
-            {v: p.tobytes() for v, p in paths.paths_b.items()},
+            [p.tobytes() for p in paths.paths_a],
+            [p.tobytes() for p in paths.paths_b],
             array_bits(end.betas),
         )
     )
