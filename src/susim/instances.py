@@ -152,21 +152,6 @@ def _balanced(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def _binary_capacity(sizes: list[int], slots: int) -> int:
-    count = 0
-    current = list(sizes)
-    for _ in range(slots):
-        following = []
-        for s in current:
-            if s >= 2:
-                following.extend([(s + 1) // 2, s // 2])
-                count += 1
-            else:
-                following.append(s)
-        current = following
-    return count
-
-
 def _plan_split_vectors(
     n: int,
     p: int,
@@ -179,43 +164,35 @@ def _plan_split_vectors(
     its imaginary diagonal.  The scan always hits the leftmost
     non-constant diagonal cell, real part before imaginary, so filling
     the slots in order with one split per class reproduces the planned
-    firing sequence one refinement per iteration.
+    firing sequence one refinement per iteration.  Slot 0 splits the
+    whole range into the fewest balanced classes from which halving every
+    class in the later slots still reaches ``depth``.
     """
     slots = 2 * p
-    vectors = [np.zeros(n) for _ in range(slots)]
-    classes = [(0, n)]
-    if depth == 0:
-        return vectors, classes
-    first_arity = None
-    for g in range(2, n + 1):
-        if 1 + _binary_capacity(_balanced(n, g), slots - 1) >= depth:
-            first_arity = g
-            break
-    if first_arity is None:
-        raise SpecInvalid(
-            f"cannot schedule {depth} refinements with {p} matrices of size {n}"
-        )
-    fires = 0
-    for s in range(slots):
+    for first_arity in range(2, max(n, 2) + 1):
+        vectors = [np.zeros(n) for _ in range(slots)]
+        classes = [(0, n)]
+        fires = 0
+        for s in range(slots):
+            if fires >= depth:
+                break
+            arity = first_arity if s == 0 else 2
+            following = []
+            for off, size in classes:
+                if fires >= depth or size < 2:
+                    following.append((off, size))
+                    continue
+                parts = _balanced(size, min(arity, size))
+                pos = off
+                for rank, piece in enumerate(parts):
+                    vectors[s][pos : pos + piece] = (len(parts) - rank) * gap
+                    following.append((pos, piece))
+                    pos += piece
+                fires += 1
+            classes = following
         if fires >= depth:
-            break
-        arity = first_arity if s == 0 else 2
-        following = []
-        for off, size in classes:
-            if fires >= depth or size < 2:
-                following.append((off, size))
-                continue
-            parts = _balanced(size, min(arity, size))
-            pos = off
-            for rank, piece in enumerate(parts):
-                vectors[s][pos : pos + piece] = (len(parts) - rank) * gap
-                following.append((pos, piece))
-                pos += piece
-            fires += 1
-        classes = following
-    if fires < depth:
-        raise InternalInconsistency("split planner fell short of its own capacity estimate")
-    return vectors, classes
+            return vectors, classes
+    raise SpecInvalid(f"cannot schedule {depth} refinements with {p} matrices of size {n}")
 
 
 def deep_split(
@@ -331,6 +308,14 @@ class GenConfig:
                     )
             elif parameter not in reads:
                 raise SpecInvalid(f"{self.kind} does not read {_flag(parameter)}")
+        for name in ("n", "m", "count", "depth", "seed"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
+                raise SpecInvalid(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:  # numpy needs >= 0; a document holds 64 bits
+            raise SpecInvalid(f"seed {self.seed} is outside 0 .. 2**64-1")
         least_n = 2 if self.kind == "pairwise" else 1
         if self.n < least_n:
             raise SpecInvalid(f"{self.kind} needs n of at least {least_n}, got {self.n}")

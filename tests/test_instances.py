@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from susim.canonical import extract_features
 from susim.certcheck import check_certificate
+from susim import instances
 from susim.errors import OutOfScope, SpecInvalid
 from susim.instances import (
     GEN_KINDS,
     GEN_PARAMETERS,
     GenConfig,
+    _balanced,
+    _plan_split_vectors,
     deep_split,
     generate,
     ginibre,
@@ -120,6 +123,87 @@ def test_deep_split_small_gap_still_solves():
 def test_deep_split_rejects_unreachable_depth(n, p, depth):
     with pytest.raises(SpecInvalid):
         deep_split(n, p, depth, np.random.default_rng(0))
+
+
+def _reference_capacity(sizes, slots):
+    """Splits that halving every class of size 2 or more makes in ``slots``."""
+    count = 0
+    current = list(sizes)
+    for _ in range(slots):
+        following = []
+        for s in current:
+            if s >= 2:
+                following.extend([(s + 1) // 2, s // 2])
+                count += 1
+            else:
+                following.append(s)
+        current = following
+    return count
+
+
+def _reference_plan(n, p, depth, gap):
+    """The two-pass split planner: count each first arity's capacity, then fill."""
+    slots = 2 * p
+    vectors = [np.zeros(n) for _ in range(slots)]
+    classes = [(0, n)]
+    if depth == 0:
+        return vectors, classes
+    first_arity = None
+    for g in range(2, n + 1):
+        if 1 + _reference_capacity(_balanced(n, g), slots - 1) >= depth:
+            first_arity = g
+            break
+    if first_arity is None:
+        raise SpecInvalid(f"cannot schedule {depth} refinements with {p} matrices of size {n}")
+    fires = 0
+    for s in range(slots):
+        if fires >= depth:
+            break
+        arity = first_arity if s == 0 else 2
+        following = []
+        for off, size in classes:
+            if fires >= depth or size < 2:
+                following.append((off, size))
+                continue
+            parts = _balanced(size, min(arity, size))
+            pos = off
+            for rank, piece in enumerate(parts):
+                vectors[s][pos : pos + piece] = (len(parts) - rank) * gap
+                following.append((pos, piece))
+                pos += piece
+            fires += 1
+        classes = following
+    return vectors, classes
+
+
+def _plan_or_refusal(planner, *args):
+    try:
+        vectors, classes = planner(*args)
+    except SpecInvalid as exc:
+        return str(exc)
+    return [v.tobytes() for v in vectors], classes
+
+
+def test_split_plans_match_the_two_pass_planner():
+    refused = 0
+    for n in range(1, 25):
+        for p in (1, 2, 3):
+            for depth in range(n + 3):
+                for gap in (1.0, 0.5, -2.0):
+                    args = (n, p, depth, gap)
+                    expected = _plan_or_refusal(_reference_plan, *args)
+                    assert _plan_or_refusal(_plan_split_vectors, *args) == expected, args
+                    refused += isinstance(expected, str)
+    assert refused == 1002
+
+
+@pytest.mark.parametrize("n,p,depth", [(128, 2, 32), (16, 2, 4)])
+def test_deep_split_matrices_match_the_two_pass_planner(monkeypatch, n, p, depth):
+    made, _ = deep_split(n, p, depth, np.random.default_rng(101))
+    monkeypatch.setattr(instances, "_plan_split_vectors", _reference_plan)
+    expected, _ = deep_split(n, p, depth, np.random.default_rng(101))
+    for x, y in zip(made.a_mats + made.b_mats, expected.a_mats + expected.b_mats):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_pr_cycle_refines_through_path_products():
@@ -266,6 +350,26 @@ def test_config_without_a_matrix_is_refused(count):
 )
 def test_config_refuses_a_parameter_its_kind_does_not_read(params, message):
     # Given as its default value, too: the kind would ignore it.
+    with pytest.raises(SpecInvalid) as caught:
+        GenConfig(**params)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (dict(kind="deep_split", n=8, count=2, depth=2.5), "depth must be an integer, got 2.5"),
+        (dict(kind="deep_split", n=8, depth=True), "depth must be an integer, got True"),
+        (dict(kind="planted_similar", n=4.0), "n must be an integer, got 4.0"),
+        (dict(kind="planted_similar", n=4, count=2.0), "count must be an integer, got 2.0"),
+        (dict(kind="planted_equivalent", n=3, m=2.5), "m must be an integer, got 2.5"),
+        (dict(kind="pr_cycle", n=4, seed=-1), "seed -1 is outside 0 .. 2**64-1"),
+        (dict(kind="pr_cycle", n=4, seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(kind="pr_cycle", n=4, seed=True), "seed must be an integer, got True"),
+        (dict(kind="pr_cycle", n=4, seed=2**64), f"seed {2**64} is outside 0 .. 2**64-1"),
+    ],
+)
+def test_config_refuses_a_count_size_depth_or_seed_that_is_not_an_integer(params, message):
     with pytest.raises(SpecInvalid) as caught:
         GenConfig(**params)
     assert str(caught.value) == message
