@@ -10,9 +10,8 @@ Subcommands::
 
 Exit codes: 0 solved / confirmed / equal, 1 not similar / different,
 2 undecidable within tolerance, 3 refuted, 64 unusable input.  ``-`` stands for
-stdin or stdout.  Tolerances come from ``--tol-*`` flags, falling back to
-the ``SUSIM_TOL_CMP``, ``SUSIM_TOL_GROUP`` and ``SUSIM_TOL_VERIFY``
-environment variables, then to the defaults.
+stdin or stdout.  The mode comes from the instance document, and the
+tolerances from the ``--tol-*`` flags over the defaults.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,8 +30,8 @@ from .canonical import compare_features, extract_features
 from .certcheck import check_certificate
 from .errors import FormatError, InternalInconsistency, SusimError
 from .instances import GEN_KINDS, GEN_PARAMETERS, GenConfig, generate
-from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .model import FAILED, NOT_SIMILAR, SOLVED, Instance, SolveResult
+from .linalg import Tolerances
+from .model import FAILED, NOT_SIMILAR, SOLVED, SolveResult
 from .serialize import (
     features_from_json,
     features_to_json,
@@ -142,34 +140,11 @@ def _emit(path: str, to_json, *args) -> None:
         _write_document(path, to_json(*args))
 
 
-def _load_instance(path: str, mode_flag: str | None) -> Instance:
-    inst = _decode(path, instance_from_json)
-    if mode_flag is not None and mode_flag != inst.mode:
-        raise FormatError(
-            f"instance declares mode {inst.mode!r} but --mode {mode_flag!r} was given"
-        )
-    return inst
-
-
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    values = {}
-    for field, flag in (("cmp", "tol_cmp"), ("group", "tol_group"), ("verify", "tol_verify")):
-        from_flag = getattr(args, flag, None)
-        if from_flag is not None:
-            values[field] = from_flag
-            continue
-        from_env = os.environ.get(f"SUSIM_TOL_{field.upper()}")
-        if from_env is not None:
-            try:
-                values[field] = float(from_env)
-            except ValueError:
-                raise FormatError(
-                    f"SUSIM_TOL_{field.upper()}={from_env!r} is not a number"
-                ) from None
-        else:
-            values[field] = getattr(DEFAULT_TOLERANCES, field)
+    """The ``--tol-*`` flags given, over the :class:`Tolerances` defaults."""
+    given = {field: getattr(args, f"tol_{field}") for field in ("cmp", "group", "verify")}
     try:
-        return Tolerances(**values)
+        return Tolerances(**{field: value for field, value in given.items() if value is not None})
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -193,7 +168,7 @@ def _describe(result: SolveResult) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance, args.mode)
+    inst = _decode(args.instance, instance_from_json)
     result = solve(inst, tol=_tolerances(args))
     if args.out is not None:
         _emit(args.out, result_to_json, result)
@@ -215,7 +190,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance, args.mode)
+    inst = _decode(args.instance, instance_from_json)
     result = _decode(args.result, result_from_json)
     if result.mode != inst.mode:
         raise FormatError(
@@ -242,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance, args.mode)
+    inst = _decode(args.instance, instance_from_json)
     mats = inst.a_mats if args.side == "a" else inst.b_mats
     tol = _tolerances(args)  # outside the try: a bad tolerance is unusable input, not a boundary
     try:
@@ -281,19 +256,15 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-verify", type=float, help="witness verification tolerance")
 
 
-def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mode",
-        choices=("sus", "sueq"),
-        help="expected mode; the instance file is authoritative and a conflict is an error",
-    )
-
-
 def _solve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance", help="instance document, - for stdin")
     parser.add_argument("--out", help="write the result document here, - for stdout")
-    _add_mode_flag(parser)
     _add_tolerance_flags(parser)
+
+
+def _gen_help(kind: str, parameter: str, what: str) -> str:
+    """Help for a flag only ``kind`` reads, with the default :data:`GEN_KINDS` gives it."""
+    return f"{kind} {what} (default {GEN_KINDS[kind][parameter]})"
 
 
 def _gen_arguments(parser: argparse.ArgumentParser) -> None:
@@ -303,11 +274,15 @@ def _gen_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-p", dest="count", type=int, help="matrices per side (default 1)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--style", choices=("dense", "structured"), help="planted_similar form (default dense)"
+        "--style",
+        choices=("dense", "structured"),
+        help=_gen_help("planted_similar", "style", "form"),
     )
-    parser.add_argument("--eps", type=float, help="perturbed size (default 1e-2)")
-    parser.add_argument("--depth", type=int, help="deep_split refinement count (default 3)")
-    parser.add_argument("--gap", type=float, help="deep_split level spacing (default 1.0)")
+    parser.add_argument("--eps", type=float, help=_gen_help("perturbed", "eps", "size"))
+    parser.add_argument(
+        "--depth", type=int, help=_gen_help("deep_split", "depth", "refinement count")
+    )
+    parser.add_argument("--gap", type=float, help=_gen_help("deep_split", "gap", "level spacing"))
     parser.add_argument("--name", type=_utf8, default="", help="instance name")
     parser.add_argument("--out", required=True, help="instance file, - for stdout")
 
@@ -315,7 +290,6 @@ def _gen_arguments(parser: argparse.ArgumentParser) -> None:
 def _verify_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance")
     parser.add_argument("result")
-    _add_mode_flag(parser)
     _add_tolerance_flags(parser)
 
 
@@ -323,7 +297,6 @@ def _canon_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance", help="instance document, - for stdin")
     parser.add_argument("--side", choices=("a", "b"), default="a")
     parser.add_argument("--out", help="write the features document here, - for stdout")
-    _add_mode_flag(parser)
     _add_tolerance_flags(parser)
 
 

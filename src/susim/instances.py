@@ -314,6 +314,10 @@ class GenConfig:
                 isinstance(value, bool) or not isinstance(value, (int, np.integer))
             ):
                 raise SpecInvalid(f"{name} must be an integer, got {value!r}")
+            if value is not None:
+                # A numpy integer would reach the witness document, which
+                # cannot hold it.
+                object.__setattr__(self, name, int(value))
         if not 0 <= self.seed < 2**64:  # numpy needs >= 0; a document holds 64 bits
             raise SpecInvalid(f"seed {self.seed} is outside 0 .. 2**64-1")
         least_n = 2 if self.kind == "pairwise" else 1

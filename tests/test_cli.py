@@ -15,6 +15,7 @@ import pytest
 from susim import cli
 from susim.canonical import extract_features
 from susim.cli import main
+from susim.instances import GEN_KINDS
 from susim.model import Instance, SolveResult
 from susim.serialize import instance_to_json, result_to_json
 from susim.solver import solve
@@ -85,9 +86,12 @@ class TestSolve:
         assert main(["solve", inst, "--mode", "sueq"]) == 64
         assert "mode" in capsys.readouterr().err
 
-    def test_matching_mode_flag_is_accepted(self, tmp_path):
+    def test_mode_flag_is_not_an_option(self, tmp_path, capsys):
+        # The instance document alone fixes the mode.
         inst = planted_file(tmp_path)
-        assert main(["solve", inst, "--mode", "sus"]) == 0
+        capsys.readouterr()
+        assert main(["solve", inst, "--mode", "sus"]) == 64
+        assert "unrecognized arguments: --mode sus" in capsys.readouterr().err
 
     def test_missing_file_is_an_input_error(self, capsys):
         assert main(["solve", "/nonexistent/path.json"]) == 64
@@ -299,22 +303,17 @@ class TestVerify:
         assert main(["solve", inst, "--out", str(res)]) == 2
         assert main(["verify", inst, str(res)]) == 64
 
-    def test_env_tolerances_are_used(self, tmp_path, monkeypatch, capsys):
+    def test_environment_does_not_set_tolerances(self, tmp_path, monkeypatch):
+        # A verdict depends only on the command line and its files.
         inst = planted_file(tmp_path)
         res = tmp_path / "r.json"
         main(["solve", inst, "--out", str(res)])
         monkeypatch.setenv("SUSIM_TOL_CMP", "1e-22")
         monkeypatch.setenv("SUSIM_TOL_GROUP", "1e-21")
         monkeypatch.setenv("SUSIM_TOL_VERIFY", "1e-20")
-        assert main(["verify", inst, str(res)]) == 3
-        assert main(["verify", inst, str(res), "--tol-verify", "1e-6"]) == 0
-
-    def test_unparsable_env_tolerance_is_an_input_error(self, tmp_path, monkeypatch):
-        inst = planted_file(tmp_path)
-        res = tmp_path / "r.json"
-        main(["solve", inst, "--out", str(res)])
+        assert main(["verify", inst, str(res)]) == 0
         monkeypatch.setenv("SUSIM_TOL_VERIFY", "tiny")
-        assert main(["verify", inst, str(res)]) == 64
+        assert main(["verify", inst, str(res)]) == 0
 
 
 class TestOverflowingInput:
@@ -395,6 +394,17 @@ class TestParser:
         assert out.startswith("usage: susim canon [-h] [--side {a,b}] [--out OUT]")
         assert "--tol-verify TOL_VERIFY" in out
 
+    def test_gen_help_states_the_defaults_generate_applies(self, capsys):
+        assert main(["gen", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for kind, parameter, what in [
+            ("planted_similar", "style", "form"),
+            ("perturbed", "eps", "size"),
+            ("deep_split", "depth", "refinement count"),
+            ("deep_split", "gap", "level spacing"),
+        ]:
+            assert f"{kind} {what} (default {GEN_KINDS[kind][parameter]})" in out
+
 
 class TestCanonAndDiff:
     def test_sides_of_similar_pair_match(self, tmp_path, capsys):
@@ -473,20 +483,11 @@ class TestUnusableInput:
         assert "instance: declared shape disagrees with the matrices" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags, env",
-        [
-            (["--tol-cmp", "2"], {}),
-            (["--tol-verify", "0"], {}),
-            (["--tol-group", "1e-12"], {}),
-            ([], {"SUSIM_TOL_GROUP": "nan"}),
-            ([], {"SUSIM_TOL_VERIFY": "inf"}),
-        ],
+        "flags", [["--tol-cmp", "2"], ["--tol-verify", "0"], ["--tol-group", "1e-12"]]
     )
     @pytest.mark.parametrize("command", ["solve", "canon"])
-    def test_out_of_range_tolerance(self, tmp_path, monkeypatch, capsys, flags, env, command):
+    def test_out_of_range_tolerance(self, tmp_path, capsys, flags, command):
         inst = planted_file(tmp_path)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         capsys.readouterr()
         assert main([command, inst, *flags]) == 64
         assert "tolerances must satisfy" in capsys.readouterr().err

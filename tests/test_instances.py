@@ -1,6 +1,7 @@
 """Generator and oracle behaviour, cross-checked against the solver."""
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from susim.instances import (
 from susim.linalg import adjoint, fro
 from susim.model import NOT_SIMILAR, SOLVED, Instance
 from susim.oracles import small_case_decider, trace_word_oracle, word_to_string
+from susim.serialize import witness_to_json
 from susim.solver import solve
 
 
@@ -373,6 +375,26 @@ def test_config_refuses_a_count_size_depth_or_seed_that_is_not_an_integer(params
     with pytest.raises(SpecInvalid) as caught:
         GenConfig(**params)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(n=8, count=2, depth=2, seed=np.uint64(3)),
+        dict(n=np.int64(8), count=np.int32(2), depth=np.int16(2), seed=np.int64(3)),
+    ],
+    ids=["numpy-seed", "numpy-everything"],
+)
+def test_numpy_integers_reach_the_witness_document_as_python_integers(params):
+    config = GenConfig(kind="deep_split", **params)
+    assert all(type(getattr(config, name)) is int for name in ("n", "count", "depth", "seed"))
+    inst, meta = generate(config)
+    doc = orjson.loads(orjson.dumps(witness_to_json(meta)))
+    assert type(meta["seed"]) is int and doc["seed"] == 3
+    assert type(meta["planned_iterations"]) is int
+    plain, _ = generate(GenConfig(kind="deep_split", n=8, count=2, depth=2, seed=3))
+    for x, y in zip(inst.a_mats + inst.b_mats, plain.a_mats + plain.b_mats):
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(GEN_KINDS))

@@ -9,6 +9,9 @@ the oracles are independent of the loop by construction.
 
 The edges are read from the source with ``ast``: every import of a package
 module counts, also one under ``if TYPE_CHECKING:`` or inside a function.
+
+No module reads the process environment, so that a verdict depends only
+on the command line and its files.
 """
 
 import ast
@@ -19,6 +22,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "susim"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
 LOOP = {"structure", "graph", "refine", "solver", "canonical"}
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 
 def imported_modules(name: str, package: Path = PACKAGE) -> set[str]:
@@ -75,3 +79,35 @@ def test_the_reader_sees_guarded_and_local_imports(tmp_path):
         "    from susim import refine\n"
     )
     assert imported_modules("structure", tmp_path) == {"linalg", "graph", "refine"}
+
+
+def environment_uses(source: str) -> list[int]:
+    """Lines of ``source`` that touch the process environment through ``os``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                if node.attr in ENVIRONMENT:
+                    found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_module_reads_no_environment(name):
+    assert environment_uses((PACKAGE / f"{name}.py").read_text()) == []
+
+
+def test_the_reader_sees_each_environment_access():
+    source = (
+        "import os\n"
+        "os.environ.get('A')\n"
+        "os.getenv('B')\n"
+        "os.putenv('C', '1')\n"
+        "def f():\n"
+        "    from os import environ\n"
+        "os.path.join('a', 'b')\n"
+    )
+    assert environment_uses(source) == [2, 3, 4, 6]
