@@ -43,10 +43,17 @@ finite 1x1 cell passes its test at any context, and its scalar equals
 itself; a shared matrix skips these cells too, and once the scan has
 passed, reads them off its pass, where a one-entry cell's sum is its
 ``|c|²`` bit for bit, so the values are those the two predicates return.
-An unshared pair still tests its 1x1 cells, and under a single
-similarity class, with no cell off the diagonal, it gets no pass.  The
-form holds arrays indexed by matrix and class, so array order is scan
-order and the order :mod:`susim.graph` reads edges in.
+In similarity mode a shared matrix's pass leaves out the matrix's own
+diagonal, so that a diagonal cell's sum is its off-diagonal mass; with
+the deviation of the diagonal entries from their class mean added, it
+proves the diagonal cells that are identity multiples below the same
+threshold, by the margin and a slack for the mean's rounding.  These
+cells are skipped as well, and a passing scan reads each class's scalar
+off the trace of its diagonal block, as ``identity_multiple`` does.  An
+unshared pair still tests its 1x1 and its diagonal cells, and under a
+single similarity class, with no cell off the diagonal, it gets no pass.
+The form holds arrays indexed by matrix and class, so array order is
+scan order and the order :mod:`susim.graph` reads edges in.
 """
 
 from __future__ import annotations
@@ -167,19 +174,54 @@ _ZERO_MARGIN = 1e-9
 _LEAST_THRESHOLD = 1e-150
 
 
+def _bound(tol: Tolerances, ctx: float) -> float:
+    """The ``is_zero`` threshold at context ``ctx``, lowered by the margin, or
+    0, which proves nothing, where it is too small for the margin to hold."""
+    threshold = tol.cmp * (1.0 + ctx)
+    return threshold * (1.0 - _ZERO_MARGIN) if threshold > _LEAST_THRESHOLD else 0.0
+
+
 def _proven_zero(
-    m: Matrix, rows: Partition, cols: Partition, tol: Tolerances, ctx: float
+    m: Matrix, rows: Partition, cols: Partition, tol: Tolerances, ctx: float, off_diagonal: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's squared norm, from one :func:`~susim.blocking.cell_sums`
     pass over ``m``'s squared moduli, and which cells it proves zero: those
     whose norm is below the ``is_zero`` threshold at context ``ctx`` by the
-    margin."""
-    threshold = tol.cmp * (1.0 + ctx)
-    bound = threshold * (1.0 - _ZERO_MARGIN) if threshold > _LEAST_THRESHOLD else 0.0
+    margin.  With ``off_diagonal`` the pass leaves out ``m``'s diagonal
+    entries, which only the similarity diagonal's cells hold: their sums are
+    then their off-diagonal mass, and every other sum is unchanged."""
     with np.errstate(over="ignore"):
         # An overflowing cell reads inf: not proven zero, so it is tested.
-        sq = cell_sums(m.real * m.real + m.imag * m.imag, rows, cols)
-    return sq, np.sqrt(sq) < bound
+        x = m.real * m.real + m.imag * m.imag
+        if off_diagonal:
+            np.fill_diagonal(x, 0.0)
+        sq = cell_sums(x, rows, cols)
+    return sq, np.sqrt(sq) < _bound(tol, ctx)
+
+
+def _proven_scalar(
+    m: Matrix, rows: Partition, off_diagonal: np.ndarray, tol: Tolerances, ctx: float
+) -> np.ndarray:
+    """Which diagonal cells larger than 1x1 of the square ``m`` are identity
+    multiples to :func:`~susim.linalg.identity_multiple` at context ``ctx``,
+    given each cell's off-diagonal mass.  A cell's residual to ``α I`` adds
+    ``Σ|d - α|²`` over its part ``d`` of ``m``'s diagonal to that mass, with
+    no cancellation; it is proven where it is below the ``is_zero``
+    threshold at ``ctx``, which is at most ``identity_multiple``'s, by the
+    margin and by a slack.  ``α`` here is a sum over ``d`` in another order
+    than the trace's, divided by the class size ``k``: the two differ by at
+    most about ``k ε max|d|``, which moves the residual by ``√k`` times
+    that, and ``8 k^1.5 ε max|d|`` covers it.  An infinite context, whose
+    traces may overflow, proves nothing."""
+    bound = _bound(tol, ctx) if np.isfinite(ctx) else 0.0
+    d = np.diagonal(m)
+    starts = rows.offsets[:-1]
+    sizes = np.array(rows.sizes)
+    with np.errstate(over="ignore"):
+        dev = d - np.repeat(np.add.reduceat(d, starts) / sizes, sizes)
+        residual = np.sqrt(np.add.reduceat(dev.real**2 + dev.imag**2, starts) + off_diagonal)
+    slack = 8.0 * sizes**1.5 * np.finfo(float).eps * np.maximum.reduceat(np.abs(d), starts)
+    return (sizes > 1) & (residual + slack < bound)
 
 
 def _tested_cells(
@@ -197,22 +239,28 @@ def _tested_cells(
     :func:`~susim.blocking.cell_sums` pass per side (one for a shared
     matrix).  A cell off the similarity diagonal that each side proves zero
     at its own norm passes its test and records nothing, so it is skipped,
-    as are the 1x1 cells of a shared matrix.  An unshared pair with one
+    as are the 1x1 cells of a shared matrix.  In similarity mode a shared
+    matrix's pass leaves out its diagonal entries, so that a diagonal
+    cell's sum is its off-diagonal mass, and the diagonal cells it proves
+    identity multiples are skipped too.  An unshared pair with one
     similarity class has no cell to skip and gets no pass."""
     if b is not a and mode == "sus" and rows.count == 1:
         return [[0, 0]], None
-    sq, zero = _proven_zero(a, rows, cols, tol, ctx_a)
+    shared_sus = b is a and mode == "sus"
+    sq, skip = _proven_zero(a, rows, cols, tol, ctx_a, off_diagonal=shared_sus)
     if b is not a:
-        zero &= _proven_zero(b, rows, cols, tol, ctx_b)[1]
-    if mode == "sus":
-        np.fill_diagonal(zero, False)
+        skip &= _proven_zero(b, rows, cols, tol, ctx_b, off_diagonal=False)[1]
+    if shared_sus:
+        np.fill_diagonal(skip, _proven_scalar(a, rows, np.diagonal(sq), tol, ctx_a))
+    elif mode == "sus":
+        np.fill_diagonal(skip, False)
     if b is a:
         # An unshared pair still tests its 1x1 cells.  Read off, they make a
         # dense solve several times faster, and the benchmark's gate, which
         # caches every document it reads, reports the extra rounds as memory
         # growth; this waits on that fix (ROADMAP items 1 and 2).
-        zero |= np.equal(rows.sizes, 1)[:, None] & np.equal(cols.sizes, 1)
-    return np.argwhere(~zero).tolist(), sq
+        skip |= np.equal(rows.sizes, 1)[:, None] & np.equal(cols.sizes, 1)
+    return np.argwhere(~skip).tolist(), sq
 
 
 def check_presolution(
@@ -271,14 +319,19 @@ def check_presolution(
     singletons = np.equal(rows.sizes, 1)
     single = singletons[:, None] & np.equal(cols.sizes, 1)
     entry = np.take(rows.offsets, np.flatnonzero(singletons))
+    blocks = [(i, rows.slice_of(i), k) for i, k in enumerate(rows.sizes) if k > 1]
     for l, a, sq, ctx in shared:
         with np.errstate(over="ignore"):
             # What unitary_multiple returns on a 1x1 cell, whose sum is |c|^2:
             # 0 within tolerance, else the mean of its two Gram scalars, both r.
             r = np.where(np.sqrt(sq) <= tol.cmp * (1.0 + ctx), 0.0, sq / 2.0 + sq / 2.0)
         if mode == "sus":
-            # What identity_multiple returns: a trace, whose sum turns -0.0 into 0.0.
+            # What identity_multiple returns: a trace, whose sum turns -0.0
+            # into 0.0, over the class size.  The scan skipped the cells
+            # its pass proved; those it tested get the value they had.
             diag_alphas[l, singletons] = a[entry, entry] + 0.0
+            for i, block, k in blocks:
+                diag_alphas[l, i] = complex(np.trace(a[block, block])) / k
             np.fill_diagonal(r, 0.0)
         np.copyto(scales_a[l], r, where=single)
         np.copyto(scales_b[l], r, where=single)

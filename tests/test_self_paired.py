@@ -5,7 +5,8 @@ reuses its A-side result when the B side is the same object, so the run
 must take the same steps, partitions and ending as a run against a copy,
 while calling the eigensolver once per step and reading each scanned cell
 once (the 1x1 cells only once the final scan has passed, and the cells one
-kernel pass proves zero not at all).
+kernel pass proves zero or, on the similarity diagonal, identity multiples
+not at all).
 """
 
 from collections import Counter
@@ -127,6 +128,10 @@ def test_self_paired_run_computes_each_side_once(cfg, monkeypatch):
     # Collections that keep classes larger than 1x1 skip their zero cells.
     blocky = cfg["kind"] in ("planted_equivalent", "deep_split", "pr_cycle")
     assert bool(seen["zero cells skipped"]) is blocky
+    # Similarity collections that keep classes larger than 1x1 skip their
+    # diagonal cells, which are identity multiples.
+    scalar = cfg["kind"] in ("deep_split", "pr_cycle")
+    assert bool(seen["scalar cells skipped"]) is scalar
     assert end.paths.paths_b is end.paths.paths_a
 
 

@@ -202,15 +202,77 @@ def test_cells_at_the_zero_threshold(mode, row_sizes, col_sizes, scalars, cell):
         assert document(solver.solve(inst, TOL)) == unshared_document(inst)
 
 
+@pytest.mark.parametrize("scalar", [0.0, 3.0 - 1.0j])
+def test_diagonal_cells_at_the_identity_multiple_threshold(scalar):
+    """A shared matrix whose 2x2 diagonal cell ``(0, 0)`` is ``scalar``
+    times the identity plus an off-diagonal entry at a factor of the
+    ``identity_multiple`` threshold ``cmp * (1 + ‖m‖)``.  The kernel proves
+    the cell only below that threshold by the margin and by its slack, which
+    is zero on a zero diagonal and makes a nonzero one wait for a lower
+    factor; every other cell goes to the predicate.  The scan then returns
+    the answer, and the diagonal scalars bit for bit, of a run that tests
+    every cell, and the solve behind a guide matrix the documents of a run
+    that shares nothing."""
+    rows = blocking.Partition((2, 3))
+    rest, guide, direction = (np.zeros((5, 5), dtype=np.complex128) for _ in range(3))
+    rest[:2, :2] = scalar * np.eye(2)
+    rest[2:, 2:] = 5.0 * np.eye(3)
+    guide[:2, :2] = 2.0 * np.eye(2)
+    guide[2:, 2:] = np.eye(3)
+    direction[0, 1] = 1.0
+    below = 1.0 - structure._ZERO_MARGIN
+    factors = (0.5, 1.0 - 2.0 * structure._ZERO_MARGIN, 1.0 - 1e-12, 1.0, 1.0 + 1e-12)
+    answers = {}
+    for factor in factors:
+        m = at_threshold(rest, direction, factor)
+        ctx = linalg.fro(m)
+        tested, _ = structure._tested_cells(m, m, rows, rows, "sus", TOL, ctx, ctx)
+        proven = [0, 0] not in tested
+        assert proven == proven_scalar(m[:2, :2], ctx, TOL)
+        if factor >= below:
+            assert not proven
+        elif factor == 0.5 or scalar == 0.0:
+            assert proven
+        # An unshared pair tests every diagonal cell.
+        tested, _ = structure._tested_cells(m, m.copy(), rows, rows, "sus", TOL, ctx, ctx)
+        assert [0, 0] in tested
+        shared = structure.check_presolution([m], [m], rows, rows, "sus", TOL)
+        predicted = predicate_scan([m], [m.copy()], rows, rows, "sus")
+        assert_same_answer(shared, predicted)
+        answers[factor] = type(shared)
+        assert_sharing_changes_nothing(Instance("sus", [guide, m], [guide.copy(), m.copy()]))
+    # At the threshold itself rounding decides.
+    assert answers[1.0 - 1e-12] is structure.SolutionForm
+    assert answers[1.0 + 1e-12] is structure.Violation
+
+
+def test_no_diagonal_cell_is_proven_at_an_infinite_context():
+    # The norm of a matrix with a 1e160 entry overflows, and so may the
+    # traces of its cells: the kernel proves no diagonal cell, and warns of
+    # nothing.  The same cell is proven at a finite context.
+    rows = blocking.Partition((2, 1))
+    for big, want in ((1e160, [[0, 0]]), (1e150, [])):
+        m = np.diag([big, big, 1.0]).astype(np.complex128)
+        with np.errstate(over="ignore"):
+            ctx = linalg.fro(m)
+        assert (ctx == np.inf) is (big == 1e160)
+        tested, _ = structure._tested_cells(m, m, rows, rows, "sus", TOL, ctx, ctx)
+        assert tested == want
+
+
 def test_no_cell_is_skipped_as_zero_below_the_least_threshold():
     # With a threshold under about 1e-150, squares of entries near it are
-    # subnormal, and the kernel's sum no longer bounds fro's rounding.
+    # subnormal, and the kernel's sum no longer bounds fro's rounding: no
+    # cell is proven zero, nor a diagonal cell an identity multiple, which
+    # at the default tolerances all of them are.
     tol = linalg.Tolerances(cmp=1e-170, group=1e-7, verify=1e-6)
     rows = blocking.Partition((2, 1, 2))
     m = np.zeros((5, 5), dtype=np.complex128)
     m[0, 3] = m[1, 4] = 1e-171
+    m[0, 0] = m[1, 1] = 2.0
     m[2, 2] = 1.0
     ctx = linalg.fro(m)
+    assert structure._tested_cells(m, m, rows, rows, "sus", TOL, ctx, ctx)[0] == []
     tested, _ = structure._tested_cells(m, m, rows, rows, "sus", tol, ctx, ctx)
     assert tested == [[i, j] for i in range(3) for j in range(3) if (i, j) != (1, 1)]
     tested, _ = structure._tested_cells(m, m.copy(), rows, rows, "sus", tol, ctx, ctx)
@@ -247,27 +309,51 @@ def test_sharing_is_decided_per_matrix_and_bit_for_bit(entry):
     assert b3 is not a3 and all(y is x for x, y in zip(a3, b3))
 
 
+def proven_scalar(cell, ctx, tol):
+    """Whether the scan proves the shared diagonal cell ``cell`` an identity
+    multiple: its residual to the mean of its diagonal, plus a slack of
+    ``8 k^1.5 ε`` times the largest diagonal modulus, is below the
+    ``is_zero`` threshold lowered by the scan's margin, which is finite
+    and above the least threshold."""
+    k = cell.shape[0]
+    threshold = tol.cmp * (1.0 + ctx)
+    if k == 1 or not structure._LEAST_THRESHOLD < threshold < np.inf:
+        return False
+    d = np.diag(cell)
+    residual = linalg.fro(cell - np.mean(d) * np.eye(k))
+    slack = 8.0 * k**1.5 * np.finfo(float).eps * np.max(np.abs(d))
+    return residual + slack < threshold * (1.0 - structure._ZERO_MARGIN)
+
+
 def skipped_cells(a, b, rows, cols, mode, tol):
     """The cells of the pair ``(a, b)`` that a scan does not read one by one:
     every cell off the similarity diagonal that ``is_zero``, with the
     threshold lowered by the scan's margin, calls zero on both sides, each
-    at its own norm, and the 1x1 cells of a shared matrix."""
+    at its own norm, the 1x1 cells of a shared matrix, and the similarity
+    diagonal's cells of a shared matrix that ``proven_scalar`` proves."""
     at_margin = dataclasses.replace(tol, cmp=tol.cmp * (1.0 - structure._ZERO_MARGIN))
     sides = [(a, linalg.fro(a)), (b, linalg.fro(b))]
     skipped = set()
     for i, j in itertools.product(range(rows.count), range(cols.count)):
+        cells = [(blocking.submatrix(m, rows, i, cols, j), ctx) for m, ctx in sides]
         if b is a and rows.sizes[i] == cols.sizes[j] == 1:
             skipped.add((i, j))
-        elif not (mode == "sus" and i == j) and all(
-            linalg.is_zero(blocking.submatrix(m, rows, i, cols, j), at_margin, ctx)
-            for m, ctx in sides
-        ):
+        elif mode == "sus" and i == j:
+            if b is a and proven_scalar(*cells[0], tol):
+                skipped.add((i, j))
+        elif all(linalg.is_zero(cell, at_margin, ctx) for cell, ctx in cells):
             skipped.add((i, j))
     return skipped
 
 
 def squared_moduli(m):
     return m.real * m.real + m.imag * m.imag
+
+
+def off_diagonal_moduli(m):
+    out = squared_moduli(m)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def guard_scan_reads(monkeypatch):
@@ -277,12 +363,15 @@ def guard_scan_reads(monkeypatch):
     once for a cell of a shared matrix and twice for a cell of an unshared
     pair, but not at all for the ``skipped_cells`` of either.  On every
     partition, for each matrix it reaches, in scan order, it makes one
-    ``cell_sums`` call on a shared matrix's squared moduli, and one on each
-    side's of an unshared pair, A before B, unless one similarity class
-    leaves no cell to skip; it holds no other reader of ``blocking``: a
-    passing scan reads a shared matrix's 1x1 cells off its sums.  Returns a
-    counter of the scans that read a shared matrix, of the kernel reads and
-    of the skipped cells larger than 1x1, and of those of unshared pairs."""
+    ``cell_sums`` call on a shared matrix's squared moduli, with the
+    diagonal zeroed in similarity mode, and one on each side's of an
+    unshared pair, A before B, unless one similarity class leaves no cell
+    to skip; it holds no other reader of ``blocking``: a passing scan reads
+    a shared matrix's 1x1 cells off its sums, and its diagonal scalars off
+    the traces of its diagonal blocks.  Returns a counter of the
+    scans that read a shared matrix, of the kernel reads, of the skipped
+    zero cells larger than 1x1 and the skipped diagonal cells of shared
+    matrices, and of the skipped cells of unshared pairs."""
     module = blocking.__name__
     readers = {n for n, f in vars(structure).items() if getattr(f, "__module__", "") == module}
     assert readers == {"Partition", "submatrix", "cell_sums"}
@@ -316,6 +405,8 @@ def guard_scan_reads(monkeypatch):
                 in_order += 1 if shared[l] else 2
             elif not shared[l]:
                 seen["unshared cells skipped"] += 1
+            elif mode == "sus" and i == j and rows.sizes[i] > 1:
+                seen["scalar cells skipped"] += 1
             elif rows.sizes[i] != 1 or cols.sizes[j] != 1:
                 seen["zero cells skipped"] += 1
             if not passed and at == pre.at:
@@ -324,11 +415,11 @@ def guard_scan_reads(monkeypatch):
         kernel = []
         for a, b in reached:
             if b is a:
-                kernel.append(a)
+                kernel.append(off_diagonal_moduli(a) if mode == "sus" else squared_moduli(a))
             elif mode == "sueq" or rows.count > 1:
-                kernel += [a, b]
+                kernel += [squared_moduli(a), squared_moduli(b)]
         assert len(sums) == len(kernel)
-        assert all(np.array_equal(x, squared_moduli(m)) for x, m in zip(sums, kernel))
+        assert all(np.array_equal(x, y) for x, y in zip(sums, kernel))
         seen["shared reads"] += any(shared)
         seen["kernel reads"] += len(sums)
         return pre
@@ -341,10 +432,10 @@ def guard_scan_reads(monkeypatch):
 
 def test_shared_matrices_are_computed_once(monkeypatch):
     """Counted on solves whose B side holds copies of some A-side matrices:
-    a scan reads a shared matrix's cells once and skips the zero cells of
-    unshared pairs, a scan violation on a shared matrix is eigensolved once,
-    and a refinement that diagonalizes both sides alike keeps every shared
-    matrix shared."""
+    a scan reads a shared matrix's cells once and skips its scalar diagonal
+    cells and the zero cells of unshared pairs, a scan violation on a shared
+    matrix is eigensolved once, and a refinement that diagonalizes both
+    sides alike keeps every shared matrix shared."""
     calls = Counter()
 
     def count(module, name):
@@ -385,7 +476,7 @@ def test_shared_matrices_are_computed_once(monkeypatch):
         b = [m.copy() for m in inst.b_mats]
         solver.solve(Instance(inst.mode, inst.a_mats, b), TOL)
     assert seen["shared reads"] and seen["shared violations"] and seen["sharing kept"]
-    assert seen["unshared cells skipped"]
+    assert seen["unshared cells skipped"] and seen["scalar cells skipped"]
 
 
 def test_all_shared_b_side_is_computed_once(monkeypatch):

@@ -11,8 +11,10 @@ scan's answer is the one an unshared copy gives, and count the form tests
 it saves.  Off-diagonal cells that the same pass proves zero are skipped
 too, and so are those of an unshared pair that one pass per side proves
 zero on both sides: ``predicate_scan``, which tests every cell of an
-unshared pair, is the reference for both, and the last two tests count
-the form tests the skip saves.
+unshared pair, is the reference for both, and the last tests count the
+form tests the skip saves.  A shared matrix's diagonal cells that the
+pass proves identity multiples are skipped as well, and a passing scan
+reads their scalars off, bit for bit as the predicate returns them.
 """
 
 import contextlib
@@ -27,7 +29,7 @@ import numpy as np
 import pytest
 from test_golden import corpus as golden_corpus
 
-from susim import linalg, solver, structure
+from susim import linalg, refine, solver, structure
 from susim.blocking import Partition, submatrix
 from susim.canonical import extract_features
 from susim.instances import GenConfig, generate, random_unitary
@@ -358,6 +360,31 @@ def test_read_off_on_a_mixed_partition_returns_what_the_predicates_return(mode):
             assert_same_form(found, predicted_form(mat, mode, rows))
 
 
+def test_read_off_of_proven_diagonal_cells_returns_what_the_predicate_returns():
+    """Block forms on classes of up to 9 indices whose diagonal entries carry
+    a noise far below the threshold, so that a cell's trace depends on the
+    order of its sum in the last bits.  A passing scan of a shared matrix
+    skips the diagonal cells its pass proves, and reads their scalars off
+    bit for bit as ``identity_multiple`` returns them, as ``predicate_scan``
+    does on a copy."""
+    rng = np.random.default_rng(17)
+    proven = 0
+    for _ in range(60):
+        rows = Partition(tuple(rng.integers(1, 10, size=rng.integers(1, 6))))
+        a_mats = [block_form(rng, rows, rows, "sus") for _ in range(2)]
+        for m in a_mats:
+            noise = rng.standard_normal((rows.total, 2)) @ [1.0, 1.0j]
+            m[np.diag_indices(rows.total)] += 1e-13 * noise
+        copies = [m.copy() for m in a_mats]
+        shared = check_presolution(a_mats, a_mats, rows, rows, "sus", TOL)
+        assert isinstance(shared, SolutionForm)
+        assert_same_form(shared, predicate_scan(a_mats, copies, rows, rows, "sus"))
+        for m in a_mats:
+            tested, _ = structure._tested_cells(m, m, rows, rows, "sus", TOL, fro(m), fro(m))
+            proven += sum(size > 1 and [i, i] not in tested for i, size in enumerate(rows.sizes))
+    assert proven > 100
+
+
 def pool(kind, seed):
     """Every pool entry of ``kind`` (a kind's name in the benchmark's
     ``workloads`` module, e.g. ``"PAIRWISE"``) at workload seed ``seed``."""
@@ -465,6 +492,55 @@ def test_deep_split_features_make_no_form_test_on_a_proven_zero_cell(monkeypatch
     assert len(features.steps) == 32
     assert proven > 10_000
     assert on_zero_cells == 0
+
+
+def test_deep_split_features_test_only_the_diagonal_cells_the_kernel_leaves(monkeypatch):
+    """The same features: each diagonal cell larger than 1x1 that the one
+    ``cell_sums`` pass proves an identity multiple is skipped, so the scan
+    loop calls ``identity_multiple`` only on the diagonal cells that
+    ``_tested_cells`` leaves, 32 times, where testing every diagonal cell
+    took 1127 calls.  The run keeps its 33 scans, 32 refinements and 32
+    eigensolves."""
+    left = set()  # (first element's address, shape) of each diagonal cell left
+    calls = Counter()
+
+    def key(cell):
+        return cell.__array_interface__["data"][0], cell.shape
+
+    def counted_tested_cells(a, b, rows, cols, mode, tol, ctx_a, ctx_b):
+        tested, sq = tested_cells(a, b, rows, cols, mode, tol, ctx_a, ctx_b)
+        left.clear()
+        left.update(key(a[rows.slice_of(i), cols.slice_of(j)]) for i, j in tested if i == j)
+        larger = [i for i, size in enumerate(rows.sizes) if size > 1]
+        calls["proven"] += sum([i, i] not in tested for i in larger)
+        return tested, sq
+
+    def counted(name, real, check=None):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if check:
+                check(*args)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    def on_a_left_cell(cell, tol, ctx):
+        assert key(cell) in left
+
+    tested_cells = structure._tested_cells
+    test, *pair = structure._DIAGONAL
+    monkeypatch.setattr(structure, "_DIAGONAL", (counted("form", test, on_a_left_cell), *pair))
+    monkeypatch.setattr(structure, "_tested_cells", counted_tested_cells)
+    monkeypatch.setattr(solver, "check_presolution", counted("scan", solver.check_presolution))
+    monkeypatch.setattr(solver, "apply_refinement", counted("refine", solver.apply_refinement))
+    for name in ("eig_hermitian", "eig_normal"):
+        monkeypatch.setattr(refine, name, counted("eig", getattr(refine, name)))
+    inst = pool("DEEP", 101)[0]
+    features = extract_features(list(inst.a_mats), mode=inst.mode)
+    assert len(features.steps) == 32
+    assert (calls["scan"], calls["refine"], calls["eig"]) == (33, 32, 32)
+    assert calls["form"] == 32
+    assert calls["proven"] > 1000
 
 
 def test_deep_split_solve_makes_no_form_test_on_a_cell_both_sides_prove_zero(monkeypatch):
