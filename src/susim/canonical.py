@@ -71,9 +71,8 @@ def extract_features(
         steps.append(FeatureStep(s.functional, s.at, s.touch, rows.sizes, cols.sizes, s.groups_a))
     if not isinstance(end, _Solution):
         raise InternalInconsistency("a self-paired run cannot mismatch")
-    alphas, scales = end.form.diag_alphas, end.form.cell_scales_a
+    scales = end.form.cell_scales_a
     at = np.nonzero(scales)
-    edges = list(zip(*(x.tolist() for x in at)))
     return CanonicalFeatures(
         mode=mode,
         shape=mats[0].shape,
@@ -81,21 +80,48 @@ def extract_features(
         steps=tuple(steps),
         rows_sizes=end.rows.sizes,
         cols_sizes=end.cols.sizes,
-        alphas=tuple(zip(np.ndindex(alphas.shape), alphas.ravel().tolist())),
-        scales=tuple(zip(edges, scales[at].tolist())),
-        betas=tuple(zip(edges, end.betas.tolist())),
+        alphas=end.form.diag_alphas,
+        edges=np.stack(at, axis=1),
+        scales=scales[at],
+        betas=end.betas,
         components=tuple(tuple(map(end.paths.vertex, c)) for c in end.paths.components),
     )
 
 
-def _close(a: complex, b: complex, tol: Tolerances) -> bool:
-    return abs(complex(a) - complex(b)) <= tol.group * (1.0 + max(abs(a), abs(b)))
+def _close(a, b, tol: Tolerances):
+    """Whether the values of ``a`` and ``b`` agree within the grouping tolerance,
+    entry by entry; an overflow makes them differ, as in scalar arithmetic."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(a - b) <= tol.group * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+
+
+def _keys(features: CanonicalFeatures, field: str) -> np.ndarray:
+    """The index of each value of an array field, one row per value in order."""
+    if field != "alphas":
+        return features.edges
+    shape = features.alphas.shape
+    return np.indices(shape).reshape(len(shape), -1).T
+
+
+def _key_difference(ka: np.ndarray, kb: np.ndarray) -> str | None:
+    """Where two key lists part: the first differing key and both counts,
+    or None when they are equal."""
+    m = min(len(ka), len(kb))
+    parted = np.flatnonzero((ka[:m] != kb[:m]).any(axis=1))
+    if not parted.size and len(ka) == len(kb):
+        return None
+    k = int(parted[0]) if parted.size else m
+    first = [tuple(keys[k].tolist()) if k < len(keys) else "none" for keys in (ka, kb)]
+    return f"entry {k} is {first[0]} != {first[1]}, of {len(ka)} != {len(kb)} entries"
 
 
 def compare_features(
     fa: CanonicalFeatures, fb: CanonicalFeatures, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[bool, list[str]]:
-    """Entrywise comparison; returns (equal, human-readable differences)."""
+    """Entrywise comparison; returns (equal, human-readable differences).
+
+    Keys that differ are named by their first difference, values that
+    differ each on a line of their own."""
     diffs: list[str] = []
     for field in ("mode", "shape", "count", "rows_sizes", "cols_sizes", "components"):
         va, vb = getattr(fa, field), getattr(fb, field)
@@ -114,11 +140,12 @@ def compare_features(
             elif any(not _close(va, vb, tol) for (va, _), (vb, _) in zip(sa.groups, sb.groups)):
                 diffs.append(f"step {k} group values differ")
     for field in ("alphas", "scales", "betas"):
-        ta, tb = getattr(fa, field), getattr(fb, field)
-        if [k for k, _ in ta] != [k for k, _ in tb]:
-            diffs.append(f"{field} keys: {[k for k, _ in ta]} != {[k for k, _ in tb]}")
-        else:
-            for (key, va), (_, vb) in zip(ta, tb):
-                if not _close(va, vb, tol):
-                    diffs.append(f"{field}[{key}]: {va} != {vb}")
+        keys = _keys(fa, field)
+        parted = _key_difference(keys, _keys(fb, field))
+        if parted is not None:
+            diffs.append(f"{field} keys: {parted}")
+            continue
+        va, vb = getattr(fa, field).ravel(), getattr(fb, field).ravel()
+        for k in np.flatnonzero(~_close(va, vb, tol)).tolist():
+            diffs.append(f"{field}[{tuple(keys[k].tolist())}]: {va[k].item()} != {vb[k].item()}")
     return not diffs, diffs

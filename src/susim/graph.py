@@ -100,13 +100,21 @@ def build_paths(
     sizes = rows.sizes[:col0] + cols.sizes
     count = len(sizes)
 
-    # adjacency[q][v]: the fields (l, i, j, invert) of the step that crosses
-    # edge {q, v} from q; only the forest's steps become EdgeStep objects.
-    adjacency: list[dict[int, tuple[int, int, int, bool]]] = [{} for _ in range(count)]
-    for l, i, j in np.argwhere(scales_a).tolist():
-        if col0 + j not in adjacency[i]:
-            adjacency[i][col0 + j] = (l, i, j, False)
-            adjacency[col0 + j][i] = (l, i, j, True)
+    # The witness of an edge is its first cell in scan order; in similarity
+    # mode, cells (l, i, j) and (l', j, i) lie on the same edge.
+    cells = np.argwhere(scales_a)
+    ends = np.stack([cells[:, 1], col0 + cells[:, 2]])
+    _, firsts = np.unique(ends.min(axis=0) * count + ends.max(axis=0), return_index=True)
+    witness, ends = cells[firsts].tolist(), ends[:, firsts]
+    # Step s crosses edge s % w, from its row end if s < w and inverted from
+    # its column end otherwise; by (from, to), q's steps are
+    # ranked[bounds[q]:bounds[q + 1]].  Only the forest's steps become
+    # EdgeStep objects.
+    w = len(witness)
+    frm, to = np.concatenate([ends, ends[::-1]], axis=1)
+    ranked = np.lexsort((to, frm))
+    bounds = np.searchsorted(frm[ranked], np.arange(count + 1)).tolist()
+    to, ranked = to[ranked].tolist(), ranked.tolist()
 
     components: list[tuple[int, ...]] = []
     rep = [-1] * count
@@ -119,12 +127,16 @@ def build_paths(
         rep[start] = start
         first = k = len(order)
         order.append(start)
-        while k < len(order):  # order[k:] is the queue
+        # order[k:] is the queue; once every vertex is in order, no step can
+        # reach a new one.
+        while k < len(order) < count:
             q, k = order[k], k + 1
-            for v in sorted(adjacency[q]):
+            for e in range(bounds[q], bounds[q + 1]):
+                v = to[e]
                 if rep[v] < 0:
+                    s = ranked[e]
                     rep[v], parent[v] = start, q
-                    steps_to[v] = steps_to[q] + (EdgeStep(*adjacency[q][v]),)
+                    steps_to[v] = steps_to[q] + (EdgeStep(*witness[s % w], s >= w),)
                     order.append(v)
         components.append(tuple(sorted(order[first:])))
 

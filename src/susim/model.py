@@ -13,7 +13,9 @@ certificate checker and the oracles all take these types from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import DimensionMismatch, SpecInvalid
 from .linalg import Matrix
@@ -74,9 +76,21 @@ class FeatureStep:
     groups: Groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalFeatures:
-    """Full invariant trace of a collection."""
+    """Full invariant trace of a collection.
+
+    The values of the refined form are held as read-only arrays, each in
+    scan order:
+
+    * ``alphas``: complex, shape ``(count, classes)``, the diagonal scalar
+      of each class in each matrix (``classes`` is 0 in equivalence mode);
+    * ``edges``: int, shape ``(E, 3)``, the cell ``(l, i, j)`` of each edge;
+    * ``scales``: float, shape ``(E,)``, the squared amplitude of each edge;
+    * ``betas``: complex, shape ``(E,)``, the holonomy scalar of each edge.
+
+    Two features are equal when every field is, arrays entry by entry.
+    """
 
     mode: str
     shape: tuple[int, int]
@@ -84,10 +98,32 @@ class CanonicalFeatures:
     steps: tuple[FeatureStep, ...]
     rows_sizes: tuple[int, ...]
     cols_sizes: tuple[int, ...]
-    alphas: tuple[tuple[tuple[int, int], complex], ...]
-    scales: tuple[tuple[tuple[int, int, int], float], ...]
-    betas: tuple[tuple[tuple[int, int, int], complex], ...]
+    alphas: np.ndarray
+    edges: np.ndarray
+    scales: np.ndarray
+    betas: np.ndarray
     components: tuple[tuple[tuple[str, int], ...], ...]
+
+    def __post_init__(self) -> None:
+        for name, dtype in _FEATURE_ARRAYS.items():
+            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CanonicalFeatures):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            if f.name in _FEATURE_ARRAYS
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+        )
+
+
+_FEATURE_ARRAYS = {
+    "alphas": np.complex128, "edges": np.intp, "scales": np.float64, "betas": np.complex128,
+}
 
 
 @dataclass(frozen=True)

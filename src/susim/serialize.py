@@ -88,12 +88,19 @@ def _cpx(z: complex) -> list[float]:
     return [_real(z.real), _real(z.imag)]
 
 
+def _lists(a: np.ndarray, what: str) -> list:
+    """The entries of ``a`` as nested lists, a complex entry as its ``[re, im]``
+    pair.  Like :func:`_real`, refuses non-finite entries, in one check."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"a document cannot hold {what} with non-finite entries")
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(a.shape + (2,))
+    return a.tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     """Encode one matrix the same way the document formats do."""
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    if not np.isfinite(m).all():
-        raise ValueError("a document cannot hold a matrix with non-finite entries")
-    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
+    return _lists(np.asarray(m, dtype=np.complex128), "a matrix")
 
 
 _NUMBERS = frozenset((float, int))  # exact types: bool, an int subclass, stays out
@@ -328,26 +335,64 @@ def _list(table: _Table, fast=None, encode=None) -> _Kind:
     return _Kind((list,), _path(decode), encode or (lambda items: [_write(table, x) for x in items]))
 
 
-def _leaf(keys: tuple[str, ...], value: Callable[[Any], Any]) -> Callable[[dict], tuple | None]:
-    """The fast decoder of a feature entry: its one-based ``keys`` and its
-    ``value``, which ``value`` decodes or declines with None."""
+def _columns(keys: tuple[str, ...], value: _Kind, encode: Callable) -> _Kind:
+    """A list of feature entries, each its one-based ``keys`` and a ``value``,
+    held as two columns: an int array of the zero-based keys, one row per
+    entry, and an array of the values.  A well-formed list is read in bulk;
+    any other is walked entry by entry, which names the first faulty entry.
+    ``encode`` writes the entries from one list per key, one-based, and the
+    list of values."""
+    table = _table(_located, *((key, _INDEX) for key in keys), ("value", value))
+    dtype = np.complex128 if value is _COMPLEX else np.float64
 
-    def fast(entry):
-        at, x = [entry.get(key) for key in keys], value(entry.get("value"))
-        if x is not None and list(map(type, at)).count(int) == len(at) and min(at) >= 1:
-            return (tuple([i - 1 for i in at]), x)
+    def decode(entries, path):
+        columns = _bulk_columns(entries, keys, dtype)
+        if columns is not None:
+            return columns
+        located = [_read(table, x, f"{path}[{k}]") for k, x in enumerate(entries)]
+        try:
+            at = np.array([at for at, _ in located], dtype=np.intp).reshape(-1, len(keys))
+        except OverflowError:
+            _fail(f"{path}: an index is out of range")
+        return at, np.array([x for _, x in located], dtype=dtype)
+
+    def write(columns):
+        at, values = columns
+        return encode(*(at + 1).T.tolist(), _lists(values, "feature values"))
+
+    return _Kind((list,), _path(decode), write)
+
+
+def _bulk_columns(entries: list, keys: tuple[str, ...], dtype) -> tuple | None:
+    """The columns of a list of well-formed feature entries, whose indices
+    are integers of at least 1 and whose values are finite floats, or pairs
+    of them; None for any other list."""
+    if list(map(type, entries)).count(dict) != len(entries):
         return None
-
-    return fast
+    try:
+        at = [entry[key] for entry in entries for key in keys]
+        values = [entry["value"] for entry in entries]
+    except KeyError:
+        return None
+    if dtype is np.complex128:
+        values = _pair_entries(values)
+    if values is None or list(map(type, values)).count(float) != len(values):
+        return None
+    if list(map(type, at)).count(int) != len(at):
+        return None
+    try:
+        at = np.array(at, dtype=np.intp).reshape(-1, len(keys))
+    except OverflowError:
+        return None
+    values = np.array(values, dtype=np.float64)
+    if (at.size and at.min() < 1) or not np.isfinite(values).all():
+        return None
+    return at - 1, values.view(dtype)
 
 
 def _group_fast(entry: dict) -> tuple[complex, int] | None:
     mean, count = _cpx_in(entry.get("value")), entry.get("count")
     return (mean, count) if mean is not None and type(count) is int and count >= 1 else None
-
-
-def _finite_float(x: Any) -> float | None:
-    return x if type(x) is float and math.isfinite(x) else None
 
 
 def _fields(fields: dict) -> tuple:
@@ -451,40 +496,63 @@ _INSTANCE = _table(
     ("a", _MATRICES), ("b", _MATRICES),
     get=lambda inst: (inst.mode, inst.name, list(inst.shape), inst.count, inst.a_mats, inst.b_mats),
 )
+
+
+def _edge_entries(ls: list, rows: list, cols: list, values: list) -> list[dict]:
+    return [
+        {"matrix": l, "row": i, "col": j, "value": v} for l, i, j, v in zip(ls, rows, cols, values)
+    ]
+
+
+def _alpha_keys(shape: tuple[int, int]) -> np.ndarray:
+    """The ``(l, i)`` key of each diagonal scalar, in the order of the array."""
+    return np.indices(shape).reshape(2, -1).T
+
+
+def _features(fields: dict) -> CanonicalFeatures:
+    """The features, once the alphas list every class of every matrix in
+    order and the betas name the edges of the scales."""
+    shape = (fields["count"], len(fields["rows_sizes"]) if fields["mode"] == "sus" else 0)
+    at, alphas = fields["alphas"]
+    if len(at) != shape[0] * shape[1] or not np.array_equal(at, _alpha_keys(shape)):
+        _bad("features", "alphas", "must list every class of every matrix in order")
+    edges, scales = fields["scales"]
+    at, betas = fields["betas"]
+    if not np.array_equal(at, edges):
+        _bad("features", "betas", "must name the edges of 'scales' in order")
+    arrays = dict(alphas=alphas.reshape(shape), edges=edges, scales=scales, betas=betas)
+    return CanonicalFeatures(**{**fields, **arrays})
+
+
 _FEATURE_STEP = _record(
     FeatureStep,
     ("functional", _enum(*_FUNCTIONAL_NAMES)), ("at", _nested(_AT)), ("touch", _nested(_TOUCH)),
     ("rows_sizes", _SIZES), ("cols_sizes", _SIZES), ("groups", _GROUPS),
 )
-_ALPHAS = _list(
-    _table(_located, ("matrix", _INDEX), ("class", _INDEX), ("value", _COMPLEX)),
-    _leaf(("matrix", "class"), _cpx_in),
-    lambda alphas: [{"matrix": l + 1, "class": i + 1, "value": _cpx(v)} for (l, i), v in alphas],
-)
-_SCALES = _list(
-    _table(_located, *_AT.rows, ("value", _REAL)),
-    _leaf(("matrix", "row", "col"), _finite_float),
-    lambda scales: [
-        {"matrix": l + 1, "row": i + 1, "col": j + 1, "value": _real(v)} for (l, i, j), v in scales
+_ALPHAS = _columns(
+    ("matrix", "class"),
+    _COMPLEX,
+    lambda ls, classes, values: [
+        {"matrix": l, "class": i, "value": v} for l, i, v in zip(ls, classes, values)
     ],
 )
-_BETAS = _list(
-    _table(_located, *_AT.rows, ("value", _COMPLEX)),
-    _leaf(("matrix", "row", "col"), _cpx_in),
-    lambda betas: [
-        {"matrix": l + 1, "row": i + 1, "col": j + 1, "value": _cpx(v)} for (l, i, j), v in betas
-    ],
-)
+_SCALES = _columns(("matrix", "row", "col"), _REAL, _edge_entries)
+_BETAS = _columns(("matrix", "row", "col"), _COMPLEX, _edge_entries)
 _COMPONENTS = _Kind(
     (list,),
     _path(_components_in),
     lambda comps: [[_write(_TOUCH, vertex) for vertex in comp] for comp in comps],
 )
-_FEATURES = _record(
-    CanonicalFeatures,
+_FEATURES = _table(
+    _features,
     ("mode", _MODE), ("shape", _SHAPE), ("count", _POSITIVE), ("steps", _list(_FEATURE_STEP)),
     ("rows_sizes", _SIZES), ("cols_sizes", _SIZES),
     ("alphas", _ALPHAS), ("scales", _SCALES), ("betas", _BETAS), ("components", _COMPONENTS),
+    get=lambda f: (
+        f.mode, f.shape, f.count, f.steps, f.rows_sizes, f.cols_sizes,
+        (_alpha_keys(f.alphas.shape), f.alphas.ravel()), (f.edges, f.scales), (f.edges, f.betas),
+        f.components,
+    ),
 )
 _WORD = _table(
     None,

@@ -42,10 +42,8 @@ class TestExtraction:
         assert f.steps[0].rows_sizes == (3,)
         assert [m for _, m in f.steps[0].groups] == [2, 1]
         assert f.rows_sizes == (2, 1)
-        assert dict(f.alphas) == {
-            (0, 0): pytest.approx(3.0 + 0j),
-            (0, 1): pytest.approx(1.0 + 0j),
-        }
+        assert f.alphas.shape == (1, 2)
+        assert f.alphas.tolist() == [[pytest.approx(3.0 + 0j), pytest.approx(1.0 + 0j)]]
 
     def test_scalar_collection_has_no_steps(self):
         f = extract_features([2.0 * np.eye(4)])
@@ -57,9 +55,30 @@ class TestExtraction:
         a2 = np.zeros((4, 4), dtype=complex)
         a2[0:2, 2:4] = 3.0 * np.eye(2)
         f = extract_features([a1, a2])
-        assert dict(f.scales)[(1, 0, 1)] == pytest.approx(9.0)
-        assert dict(f.betas)[(1, 0, 1)] == pytest.approx(1.0 + 0j)
+        k = f.edges.tolist().index([1, 0, 1])
+        assert f.scales[k] == pytest.approx(9.0)
+        assert f.betas[k] == pytest.approx(1.0 + 0j)
         assert f.components == (((("row", 0)), ("row", 1)),)
+
+    @pytest.mark.parametrize("mode", ["sus", "sueq"])
+    def test_values_are_read_only_arrays_in_scan_order(self, mode):
+        a1 = np.diag([2.0, 2.0, 1.0, 1.0]).astype(complex)
+        a2 = np.zeros((4, 4), dtype=complex)
+        a2[0:2, 2:4] = 3.0 * np.eye(2)
+        a2[2:4, 0:2] = 5.0 * np.eye(2)
+        f = extract_features([a1, a2], mode=mode)
+        classes = len(f.rows_sizes) if mode == "sus" else 0
+        edges = len(f.edges)
+        for name, dtype, shape in (
+            ("alphas", np.complex128, (2, classes)),
+            ("edges", np.intp, (edges, 3)),
+            ("scales", np.float64, (edges,)),
+            ("betas", np.complex128, (edges,)),
+        ):
+            array = getattr(f, name)
+            assert (array.dtype, array.shape, array.flags.writeable) == (dtype, shape, False)
+        assert edges > 0
+        assert f.edges.tolist() == sorted(f.edges.tolist())
 
     def test_components_list_rows_before_columns(self):
         # Row class 0 and column class 0 share the edge; the other classes

@@ -426,6 +426,27 @@ class TestCanonAndDiff:
         assert main(["diff", str(fa), str(fb)]) == 1
         assert capsys.readouterr().out.strip()
 
+    def test_one_dropped_edge_is_named_on_a_bounded_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        shape = (12, 12)
+        mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+        inst = write_instance(tmp_path / "i.json", Instance("sus", mats, mats))
+        fa, fb = tmp_path / "fa.json", tmp_path / "fb.json"
+        assert main(["canon", inst, "--out", str(fa)]) == 0
+        doc = json.loads(fa.read_text())
+        assert len(doc["scales"]) == 264
+        dropped = doc["scales"][30]
+        del doc["scales"][30], doc["betas"][30]
+        fb.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["diff", str(fa), str(fb)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        key = tuple(dropped[k] - 1 for k in ("matrix", "row", "col"))
+        assert [line.split(":")[0] for line in lines] == ["scales keys", "betas keys"]
+        for line in lines:
+            assert f"entry 30 is {key} != " in line and line.endswith("of 264 != 263 entries")
+            assert len(line) < 100
+
     def test_canon_to_stdout(self, tmp_path, capsys):
         inst = planted_file(tmp_path)
         capsys.readouterr()
@@ -632,8 +653,9 @@ def with_nan_certificate_scalar(res):
 
 
 def with_nan_feature(features):
-    (at, _), *rest = features.scales
-    return replace(features, scales=((at, np.nan), *rest))
+    scales = features.scales.copy()
+    scales[0] = np.nan
+    return replace(features, scales=scales)
 
 
 class TestNonFiniteEmission:

@@ -105,6 +105,18 @@ class TestChainPaths:
         assert paths.steps_to[1] == (EdgeStep(0, 0, 1, invert=False),)
         assert paths.paths_a[1][0, 0] == pytest.approx(2.0)
 
+    def test_first_witness_wins_in_either_orientation(self):
+        p = Partition((1, 1))
+        a0 = np.zeros((2, 2), dtype=complex)
+        a1 = np.zeros((2, 2), dtype=complex)
+        a0[1, 0] = 2.0
+        a1[0, 1] = 5.0
+        _, paths = sus_paths([a0, a1], [a0.copy(), a1.copy()], p)
+        # The l=0 cell (1, 0) is scanned first, so it witnesses the edge
+        # {0, 1}; crossed from vertex 0 it is inverted.
+        assert paths.steps_to[1] == (EdgeStep(0, 1, 0, invert=True),)
+        assert paths.paths_a[1][0, 0] == pytest.approx(0.5)
+
 
 class TestComponents:
     def test_isolated_vertices_are_own_reps(self):
@@ -289,3 +301,45 @@ class TestPrCheckAgainstReference:
         else:
             assert got.shape == want.shape == (np.count_nonzero(pre.cell_scales_a),)
             assert got.tolist() == pytest.approx(want.tolist(), rel=1e-12)
+
+
+def reference_forest(scales_a, col0, count):
+    """The breadth-first forest from a per-cell adjacency loop: each edge's
+    first cell in scan order, in either orientation, is its witness."""
+    adjacency = [{} for _ in range(count)]
+    for l, i, j in np.argwhere(scales_a).tolist():
+        if col0 + j not in adjacency[i]:
+            adjacency[i][col0 + j] = EdgeStep(l, i, j, False)
+            adjacency[col0 + j][i] = EdgeStep(l, i, j, True)
+    rep, steps_to, components = [-1] * count, [()] * count, []
+    for start in range(count):
+        if rep[start] >= 0:
+            continue
+        rep[start], queue = start, [start]
+        for q in queue:
+            for v in sorted(adjacency[q]):
+                if rep[v] < 0:
+                    rep[v], steps_to[v] = start, steps_to[q] + (adjacency[q][v],)
+                    queue.append(v)
+        components.append(tuple(sorted(queue)))
+    return components, rep, steps_to
+
+
+@pytest.mark.parametrize("mode", ["sus", "sueq"])
+def test_forest_matches_the_per_cell_adjacency_loop(mode):
+    """Sparse 1x1-celled collections, from a few edges to nearly complete
+    class graphs: the witnesses, representatives and paths are the loop's."""
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        m = int(rng.integers(1, 9))
+        n = m if mode == "sus" else int(rng.integers(1, 9))
+        rows, cols = Partition((1,) * m), Partition((1,) * n)
+        mats = [
+            (rng.random((m, n)) < rng.uniform(0.05, 0.9)) * rng.uniform(0.5, 2.0, (m, n)) + 0j
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        scales = np.stack([np.abs(a) ** 2 for a in mats])
+        paths = build_paths(mats, mats, rows, cols, mode, scales, scales)
+        col0 = 0 if mode == "sus" else m
+        want = reference_forest(scales, col0, col0 + n)
+        assert (paths.components, paths.rep, paths.steps_to) == want, trial

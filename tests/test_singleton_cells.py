@@ -252,9 +252,11 @@ def test_features_are_in_key_order(config):
     inst, _ = generate(config)
     for mats in (inst.a_mats, inst.b_mats):
         features = extract_features(mats, mode=inst.mode)
-        for found in (features.alphas, features.scales, features.betas):
-            keys = [key for key, _ in found]
-            assert keys == sorted(keys)
+        classes = len(features.rows_sizes) if inst.mode == "sus" else 0
+        assert features.alphas.shape == (len(mats), classes)
+        edges = features.edges.tolist()
+        assert edges == sorted(edges)
+        assert features.scales.shape == features.betas.shape == (len(edges),)
 
 
 @pytest.mark.parametrize("config", list(golden_corpus()), ids=GenConfig.label)
