@@ -96,23 +96,23 @@ def _close(a, b, tol: Tolerances):
 
 
 def _keys(features: CanonicalFeatures, field: str) -> np.ndarray:
-    """The index of each value of an array field, one row per value in order."""
+    """Each value's index in an array field, from 1 as in the document, in order."""
     if field != "alphas":
-        return features.edges
+        return features.edges + 1
     shape = features.alphas.shape
-    return np.indices(shape).reshape(len(shape), -1).T
+    return np.indices(shape).reshape(len(shape), -1).T + 1
 
 
 def _key_difference(ka: np.ndarray, kb: np.ndarray) -> str | None:
-    """Where two key lists part: the first differing key and both counts,
-    or None when they are equal."""
+    """Where two key lists part: the first differing entry (from 1), its
+    keys and both counts, or None when they are equal."""
     m = min(len(ka), len(kb))
     parted = np.flatnonzero((ka[:m] != kb[:m]).any(axis=1))
     if not parted.size and len(ka) == len(kb):
         return None
     k = int(parted[0]) if parted.size else m
     first = [tuple(keys[k].tolist()) if k < len(keys) else "none" for keys in (ka, kb)]
-    return f"entry {k} is {first[0]} != {first[1]}, of {len(ka)} != {len(kb)} entries"
+    return f"entry {k + 1} is {first[0]} != {first[1]}, of {len(ka)} != {len(kb)} entries"
 
 
 def compare_features(

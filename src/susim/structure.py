@@ -32,28 +32,28 @@ behind the canonical features or a pair that the solver found equal bit
 for bit, is read and tested once, and a deviation on it carries one
 functional matrix for both sides.  Each pair the scan reaches gets one
 :func:`~susim.blocking.cell_sums` pass over each side's squared moduli
-(one in all for a shared matrix), which gives every cell's squared norm,
-and the cells that cannot deviate are skipped.  A cell off the similarity
-diagonal whose norm is below the ``is_zero`` threshold of each side,
-``cmp * (1 + ‖A_l‖)`` and ``cmp * (1 + ‖B_l‖)``, by a relative margin of
-1e-9 is zero on both and records nothing.  The margin covers the
-rounding between the pass's sum and :func:`~susim.linalg.fro`, so the
-scan's answer stays, bit for bit, the one a cell-by-cell scan gives.  A
-finite 1x1 cell passes its test at any context, and its scalar equals
-itself; a shared matrix skips these cells too, and once the scan has
-passed, reads them off its pass, where a one-entry cell's sum is its
-``|c|²`` bit for bit, so the values are those the two predicates return.
-In similarity mode a shared matrix's pass leaves out the matrix's own
-diagonal, so that a diagonal cell's sum is its off-diagonal mass; with
-the deviation of the diagonal entries from their class mean added, it
-proves the diagonal cells that are identity multiples below the same
-threshold, by the margin and a slack for the mean's rounding.  These
-cells are skipped as well, and a passing scan reads each class's scalar
-off the trace of its diagonal block, as ``identity_multiple`` does.  An
-unshared pair still tests its 1x1 and its diagonal cells, and under a
-single similarity class, with no cell off the diagonal, it gets no pass.
-The form holds arrays indexed by matrix and class, so array order is
-scan order and the order :mod:`susim.graph` reads edges in.
+(one in all for a shared matrix), which gives every cell's squared norm.
+It proves zero the cells below the ``is_zero`` threshold of their side,
+``cmp * (1 + ‖A_l‖)`` or ``cmp * (1 + ‖B_l‖)``, by a relative margin of
+1e-9, which covers the rounding between the pass's sum and
+:func:`~susim.linalg.fro`.  In similarity mode the pass leaves out the
+matrix's diagonal, so a diagonal cell's sum is its off-diagonal mass;
+with the deviation of the diagonal entries from their class mean added,
+it proves the diagonal cells that are identity multiples, below the same
+threshold by the margin and a slack for the mean's rounding.  One rule
+holds for every pair: a cell that both sides prove is skipped, an
+unshared diagonal cell only where the two class means also agree to
+``close_scalars`` by the margin and both slacks, so the answer stays, bit
+for bit, the one a cell-by-cell scan gives, and a passing scan reads each
+class's scalar off the trace of A's diagonal block, as
+``identity_multiple`` does.  One fork is left: a finite 1x1 cell passes
+its test at any context, so a shared matrix skips its 1x1 cells and, once
+the scan has passed, reads them off its pass, where a one-entry cell's
+sum is its ``|c|²`` bit for bit, as the two predicates return it; an
+unshared pair tests them off the similarity diagonal, and under one
+similarity class gets no pass.  The form holds arrays indexed by matrix
+and class, so array order is scan order and the order :mod:`susim.graph`
+reads edges in.
 """
 
 from __future__ import annotations
@@ -174,54 +174,51 @@ _ZERO_MARGIN = 1e-9
 _LEAST_THRESHOLD = 1e-150
 
 
-def _bound(tol: Tolerances, ctx: float) -> float:
-    """The ``is_zero`` threshold at context ``ctx``, lowered by the margin, or
-    0, which proves nothing, where it is too small for the margin to hold."""
-    threshold = tol.cmp * (1.0 + ctx)
+def _below(threshold: float) -> float:
+    """``threshold`` lowered by the margin, or 0, proving nothing, where the margin fails."""
     return threshold * (1.0 - _ZERO_MARGIN) if threshold > _LEAST_THRESHOLD else 0.0
 
 
-def _proven_zero(
-    m: Matrix, rows: Partition, cols: Partition, tol: Tolerances, ctx: float, off_diagonal: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell's squared norm, from one :func:`~susim.blocking.cell_sums`
-    pass over ``m``'s squared moduli, and which cells it proves zero: those
-    whose norm is below the ``is_zero`` threshold at context ``ctx`` by the
-    margin.  With ``off_diagonal`` the pass leaves out ``m``'s diagonal
-    entries, which only the similarity diagonal's cells hold: their sums are
-    then their off-diagonal mass, and every other sum is unchanged."""
+def _means(m: Matrix, rows: Partition) -> np.ndarray:
+    """Each similarity class's mean of its part of ``m``'s diagonal."""
+    return np.add.reduceat(np.diagonal(m), rows.offsets[:-1]) / rows.sizes
+
+
+def _proof(
+    m: Matrix, rows: Partition, cols: Partition, tol: Tolerances, ctx: float, claims
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """What one :func:`~susim.blocking.cell_sums` pass over ``m``'s squared
+    moduli proves at context ``ctx``: every cell's squared norm, and which
+    cells are zero, below the ``is_zero`` threshold by the margin.  In
+    similarity mode (``claims`` not None) the pass leaves out ``m``'s
+    diagonal, and the cell of a class in ``claims`` is an identity multiple
+    where its off-diagonal mass plus ``Σ|d - α|²`` over its part ``d`` of
+    the diagonal, ``α`` the class mean, is below the same threshold by the
+    margin and the slack ``8 k^1.5 ε max|d|`` returned with the proof; it
+    covers the mean's rounding against ``trace / k``, about ``k ε max|d|``,
+    in the residual and in the scalar.  An infinite context, whose traces
+    may overflow, proves no diagonal cell."""
     with np.errstate(over="ignore"):
         # An overflowing cell reads inf: not proven zero, so it is tested.
         x = m.real * m.real + m.imag * m.imag
-        if off_diagonal:
+        if claims is not None:
             np.fill_diagonal(x, 0.0)
         sq = cell_sums(x, rows, cols)
-    return sq, np.sqrt(sq) < _bound(tol, ctx)
-
-
-def _proven_scalar(
-    m: Matrix, rows: Partition, off_diagonal: np.ndarray, tol: Tolerances, ctx: float
-) -> np.ndarray:
-    """Which diagonal cells larger than 1x1 of the square ``m`` are identity
-    multiples to :func:`~susim.linalg.identity_multiple` at context ``ctx``,
-    given each cell's off-diagonal mass.  A cell's residual to ``α I`` adds
-    ``Σ|d - α|²`` over its part ``d`` of ``m``'s diagonal to that mass, with
-    no cancellation; it is proven where it is below the ``is_zero``
-    threshold at ``ctx``, which is at most ``identity_multiple``'s, by the
-    margin and by a slack.  ``α`` here is a sum over ``d`` in another order
-    than the trace's, divided by the class size ``k``: the two differ by at
-    most about ``k ε max|d|``, which moves the residual by ``√k`` times
-    that, and ``8 k^1.5 ε max|d|`` covers it.  An infinite context, whose
-    traces may overflow, proves nothing."""
-    bound = _bound(tol, ctx) if np.isfinite(ctx) else 0.0
-    d = np.diagonal(m)
-    starts = rows.offsets[:-1]
-    sizes = np.array(rows.sizes)
-    with np.errstate(over="ignore"):
-        dev = d - np.repeat(np.add.reduceat(d, starts) / sizes, sizes)
-        residual = np.sqrt(np.add.reduceat(dev.real**2 + dev.imag**2, starts) + off_diagonal)
-    slack = 8.0 * sizes**1.5 * np.finfo(float).eps * np.maximum.reduceat(np.abs(d), starts)
-    return (sizes > 1) & (residual + slack < bound)
+    bound = _below(tol.cmp * (1.0 + ctx))
+    proven = np.sqrt(sq) < bound
+    slack = None
+    if claims is not None:
+        np.fill_diagonal(proven, False)
+    if claims is not None and claims.any() and np.isfinite(ctx):
+        d = np.diagonal(m)
+        starts = rows.offsets[:-1]
+        sizes = np.array(rows.sizes)
+        with np.errstate(over="ignore"):
+            dev = d - np.repeat(_means(m, rows), sizes)
+            residual = np.sqrt(np.add.reduceat(dev.real**2 + dev.imag**2, starts) + np.diagonal(sq))
+        slack = 8.0 * sizes**1.5 * np.finfo(float).eps * np.maximum.reduceat(np.abs(d), starts)
+        np.fill_diagonal(proven, claims & (residual + slack < bound))
+    return sq, proven, slack
 
 
 def _tested_cells(
@@ -236,30 +233,34 @@ def _tested_cells(
 ) -> tuple[list[list[int]], np.ndarray | None]:
     """The cells ``[i, j]`` of the pair ``(a, b)`` that the scan tests, in
     scan order, and every cell's squared norm on the A side, from one
-    :func:`~susim.blocking.cell_sums` pass per side (one for a shared
-    matrix).  A cell off the similarity diagonal that each side proves zero
-    at its own norm passes its test and records nothing, so it is skipped,
-    as are the 1x1 cells of a shared matrix.  In similarity mode a shared
-    matrix's pass leaves out its diagonal entries, so that a diagonal
-    cell's sum is its off-diagonal mass, and the diagonal cells it proves
-    identity multiples are skipped too.  An unshared pair with one
-    similarity class has no cell to skip and gets no pass."""
+    :func:`_proof` per side (one for a shared matrix).  A cell that both
+    sides prove passes its test and records nothing, so it is skipped; an
+    unshared diagonal cell only where the class means also agree to
+    ``close_scalars`` at the larger norm, by the margin and both slacks.
+    A side tries only the diagonal cells whose means agree without the
+    slacks, B only those A proves.  The one fork left: a shared matrix
+    skips its 1x1 cells, and an unshared pair with one similarity class
+    gets no pass."""
     if b is not a and mode == "sus" and rows.count == 1:
         return [[0, 0]], None
-    shared_sus = b is a and mode == "sus"
-    sq, skip = _proven_zero(a, rows, cols, tol, ctx_a, off_diagonal=shared_sus)
-    if b is not a:
-        skip &= _proven_zero(b, rows, cols, tol, ctx_b, off_diagonal=False)[1]
-    if shared_sus:
-        np.fill_diagonal(skip, _proven_scalar(a, rows, np.diagonal(sq), tol, ctx_a))
-    elif mode == "sus":
-        np.fill_diagonal(skip, False)
+    claims = None if mode == "sueq" else np.greater(rows.sizes, 1)
+    if claims is not None and b is not a and np.isfinite(max(ctx_a, ctx_b)):
+        close = _below(tol.cmp * max(ctx_a, ctx_b))
+        gap = np.abs(_means(a, rows) - _means(b, rows))
+        claims = gap < close
+    sq, skip, slack = _proof(a, rows, cols, tol, ctx_a, claims)
     if b is a:
         # An unshared pair still tests its 1x1 cells.  Read off, they make a
         # dense solve several times faster, and the benchmark's gate, which
         # caches every document it reads, reports the extra rounds as memory
         # growth; this waits on that fix (ROADMAP items 1 and 2).
         skip |= np.equal(rows.sizes, 1)[:, None] & np.equal(cols.sizes, 1)
+        return np.argwhere(~skip).tolist(), sq
+    claims = None if claims is None else np.diagonal(skip)
+    _, proven, slack_b = _proof(b, rows, cols, tol, ctx_b, claims)
+    skip &= proven
+    if slack_b is not None:
+        np.fill_diagonal(skip, np.diagonal(skip) & (gap + slack + slack_b < close))
     return np.argwhere(~skip).tolist(), sq
 
 
@@ -280,7 +281,6 @@ def check_presolution(
     if mode not in ("sus", "sueq"):
         raise ValueError(f"unknown mode {mode!r}")
     p = len(a_mats)
-    diag_alphas = np.zeros((p, rows.count if mode == "sus" else 0), dtype=np.complex128)
     scales_a = np.zeros((p, rows.count, cols.count))
     scales_b = np.zeros((p, rows.count, cols.count))
     # Shared matrices and their cells' squared norms, read off after a pass.
@@ -306,11 +306,9 @@ def check_presolution(
                 cell, cell_ctx = (ca, ctx_a) if va is None else (cb, ctx_b)
                 functional = _choice(first, second, cell, cell_ctx, tol)
                 return _violation(functional, at, ca, cb, ctx_a, ctx_b)
-            if rule is _DIAGONAL:
-                if not close_scalars(va, vb, tol, context=ctx):
-                    return ScalarMismatch("diag_alpha", at, va, vb)
-                diag_alphas[(l, i)] = va
-            elif rule is _SQUARE:
+            if rule is _DIAGONAL and not close_scalars(va, vb, tol, context=ctx):
+                return ScalarMismatch("diag_alpha", at, va, vb)
+            if rule is _SQUARE:
                 if not close_scalars(va, vb, tol, context=ctx * ctx):
                     return _violation(GRAM_LEFT, at, ca, cb, ctx_a, ctx_b)
                 if va > 0.0 and vb > 0.0:
@@ -318,21 +316,21 @@ def check_presolution(
                     scales_b[at] = vb
     singletons = np.equal(rows.sizes, 1)
     single = singletons[:, None] & np.equal(cols.sizes, 1)
-    entry = np.take(rows.offsets, np.flatnonzero(singletons))
-    blocks = [(i, rows.slice_of(i), k) for i, k in enumerate(rows.sizes) if k > 1]
+    diag_alphas = np.zeros((p, rows.count if mode == "sus" else 0), dtype=np.complex128)
+    if mode == "sus":
+        # No edge lies on the diagonal, whose scalars are what identity_multiple
+        # returns on A's cell: a trace (its sum turns -0.0 into 0.0) over k.
+        np.fill_diagonal(single, False)
+        entry = np.take(rows.offsets, np.flatnonzero(singletons))
+        diag_alphas[:, singletons] = [a[entry, entry] + 0.0 for a in a_mats]
+        for i in np.flatnonzero(~singletons):
+            block, k = rows.slice_of(i), rows.sizes[i]
+            diag_alphas[:, i] = [complex(np.trace(a[block, block])) / k for a in a_mats]
     for l, a, sq, ctx in shared:
         with np.errstate(over="ignore"):
             # What unitary_multiple returns on a 1x1 cell, whose sum is |c|^2:
             # 0 within tolerance, else the mean of its two Gram scalars, both r.
             r = np.where(np.sqrt(sq) <= tol.cmp * (1.0 + ctx), 0.0, sq / 2.0 + sq / 2.0)
-        if mode == "sus":
-            # What identity_multiple returns: a trace, whose sum turns -0.0
-            # into 0.0, over the class size.  The scan skipped the cells
-            # its pass proved; those it tested get the value they had.
-            diag_alphas[l, singletons] = a[entry, entry] + 0.0
-            for i, block, k in blocks:
-                diag_alphas[l, i] = complex(np.trace(a[block, block])) / k
-            np.fill_diagonal(r, 0.0)
         np.copyto(scales_a[l], r, where=single)
         np.copyto(scales_b[l], r, where=single)
     return SolutionForm(diag_alphas, scales_a, scales_b)

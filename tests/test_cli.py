@@ -441,10 +441,11 @@ class TestCanonAndDiff:
         capsys.readouterr()
         assert main(["diff", str(fa), str(fb)]) == 1
         lines = capsys.readouterr().out.splitlines()
-        key = tuple(dropped[k] - 1 for k in ("matrix", "row", "col"))
+        key = tuple(dropped[k] for k in ("matrix", "row", "col"))
         assert [line.split(":")[0] for line in lines] == ["scales keys", "betas keys"]
         for line in lines:
-            assert f"entry 30 is {key} != " in line and line.endswith("of 264 != 263 entries")
+            # The 31st entry, numbered from 1 as the document numbers it.
+            assert f"entry 31 is {key} != " in line and line.endswith("of 264 != 263 entries")
             assert len(line) < 100
 
     def test_canon_to_stdout(self, tmp_path, capsys):

@@ -105,8 +105,13 @@ def close(a, b, tol):
     return abs(complex(a) - complex(b)) <= tol.group * (1.0 + max(abs(a), abs(b)))
 
 
+def one_based(key):
+    return tuple(k + 1 for k in key)
+
+
 def reference_compare(fa, fb, tol=TOL):
-    """The comparison that walked the tuple layout entry by entry."""
+    """The comparison that walked the tuple layout entry by entry, naming
+    keys numbered from 1, as the document numbers them."""
     diffs: list[str] = []
     for field in ("mode", "shape", "count", "rows_sizes", "cols_sizes", "components"):
         va, vb = getattr(fa, field), getattr(fb, field)
@@ -127,10 +132,11 @@ def reference_compare(fa, fb, tol=TOL):
     layout_a, layout_b = tuple_layout(fa), tuple_layout(fb)
     for field in VALUES:
         ta, tb = layout_a[field], layout_b[field]
-        if [k for k, _ in ta] != [k for k, _ in tb]:
-            diffs.append(f"{field} keys: {[k for k, _ in ta]} != {[k for k, _ in tb]}")
+        keys_a, keys_b = [one_based(k) for k, _ in ta], [one_based(k) for k, _ in tb]
+        if keys_a != keys_b:
+            diffs.append(f"{field} keys: {keys_a} != {keys_b}")
         else:
-            for (key, va), (_, vb) in zip(ta, tb):
+            for key, (_, va), (_, vb) in zip(keys_a, ta, tb):
                 if not close(va, vb, tol):
                     diffs.append(f"{field}[{key}]: {va} != {vb}")
     return not diffs, diffs
@@ -279,14 +285,14 @@ def test_a_missing_edge_changes_only_the_key_lines():
     assert not equal and not ref_equal
     assert [line.split(":")[0] for line in lines] == [line.split(":")[0] for line in ref_lines]
     assert lines == [
-        f"{field} keys: entry 100 is {tuple(f.edges[100].tolist())} != "
-        f"{tuple(f.edges[101].tolist())}, of 4680 != 4679 entries"
+        f"{field} keys: entry 101 is {tuple((f.edges[100] + 1).tolist())} != "
+        f"{tuple((f.edges[101] + 1).tolist())}, of 4680 != 4679 entries"
         for field in ("scales", "betas")
     ]
     assert all(len(line) < 100 < len(ref) for line, ref in zip(lines, ref_lines))
     assert compare_features(g, f)[1][0].endswith("of 4679 != 4680 entries")
     assert compare_features(without_edge(f, 4679), f)[1][0] == (
-        f"scales keys: entry 4679 is none != {tuple(f.edges[4679].tolist())}, "
+        f"scales keys: entry 4680 is none != {tuple((f.edges[4679] + 1).tolist())}, "
         "of 4679 != 4680 entries"
     )
 
@@ -296,5 +302,5 @@ def test_alphas_of_another_class_count_change_only_their_key_line():
     (equal, lines), (_, ref_lines) = compare_features(f, g), reference_compare(f, g)
     assert not equal
     [k] = [k for k, line in enumerate(ref_lines) if line.startswith("alphas keys:")]
-    key_line = "alphas keys: entry 2 is none != (0, 2), of 2 != 3 entries"
+    key_line = "alphas keys: entry 3 is none != (1, 3), of 2 != 3 entries"
     assert lines == [*ref_lines[:k], key_line, *ref_lines[k + 1 :]]

@@ -9,12 +9,13 @@ document must be byte-identical to the one a run without any sharing gives.
 import dataclasses
 import itertools
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from test_golden import CONFIGS
-from test_singleton_cells import assert_same_answer, predicate_scan, predicates_only
+from test_singleton_cells import assert_same_answer, bits, predicate_scan, predicates_only
 
 from susim import blocking, linalg, model, refine, solver, structure
 from susim.instances import GenConfig, generate, ginibre, random_unitary
@@ -204,15 +205,17 @@ def test_cells_at_the_zero_threshold(mode, row_sizes, col_sizes, scalars, cell):
 
 @pytest.mark.parametrize("scalar", [0.0, 3.0 - 1.0j])
 def test_diagonal_cells_at_the_identity_multiple_threshold(scalar):
-    """A shared matrix whose 2x2 diagonal cell ``(0, 0)`` is ``scalar``
-    times the identity plus an off-diagonal entry at a factor of the
+    """A matrix whose 2x2 diagonal cell ``(0, 0)`` is ``scalar`` times the
+    identity plus an off-diagonal entry at a factor of the
     ``identity_multiple`` threshold ``cmp * (1 + ‖m‖)``.  The kernel proves
     the cell only below that threshold by the margin and by its slack, which
     is zero on a zero diagonal and makes a nonzero one wait for a lower
-    factor; every other cell goes to the predicate.  The scan then returns
-    the answer, and the diagonal scalars bit for bit, of a run that tests
-    every cell, and the solve behind a guide matrix the documents of a run
-    that shares nothing."""
+    factor; every other cell goes to the predicate.  The same holds for the
+    matrix shared and for an unshared copy, whose two sides prove the cell
+    alike, with equal means.  The scan then returns the answer, and the
+    diagonal scalars bit for bit, of a run that tests every cell, and the
+    solve behind a guide matrix the documents of a run that shares
+    nothing."""
     rows = blocking.Partition((2, 3))
     rest, guide, direction = (np.zeros((5, 5), dtype=np.complex128) for _ in range(3))
     rest[:2, :2] = scalar * np.eye(2)
@@ -233,17 +236,137 @@ def test_diagonal_cells_at_the_identity_multiple_threshold(scalar):
             assert not proven
         elif factor == 0.5 or scalar == 0.0:
             assert proven
-        # An unshared pair tests every diagonal cell.
         tested, _ = structure._tested_cells(m, m.copy(), rows, rows, "sus", TOL, ctx, ctx)
-        assert [0, 0] in tested
+        assert ([0, 0] not in tested) == proven
         shared = structure.check_presolution([m], [m], rows, rows, "sus", TOL)
+        copied = structure.check_presolution([m], [m.copy()], rows, rows, "sus", TOL)
         predicted = predicate_scan([m], [m.copy()], rows, rows, "sus")
         assert_same_answer(shared, predicted)
+        assert_same_answer(copied, predicted)
         answers[factor] = type(shared)
         assert_sharing_changes_nothing(Instance("sus", [guide, m], [guide.copy(), m.copy()]))
     # At the threshold itself rounding decides.
     assert answers[1.0 - 1e-12] is structure.SolutionForm
     assert answers[1.0 + 1e-12] is structure.Violation
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_an_unshared_diagonal_cell_proven_on_one_side_is_tested(side):
+    """An unshared pair whose 2x2 diagonal cell ``(0, 0)`` is ``3 - 1j``
+    times the identity on both sides, with, on one side, an off-diagonal
+    entry at a factor of that side's ``identity_multiple`` threshold.  The
+    other side proves the cell at every factor, this side only below the
+    threshold by the margin and its slack, and the pair skips the cell only
+    where both do; the 1x1 diagonal cell, proven on both sides with equal
+    means, is always skipped.  The scan returns, bit for bit, the answer of
+    the predicate scan, which tests every cell."""
+    rows = blocking.Partition((2, 1, 3))
+    rest, direction = np.zeros((6, 6), dtype=np.complex128), np.zeros((6, 6))
+    rest[:2, :2] = (3.0 - 1.0j) * np.eye(2)
+    rest[2, 2] = -2.0 + 0.5j
+    rest[3:, 3:] = 5.0 * np.eye(3)
+    direction[0, 1] = 1.0
+    below = 1.0 - structure._ZERO_MARGIN
+    answers = {}
+    for factor in (0.5, 1.0 - 2.0 * structure._ZERO_MARGIN, 1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        m = at_threshold(rest, direction, factor)
+        a, b = (m, rest.copy()) if side == "a" else (rest, m)
+        ctx_a, ctx_b = linalg.fro(a), linalg.fro(b)
+        tested, _ = structure._tested_cells(a, b, rows, rows, "sus", TOL, ctx_a, ctx_b)
+        proven = [proven_scalar(x[:2, :2], ctx, TOL) for x, ctx in ((a, ctx_a), (b, ctx_b))]
+        assert proven[side == "a"]
+        assert ([0, 0] not in tested) == all(proven)
+        assert [1, 1] not in tested
+        if factor >= below:
+            assert [0, 0] in tested
+        elif factor == 0.5:
+            assert [0, 0] not in tested
+        found = structure.check_presolution([a], [b], rows, rows, "sus", TOL)
+        assert_same_answer(found, predicate_scan([a], [b], rows, rows, "sus"))
+        answers[factor] = found
+    # At the threshold itself rounding decides.
+    assert isinstance(answers[1.0 - 1e-12], structure.SolutionForm)
+    assert isinstance(answers[1.0 + 1e-12], structure.Violation)
+    assert answers[1.0 + 1e-12].at == (0, 0, 0)
+
+
+@pytest.mark.parametrize("scalar", [0.0, 3.0 - 1.0j])
+@pytest.mark.parametrize("cell", [0, 1], ids=["2x2", "1x1"])
+def test_unshared_diagonal_scalars_at_the_close_scalars_threshold(cell, scalar):
+    """An unshared pair of block-diagonal matrices on the classes (2, 1, 3)
+    whose diagonal cell ``cell`` is ``scalar`` times the identity on A, and
+    the same moved by a factor of the ``close_scalars`` threshold
+    ``cmp * max(|α_a|, |α_b|, ‖A‖, ‖B‖)`` on B.  Both sides prove the cell,
+    and the pair skips it only where the two means agree by the margin and
+    both slacks: at half the threshold, not near it.  The scan returns, bit
+    for bit, the form or the ``ScalarMismatch`` of the predicate scan; on a
+    zero scalar B's is exact to the last bits, so the threshold parts the
+    two outcomes."""
+    rows = blocking.Partition((2, 1, 3))
+    a = np.zeros((6, 6), dtype=np.complex128)
+    a[:2, :2] = (3.0 - 1.0j) * np.eye(2)
+    a[2, 2] = -2.0 + 0.5j
+    a[3:, 3:] = 5.0 * np.eye(3)
+    block = rows.slice_of(cell)
+    a[block, block] = scalar * np.eye(rows.sizes[cell])
+    shift = (1.0 + 1.0j) / np.sqrt(2.0) * np.eye(rows.sizes[cell])
+    answers = {}
+    for factor in (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        b, t = a.copy(), 0.0
+        for _ in range(5):
+            b[block, block] = a[block, block] + t * shift
+            moved = abs(scalar + t * shift[0, 0])
+            t = factor * TOL.cmp * max(abs(scalar), moved, linalg.fro(a), linalg.fro(b))
+        b[block, block] = a[block, block] + t * shift
+        ctx_a, ctx_b = linalg.fro(a), linalg.fro(b)
+        tested, _ = structure._tested_cells(a, b, rows, rows, "sus", TOL, ctx_a, ctx_b)
+        assert ([cell, cell] not in tested) == (factor == 0.5)
+        assert [1 - cell, 1 - cell] not in tested
+        found = structure.check_presolution([a], [b], rows, rows, "sus", TOL)
+        assert_same_answer(found, predicate_scan([a], [b], rows, rows, "sus"))
+        answers[factor] = found
+    assert isinstance(answers[0.5], structure.SolutionForm)
+    if scalar == 0.0:
+        assert isinstance(answers[1.0 - 1e-12], structure.SolutionForm)
+        mismatch = answers[1.0 + 1e-12]
+        assert isinstance(mismatch, structure.ScalarMismatch)
+        assert mismatch.at == (0, cell, cell) and mismatch.a_value == 0.0
+
+
+def test_negative_zero_diagonal_entries_are_read_off_as_zero():
+    """A diagonal of ``-0.0`` entries, in a 1x1 and in a 2x2 class, shared,
+    copied, and paired with ``+0.0``: each class's scalar is read off as
+    ``+0.0`` in both parts, bit for bit what ``identity_multiple`` returns
+    in the predicate scan."""
+    rows = blocking.Partition((1, 2, 1))
+    a = np.diag([complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 2.0])
+    for b in (a, a.copy(), np.diag([0.0, 0.0, 0.0, 2.0]).astype(np.complex128)):
+        found = structure.check_presolution([a], [b], rows, rows, "sus", TOL)
+        assert_same_answer(found, predicate_scan([a], [b.copy()], rows, rows, "sus"))
+        zero = float.hex(0.0)
+        assert bits(found.diag_alphas[:, :2])[2] == [(zero, zero)] * 2
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_an_infinite_context_on_either_side_proves_no_diagonal_cell(side):
+    """An unshared pair one of whose sides holds 1e160 on its diagonal: its
+    norm overflows, so that side proves no diagonal cell, not even a 1x1
+    one, and the pair tests them all; the kernel raises no warning.  The
+    off-diagonal cells, zero on both sides, are skipped."""
+    rows = blocking.Partition((2, 1))
+    big = np.diag([1e160, 1e160, 1.0]).astype(np.complex128)
+    small = np.diag([3.0, 3.0, 1.0]).astype(np.complex128)
+    a, b = (big, small) if side == "a" else (small, big)
+    with np.errstate(over="ignore"):
+        ctx_a, ctx_b = linalg.fro(a), linalg.fro(b)
+        predicted = predicate_scan([a], [b], rows, rows, "sus")
+        found = structure.check_presolution([a], [b], rows, rows, "sus", TOL)
+    assert max(ctx_a, ctx_b) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tested, _ = structure._tested_cells(a, b, rows, rows, "sus", TOL, ctx_a, ctx_b)
+    assert tested == [[0, 0], [1, 1]]
+    assert_same_answer(found, predicted)
 
 
 def test_no_diagonal_cell_is_proven_at_an_infinite_context():
@@ -309,20 +432,31 @@ def test_sharing_is_decided_per_matrix_and_bit_for_bit(entry):
     assert b3 is not a3 and all(y is x for x, y in zip(a3, b3))
 
 
-def proven_scalar(cell, ctx, tol):
-    """Whether the scan proves the shared diagonal cell ``cell`` an identity
-    multiple: its residual to the mean of its diagonal, plus a slack of
-    ``8 k^1.5 ε`` times the largest diagonal modulus, is below the
-    ``is_zero`` threshold lowered by the scan's margin, which is finite
-    and above the least threshold."""
-    k = cell.shape[0]
-    threshold = tol.cmp * (1.0 + ctx)
-    if k == 1 or not structure._LEAST_THRESHOLD < threshold < np.inf:
-        return False
+def slack(cell):
+    """``8 k^1.5 ε`` times the largest modulus on the diagonal of ``cell``."""
     d = np.diag(cell)
-    residual = linalg.fro(cell - np.mean(d) * np.eye(k))
-    slack = 8.0 * k**1.5 * np.finfo(float).eps * np.max(np.abs(d))
-    return residual + slack < threshold * (1.0 - structure._ZERO_MARGIN)
+    return 8.0 * len(d) ** 1.5 * np.finfo(float).eps * np.max(np.abs(d))
+
+
+def proven_scalar(cell, ctx, tol):
+    """Whether one side's pass proves the diagonal cell ``cell`` an identity
+    multiple: its residual to the mean of its diagonal, plus its slack, is
+    below the ``is_zero`` threshold lowered by the scan's margin, which is
+    finite and above the least threshold."""
+    threshold = tol.cmp * (1.0 + ctx)
+    if not structure._LEAST_THRESHOLD < threshold < np.inf:
+        return False
+    residual = linalg.fro(cell - np.mean(np.diag(cell)) * np.eye(len(cell)))
+    return residual + slack(cell) < threshold * (1.0 - structure._ZERO_MARGIN)
+
+
+def same_scalar(ca, cb, ctx, tol):
+    """Whether the means of the diagonals of ``ca`` and ``cb``, with both
+    slacks added to their distance, pass ``close_scalars`` at context
+    ``ctx`` by the scan's margin, where its threshold is above the least."""
+    threshold = tol.cmp * ctx
+    gap = abs(np.mean(np.diag(ca)) - np.mean(np.diag(cb))) + slack(ca) + slack(cb)
+    return threshold > structure._LEAST_THRESHOLD and gap < threshold * (1.0 - structure._ZERO_MARGIN)
 
 
 def skipped_cells(a, b, rows, cols, mode, tol):
@@ -330,7 +464,8 @@ def skipped_cells(a, b, rows, cols, mode, tol):
     every cell off the similarity diagonal that ``is_zero``, with the
     threshold lowered by the scan's margin, calls zero on both sides, each
     at its own norm, the 1x1 cells of a shared matrix, and the similarity
-    diagonal's cells of a shared matrix that ``proven_scalar`` proves."""
+    diagonal's cells that ``proven_scalar`` proves on both sides, whose
+    means an unshared pair also finds the ``same_scalar``."""
     at_margin = dataclasses.replace(tol, cmp=tol.cmp * (1.0 - structure._ZERO_MARGIN))
     sides = [(a, linalg.fro(a)), (b, linalg.fro(b))]
     skipped = set()
@@ -339,7 +474,9 @@ def skipped_cells(a, b, rows, cols, mode, tol):
         if b is a and rows.sizes[i] == cols.sizes[j] == 1:
             skipped.add((i, j))
         elif mode == "sus" and i == j:
-            if b is a and proven_scalar(*cells[0], tol):
+            (ca, ctx_a), (cb, ctx_b) = cells
+            proven = all(proven_scalar(cell, ctx, tol) for cell, ctx in cells)
+            if proven and (b is a or same_scalar(ca, cb, max(ctx_a, ctx_b), tol)):
                 skipped.add((i, j))
         elif all(linalg.is_zero(cell, at_margin, ctx) for cell, ctx in cells):
             skipped.add((i, j))
@@ -363,15 +500,15 @@ def guard_scan_reads(monkeypatch):
     once for a cell of a shared matrix and twice for a cell of an unshared
     pair, but not at all for the ``skipped_cells`` of either.  On every
     partition, for each matrix it reaches, in scan order, it makes one
-    ``cell_sums`` call on a shared matrix's squared moduli, with the
-    diagonal zeroed in similarity mode, and one on each side's of an
-    unshared pair, A before B, unless one similarity class leaves no cell
-    to skip; it holds no other reader of ``blocking``: a passing scan reads
-    a shared matrix's 1x1 cells off its sums, and its diagonal scalars off
-    the traces of its diagonal blocks.  Returns a counter of the
-    scans that read a shared matrix, of the kernel reads, of the skipped
-    zero cells larger than 1x1 and the skipped diagonal cells of shared
-    matrices, and of the skipped cells of unshared pairs."""
+    ``cell_sums`` call on each side's squared moduli, with the diagonal
+    zeroed in similarity mode, A before B, one for a shared matrix and none
+    for an unshared pair where one similarity class leaves no cell to skip;
+    it holds no other reader of ``blocking``: a passing scan reads a shared
+    matrix's 1x1 cells off its sums, and every diagonal scalar off the
+    traces of A's diagonal blocks.  Returns a counter of the scans that read
+    a shared matrix, of the kernel reads, of the skipped zero cells larger
+    than 1x1 and the skipped diagonal cells of shared matrices, and of the
+    skipped diagonal and other cells of unshared pairs."""
     module = blocking.__name__
     readers = {n for n, f in vars(structure).items() if getattr(f, "__module__", "") == module}
     assert readers == {"Partition", "submatrix", "cell_sums"}
@@ -404,7 +541,8 @@ def guard_scan_reads(monkeypatch):
             if (i, j) not in skipped[l]:
                 in_order += 1 if shared[l] else 2
             elif not shared[l]:
-                seen["unshared cells skipped"] += 1
+                diagonal = mode == "sus" and i == j
+                seen["unshared scalar cells skipped" if diagonal else "unshared cells skipped"] += 1
             elif mode == "sus" and i == j and rows.sizes[i] > 1:
                 seen["scalar cells skipped"] += 1
             elif rows.sizes[i] != 1 or cols.sizes[j] != 1:
@@ -413,11 +551,12 @@ def guard_scan_reads(monkeypatch):
                 break
         assert len(reads) == in_order
         kernel = []
+        moduli = off_diagonal_moduli if mode == "sus" else squared_moduli
         for a, b in reached:
             if b is a:
-                kernel.append(off_diagonal_moduli(a) if mode == "sus" else squared_moduli(a))
+                kernel.append(moduli(a))
             elif mode == "sueq" or rows.count > 1:
-                kernel += [squared_moduli(a), squared_moduli(b)]
+                kernel += [moduli(a), moduli(b)]
         assert len(sums) == len(kernel)
         assert all(np.array_equal(x, y) for x, y in zip(sums, kernel))
         seen["shared reads"] += any(shared)
@@ -433,7 +572,8 @@ def guard_scan_reads(monkeypatch):
 def test_shared_matrices_are_computed_once(monkeypatch):
     """Counted on solves whose B side holds copies of some A-side matrices:
     a scan reads a shared matrix's cells once and skips its scalar diagonal
-    cells and the zero cells of unshared pairs, a scan violation on a shared
+    cells, and the zero cells and the agreeing scalar diagonal cells of
+    unshared pairs, a scan violation on a shared
     matrix is eigensolved once, and a refinement that diagonalizes both
     sides alike keeps every shared matrix shared."""
     calls = Counter()
@@ -477,6 +617,7 @@ def test_shared_matrices_are_computed_once(monkeypatch):
         solver.solve(Instance(inst.mode, inst.a_mats, b), TOL)
     assert seen["shared reads"] and seen["shared violations"] and seen["sharing kept"]
     assert seen["unshared cells skipped"] and seen["scalar cells skipped"]
+    assert seen["unshared scalar cells skipped"]
 
 
 def test_all_shared_b_side_is_computed_once(monkeypatch):

@@ -12,9 +12,11 @@ it saves.  Off-diagonal cells that the same pass proves zero are skipped
 too, and so are those of an unshared pair that one pass per side proves
 zero on both sides: ``predicate_scan``, which tests every cell of an
 unshared pair, is the reference for both, and the last tests count the
-form tests the skip saves.  A shared matrix's diagonal cells that the
-pass proves identity multiples are skipped as well, and a passing scan
-reads their scalars off, bit for bit as the predicate returns them.
+form tests the skip saves.  Diagonal cells that the passes prove identity
+multiples are skipped as well, on an unshared pair only where the two
+sides' scalars agree, and a passing scan reads the scalars off A, bit for
+bit as the predicate returns them; the last test pins the form tests a
+solve makes.
 """
 
 import contextlib
@@ -155,6 +157,8 @@ def assert_same_answer(shared, copied):
         np.testing.assert_array_equal(shared.r, copied.r)
     else:
         assert isinstance(shared, ScalarMismatch) and shared == copied
+        values = [shared.a_value, shared.b_value], [copied.a_value, copied.b_value]
+        assert bits(np.array(values[0])) == bits(np.array(values[1]))
 
 
 kernel_cells = structure._tested_cells
@@ -177,8 +181,17 @@ def predicates_only():
 
 
 def predicate_scan(a_mats, b_mats, rows, cols, mode, tol=TOL):
+    """The answer of a scan that tests every cell of an unshared pair, with
+    the diagonal scalars of a passing one taken from ``identity_multiple``
+    on A's cells, not from the scan's read-off."""
     with predicates_only():
-        return check_presolution(a_mats, b_mats, rows, cols, mode, tol)
+        found = check_presolution(a_mats, b_mats, rows, cols, mode, tol)
+    if isinstance(found, SolutionForm) and mode == "sus":
+        for l, a in enumerate(a_mats):
+            for i in range(rows.count):
+                cell = submatrix(a, rows, i, rows, i)
+                found.diag_alphas[l, i] = identity_multiple(cell, tol, fro(a))
+    return found
 
 
 def partitions(rng, mode, singletons):
@@ -194,7 +207,12 @@ def partitions(rng, mode, singletons):
 @pytest.mark.parametrize("mode", ["sus", "sueq"])
 @pytest.mark.parametrize("singletons", [True, False], ids=["all_singleton", "mixed"])
 def test_shared_and_copied_b_give_the_same_answer(mode, singletons):
+    """Block forms, some with one dense matrix, paired with themselves and
+    with copies give the answer of the predicate scan.  In similarity mode
+    so does a B whose copy has one diagonal cell's scalar moved by about a
+    factor of the ``close_scalars`` threshold, from half of it to twice."""
     rng = np.random.default_rng([3, mode == "sus", singletons])
+    shift_rng = np.random.default_rng([4, singletons])
     kinds = set()
     for _ in range(60):
         rows, cols = partitions(rng, mode, singletons)
@@ -207,6 +225,13 @@ def test_shared_and_copied_b_give_the_same_answer(mode, singletons):
         copied = check_presolution(a_mats, copies, rows, cols, mode, TOL)
         assert_same_answer(shared, copied)
         assert_same_answer(copied, predicate_scan(a_mats, copies, rows, cols, mode))
+        if mode == "sus":
+            l, i = shift_rng.integers(3), shift_rng.integers(rows.count)
+            factor = shift_rng.choice([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0])
+            block = rows.slice_of(i)
+            copies[l][block, block] += factor * TOL.cmp * fro(a_mats[l]) * np.eye(rows.sizes[i])
+            shifted = check_presolution(a_mats, copies, rows, cols, mode, TOL)
+            assert_same_answer(shifted, predicate_scan(a_mats, copies, rows, cols, mode))
         if isinstance(shared, SolutionForm):
             # graph reads edge witnesses and the first failing edge in array order.
             assert_form_layout(shared, rows, cols, mode)
@@ -475,7 +500,7 @@ def test_deep_split_features_make_no_form_test_on_a_proven_zero_cell(monkeypatch
         return wrapper
 
     def counted_tested_cells(a, b, rows, cols, mode, tol, ctx_a, ctx_b):
-        # The scan is in similarity mode, where the diagonal is always tested.
+        # Off-diagonal cells only: the next test counts the proven diagonal ones.
         nonlocal proven
         tested, sq = tested_cells(a, b, rows, cols, mode, tol, ctx_a, ctx_b)
         sizes = np.array(rows.sizes)
@@ -582,6 +607,44 @@ def test_deep_split_solve_makes_no_form_test_on_a_cell_both_sides_prove_zero(mon
     inst, _ = generate(GenConfig(kind="deep_split", n=32, count=2, depth=8, seed=0))
     result = solver.solve(inst, TOL)
     assert result.status == "solved" and result.iterations == 9
-    # The diagonal cells are tested, as before.
-    assert form_tests > 0
+    # Only the deviating diagonal cell of each refining scan is tested.
+    assert form_tests == 8
     assert on_zero_cells == 0
+
+
+# Iterations and form tests in the scan's cell loop, per solve, of
+# deep_split (p=2, depth n/4), dense planted similarity (p=3) and planted
+# equivalence 16x8 (p=3), all at seed 0.  Each deep_split scan that refines
+# tests only its deviating cell; testing every diagonal cell took 138 and
+# 544 form tests.  The other two still test their unshared 1x1 and nonzero
+# cells (ROADMAP item 2).
+SCAN_WORK = [
+    (GenConfig(kind="deep_split", n=32, count=2, depth=8, seed=0), 9, 8),
+    (GenConfig(kind="deep_split", n=64, count=2, depth=16, seed=0), 17, 16),
+    (GenConfig(kind="planted_similar", n=16, count=3, seed=0), 2, 1441),
+    (GenConfig(kind="planted_equivalent", n=16, m=8, count=3, seed=0), 17, 1258),
+]
+
+
+@pytest.mark.parametrize(
+    "config, iterations, form_tests", SCAN_WORK, ids=[c.label() for c, *_ in SCAN_WORK]
+)
+def test_scan_work_per_solve_is_pinned(monkeypatch, config, iterations, form_tests):
+    """A scan that falls back to testing cells one by one fails here, not
+    only in a timing."""
+    calls = 0
+
+    def counted(test):
+        def wrapper(cell, tol, ctx):
+            nonlocal calls
+            calls += 1
+            return test(cell, tol, ctx)
+
+        return wrapper
+
+    for rule in ("_DIAGONAL", "_SQUARE", "_NON_SQUARE"):
+        test, *pair = getattr(structure, rule)
+        monkeypatch.setattr(structure, rule, (counted(test), *pair))
+    result = solver.solve(generate(config)[0], TOL)
+    assert result.status == "solved"
+    assert (result.iterations, calls) == (iterations, form_tests)
